@@ -94,7 +94,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the paper's process sweep instead of one point")
 	extended := flag.Bool("extended", false, "run the seven-benchmark extended suite")
 	benchList := flag.String("bench", "", "ordered comma-separated benchmark list, or 'paper'/'extended' (default: paper; see -list)")
-	workers := flag.Int("workers", 1, "concurrent sweep cells (output is byte-identical to -workers 1)")
+	workers := flag.Int("workers", 1, "concurrent sweep cells (output is byte-identical whatever the count; 1 runs one worker)")
 	list := flag.Bool("list", false, "list the registered benchmark workloads and exit")
 	out := flag.String("o", "", "output JSON path (default: stdout summary only)")
 	placement := flag.String("placement", "cyclic", "process placement: cyclic or block")
@@ -160,7 +160,7 @@ func main() {
 // directly drivable from tests.
 func validateCLI(o options) error {
 	if o.workers < 1 {
-		return fmt.Errorf("-workers must be at least 1, got %d (use -workers 1 for the sequential schedule)", o.workers)
+		return fmt.Errorf("-workers must be at least 1, got %d (use -workers 1 to run the sweep on one worker)", o.workers)
 	}
 	if o.retries < 0 {
 		return fmt.Errorf("-retries must be non-negative, got %d (0 runs each benchmark once)", o.retries)

@@ -272,46 +272,82 @@ func TestRunObservabilityOutputs(t *testing.T) {
 
 func TestRunSweepResumeReplaysTrace(t *testing.T) {
 	dir := t.TempDir()
-	// The uninterrupted traced sweep is the ground truth.
-	full := filepath.Join(dir, "full.json")
-	fullTrace := filepath.Join(dir, "full.trace.json")
-	if err := run(options{system: "testbed", sweep: true, out: full,
-		placement: "cyclic", tracePath: fullTrace}); err != nil {
+	// The README's fault plan with seed 4 plus a scheduled crash on
+	// STREAM's first attempt, so every cell retries.
+	planPath := filepath.Join(dir, "plan.json")
+	if err := faults.Save(planPath, &faults.Plan{
+		Seed:      4,
+		CrashProb: 0.2,
+		Crashes:   []faults.Crash{{Benchmark: "STREAM", Node: 1, At: 1}},
+		Straggler: &faults.Straggler{Prob: 0.1, ClockFactor: 0.5},
+		Meter:     &faults.Meter{DropRate: 0.05, GlitchRate: 0.02, GlitchWatts: 60},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	wantTrace, err := os.ReadFile(fullTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interrupt a traced sweep after three axis points by running it with a
-	// checkpoint hook that aborts, exactly as a killed process would.
-	resumed := filepath.Join(dir, "resumed.json")
-	err = run(options{system: "testbed", sweep: true, out: resumed,
-		placement: "cyclic", tracePath: filepath.Join(dir, "partial.trace.json"),
-		journalPath: resumed + ".journal", interruptAfter: 9})
-	if err == nil || !strings.Contains(err.Error(), "interrupted") {
-		t.Fatalf("interrupted sweep did not stop: %v", err)
-	}
-	// Resume must replay the journaled cells' spans and produce the
-	// identical trace file.
-	resumedTrace := filepath.Join(dir, "resumed.trace.json")
-	if err := run(options{system: "testbed", sweep: true, out: resumed,
-		placement: "cyclic", resume: true, tracePath: resumedTrace,
-		journalPath: resumed + ".journal"}); err != nil {
-		t.Fatal(err)
-	}
-	gotTrace, err := os.ReadFile(resumedTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotTrace) != string(wantTrace) {
-		t.Error("resumed sweep trace differs from uninterrupted sweep trace")
-	}
-	// And the results themselves still match the untraced contract.
-	a, _ := os.ReadFile(full)
-	b, _ := os.ReadFile(resumed)
-	if string(a) != string(b) {
-		t.Error("resumed sweep output differs from uninterrupted sweep")
+	for _, tc := range []struct {
+		name           string
+		placement      string
+		faultsPath     string
+		retries        int
+		workers        int
+		interruptAfter int
+	}{
+		{"clean", "cyclic", "", 0, 0, 9},
+		{"faulty/workers=1", "block", planPath, 3, 1, 13},
+		{"faulty/workers=2", "block", planPath, 3, 2, 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sweep := func(out, trace, metrics string, resume bool, interruptAfter int) error {
+				return run(options{system: "testbed", sweep: true, out: out,
+					placement: tc.placement, faultsPath: tc.faultsPath, retries: tc.retries,
+					workers: tc.workers, tracePath: trace, metricsPath: metrics,
+					journalPath: out + ".journal", resume: resume, interruptAfter: interruptAfter})
+			}
+			// The uninterrupted traced sweep is the ground truth.
+			full := filepath.Join(dir, "full.json")
+			fullTrace := filepath.Join(dir, "full.trace.json")
+			fullMetrics := filepath.Join(dir, "full.metrics.json")
+			if err := sweep(full, fullTrace, fullMetrics, false, 0); err != nil {
+				t.Fatal(err)
+			}
+			wantTrace, err := os.ReadFile(fullTrace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Interrupt a traced sweep partway by running it with a
+			// checkpoint hook that aborts, exactly as a killed process would.
+			resumed := filepath.Join(dir, "resumed.json")
+			err = sweep(resumed, filepath.Join(dir, "partial.trace.json"), "", false, tc.interruptAfter)
+			if err == nil || !strings.Contains(err.Error(), "interrupted") {
+				t.Fatalf("interrupted sweep did not stop: %v", err)
+			}
+			// Resume must replay the journaled cells' spans and produce the
+			// identical trace file.
+			resumedTrace := filepath.Join(dir, "resumed.trace.json")
+			resumedMetrics := filepath.Join(dir, "resumed.metrics.json")
+			if err := sweep(resumed, resumedTrace, resumedMetrics, true, 0); err != nil {
+				t.Fatal(err)
+			}
+			gotTrace, err := os.ReadFile(resumedTrace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(gotTrace) != string(wantTrace) {
+				t.Error("resumed sweep trace differs from uninterrupted sweep trace")
+			}
+			// And the results themselves still match the untraced contract.
+			a, _ := os.ReadFile(full)
+			b, _ := os.ReadFile(resumed)
+			if string(a) != string(b) {
+				t.Error("resumed sweep output differs from uninterrupted sweep")
+			}
+			a, _ = os.ReadFile(fullMetrics)
+			b, _ = os.ReadFile(resumedMetrics)
+			if string(a) != string(b) {
+				t.Error("resumed sweep metrics differ from uninterrupted sweep metrics")
+			}
+		})
 	}
 }
 

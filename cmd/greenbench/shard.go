@@ -9,7 +9,7 @@ package main
 //   - internal/suite owns the deterministic half: journal segments,
 //     their axis-order merge, and the resume machinery that turns the
 //     merged journal into results/trace/metrics byte-identical to a
-//     single-process sequential run.
+//     single-process run.
 //   - internal/campaign glues them (SuperviseShards): seeds segments on
 //     resume, merges worker segments, records quarantined cells. It is
 //     shared with the daemon, so CLI and server shard jobs behave
@@ -23,7 +23,6 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -185,7 +184,7 @@ func parseAxis(s string) ([]int, error) {
 }
 
 // runShardWorker is greenbench's hidden worker mode: run the assigned
-// axis slice sequentially, checkpoint every cell (with its cell-relative
+// axis slice on one worker, checkpoint every cell (with its cell-relative
 // trace and metric ops when the parent asked for observability) into the
 // private journal segment, and heartbeat on stdout. Stdout belongs to
 // the supervisor's watchdog — no results are printed. The segment is
@@ -220,7 +219,6 @@ func runShardWorker(o options, spec *cluster.Spec, pl cluster.Placement, benches
 	beats.Hello(total)
 	stop := shard.StartTicks(beats, o.shardTick)
 	defer stop()
-	var done atomic.Int64
 	fire := func(d int) {
 		if pf.Fires(o.shardWorker, d) {
 			stop()
@@ -231,53 +229,22 @@ func runShardWorker(o options, spec *cluster.Spec, pl cluster.Placement, benches
 
 	_, err = suite.RunSweepPlan(suite.SweepPlan{
 		Axis:    axis,
-		Workers: 1,
 		Trace:   tracer,
-		Configure: func(ctx suite.CellContext) (suite.Config, error) {
+		Journal: journal,
+		AfterCheckpoint: func(key string, done int64) error {
+			beats.Cell(key, int(done), total)
+			fire(int(done))
+			return nil
+		},
+		Configure: func(procs int) (suite.Config, error) {
 			if o.cellPause > 0 {
 				time.Sleep(o.cellPause)
 			}
-			cfg := suite.DefaultConfig(spec, ctx.Procs)
+			cfg := suite.DefaultConfig(spec, procs)
 			cfg.Placement = pl
 			cfg.Benchmarks = benches
 			cfg.Faults = plan
 			cfg.Retry = o.retryPolicy()
-			key := func(b string) string {
-				return suite.CellKey(spec.Name, ctx.Procs, pl.String(), b)
-			}
-			origin := ctx.Origin
-			mark := ctx.Rec.Mark()
-			cfg.Lookup = func(b string) (suite.BenchmarkRun, bool) {
-				run, ok := journal.Lookup(key(b))
-				if ok && ctx.Rec != nil {
-					if tr, hasTrace := journal.LookupTrace(key(b)); hasTrace {
-						ctx.Rec.Replay(obs.ShiftedSpans(tr.Spans, origin),
-							obs.ShiftedEvents(tr.Events, origin))
-						ctx.Rec.ReplayOps(tr.Ops)
-						mark = ctx.Rec.Mark()
-					}
-				}
-				return run, ok
-			}
-			cfg.OnBenchmark = func(b string, run suite.BenchmarkRun) error {
-				if ctx.Rec != nil {
-					spans, events := ctx.Rec.Since(mark)
-					ops := ctx.Rec.OpsSince(mark)
-					mark = ctx.Rec.Mark()
-					journal.SetTrace(key(b), suite.CellTrace{
-						Spans:  obs.ShiftedSpans(spans, -ctx.Origin),
-						Events: obs.ShiftedEvents(events, -ctx.Origin),
-						Ops:    ops,
-					})
-				}
-				if err := journal.Record(key(b), run); err != nil {
-					return err
-				}
-				d := int(done.Add(1))
-				beats.Cell(key(b), d, total)
-				fire(d)
-				return nil
-			}
 			return cfg, nil
 		},
 	})

@@ -6,7 +6,7 @@
 // paper's three subsystem probes plus the opt-in b_eff ring-bandwidth
 // workload — compute TGI over it, and then run a full process-count
 // sweep on four workers. Every sweep cell is seeded independently, so
-// the parallel schedule reproduces the sequential results exactly.
+// four workers reproduce the one-worker results exactly.
 //
 //	go run ./examples/customsuite
 package main
@@ -58,13 +58,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sequential, err := greenindex.SweepSuite(greenindex.Fire(), axis)
+	oneWorker, err := greenindex.SweepSuite(greenindex.Fire(), axis)
 	if err != nil {
 		log.Fatal(err)
 	}
 	pb, _ := json.Marshal(parallel)
-	sb, _ := json.Marshal(sequential)
-	fmt.Printf("\nSweep over %v on 4 workers: %d results, byte-identical to sequential: %v\n",
+	sb, _ := json.Marshal(oneWorker)
+	fmt.Printf("\nSweep over %v on 4 workers: %d results, byte-identical to one worker: %v\n",
 		axis, len(parallel), string(pb) == string(sb))
 	for _, r := range parallel {
 		hpl := r.Runs[0].Measurement

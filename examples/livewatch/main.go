@@ -59,9 +59,9 @@ func main() {
 		Workers: 2,
 		Trace:   tracer,
 		Live:    hub,
-		Configure: func(ctx suite.CellContext) (suite.Config, error) {
+		Configure: func(procs int) (suite.Config, error) {
 			time.Sleep(80 * time.Millisecond) // pacing only; virtual plane unaffected
-			cfg := suite.SeededConfig(cluster.Testbed(), ctx.Procs, 23)
+			cfg := suite.SeededConfig(cluster.Testbed(), procs, 23)
 			cfg.Faults = plan
 			cfg.Retry = suite.RetryPolicy{MaxAttempts: 3, Backoff: 30}
 			return cfg, nil

@@ -25,7 +25,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/suite"
-	"repro/internal/units"
 )
 
 func main() {
@@ -45,21 +44,20 @@ func main() {
 		Meter:     &faults.Meter{DropRate: 0.08, GlitchRate: 0.02, GlitchWatts: 400},
 	}
 
+	// The sweep scheduler lays the cells out end to end on one timeline.
 	tracer := obs.NewTracer()
-	var results []*suite.Result
-	var cursor units.Seconds
-	for _, procs := range []int{2, 4, 8} {
-		cfg := suite.SeededConfig(cluster.Testbed(), procs, 23)
-		cfg.Faults = plan
-		cfg.Retry = suite.RetryPolicy{MaxAttempts: 3, Backoff: 30}
-		cfg.Trace = tracer
-		cfg.TraceAt = cursor // runs lay out end to end on one timeline
-		r, err := suite.Run(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cursor = r.TraceEnd
-		results = append(results, r)
+	results, err := suite.RunSweepPlan(suite.SweepPlan{
+		Axis:  []int{2, 4, 8},
+		Trace: tracer,
+		Configure: func(procs int) (suite.Config, error) {
+			cfg := suite.SeededConfig(cluster.Testbed(), procs, 23)
+			cfg.Faults = plan
+			cfg.Retry = suite.RetryPolicy{MaxAttempts: 3, Backoff: 30}
+			return cfg, nil
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	tracePath := filepath.Join(*dir, "campaign.trace.json")

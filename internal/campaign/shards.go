@@ -8,7 +8,7 @@ package campaign
 //   - internal/suite owns the deterministic half: journal segments,
 //     their axis-order merge, and the resume machinery that turns the
 //     merged journal into results/trace/metrics byte-identical to a
-//     single-process sequential run.
+//     single-process run.
 //   - SuperviseShards glues them: seeds segments on resume, records
 //     quarantined cells, and merges worker segments into the canonical
 //     journal. How a worker process is built stays with the caller
@@ -94,9 +94,6 @@ func SuperviseShards(p ShardPlan) error {
 	}
 	if err := journal.Bind(p.Benchmarks); err != nil {
 		return err
-	}
-	if journal.LegacyTraces() {
-		return fmt.Errorf("journal %s stores traces in the pre-v3 absolute-time layout and cannot seed shard segments; resume it with -workers 1 first, or delete it to start over", journal.Path())
 	}
 
 	tasks := shard.Partition(p.Axis, p.Shards)

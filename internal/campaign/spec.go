@@ -32,7 +32,7 @@ type JobSpec struct {
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Placement is the process placement policy: cyclic (default) or block.
 	Placement string `json:"placement,omitempty"`
-	// Workers caps concurrently-running sweep cells (0: sequential).
+	// Workers caps concurrently-running sweep cells (0: one worker).
 	Workers int `json:"workers,omitempty"`
 	// Shards runs a sweep as this many supervised worker processes
 	// (needs the manager to have a worker factory).
@@ -112,7 +112,7 @@ func (js *JobSpec) resolve() (*resolved, error) {
 		return nil, specErrf(ReasonBadSpec, "procs must be non-negative, got %d (0 means all cores)", js.Procs)
 	}
 	if js.Workers < 0 {
-		return nil, specErrf(ReasonBadSpec, "workers must be non-negative, got %d (0 runs cells sequentially)", js.Workers)
+		return nil, specErrf(ReasonBadSpec, "workers must be non-negative, got %d (0 runs cells on one worker)", js.Workers)
 	}
 	if js.Shards < 0 {
 		return nil, specErrf(ReasonBadSpec, "shards must be non-negative, got %d (0 runs in-process)", js.Shards)

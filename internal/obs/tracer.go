@@ -82,8 +82,8 @@ type Tracer struct {
 // MetricOp is one metric update in recording order. Counter and
 // histogram accumulation is floating-point addition and therefore
 // order-sensitive; keeping the update log (rather than merging final
-// registry values) lets MergeInto rebuild a campaign registry
-// bit-identical to a sequentially-recorded one. The op log is exported
+// registry values) lets MergeRangeInto rebuild a campaign registry
+// bit-for-bit from per-cell tracers. The op log is exported
 // (and JSON-serialisable — float64 round-trips exactly through
 // encoding/json) so journals can checkpoint a cell's metric updates and
 // a resumed campaign can replay them into its registry bit-for-bit.
@@ -261,46 +261,16 @@ func (t *Tracer) ReplayOps(ops []MetricOp) {
 	}
 }
 
-// ShiftedSpans returns the recorded spans with start and end offset on
-// the virtual-time axis — how a cell trace recorded at origin zero is
-// rebased for journaling or merging.
-func ShiftedSpans(spans []Span, offset units.Seconds) []Span {
-	out := append([]Span(nil), spans...)
-	for i := range out {
-		out[i].Start += offset
-		out[i].End += offset
-	}
-	return out
-}
-
-// ShiftedEvents is ShiftedSpans for instant events.
-func ShiftedEvents(events []Event, offset units.Seconds) []Event {
-	out := append([]Event(nil), events...)
-	for i := range out {
-		out[i].At += offset
-	}
-	return out
-}
-
-// MergeInto replays everything this tracer recorded into dst with all
-// virtual times shifted by offset: spans, events and the metric-update
-// log, each in original recording order. Merging the per-cell tracers of
-// a parallel sweep into the campaign tracer in axis order therefore
-// reproduces the sequentially-recorded campaign stream byte-for-byte —
-// including the order-sensitive floating-point accumulation of counters
-// and histogram sums, which replaying final values could not guarantee.
-func (t *Tracer) MergeInto(dst Recorder, offset units.Seconds) {
-	if t == nil {
-		return
-	}
-	t.MergeRangeInto(dst, Mark{}, t.Mark(), offset)
-}
-
 // MergeRangeInto replays the records between marks from and to — one
 // cell of a batched sweep, delimited by Mark calls around its run — into
-// dst with all virtual times shifted by offset. The records stream out
-// of the arenas one value at a time: nothing is copied or retained, so
-// the axis-order merge of a parallel sweep allocates nothing at all.
+// dst with all virtual times shifted by offset: spans, events and the
+// metric-update log, each in original recording order. Merging the
+// cells of a sweep in axis order therefore yields the same campaign
+// stream whichever worker ran which cell — including the order-sensitive
+// floating-point accumulation of counters and histogram sums, which
+// replaying final values could not guarantee. The
+// records stream out of the arenas one value at a time: nothing is
+// copied or retained, so the axis-order merge allocates nothing at all.
 //
 // The shift happens on the stack copy handed to dst; the tracer's own
 // records are never mutated, and dst must not record back into t.

@@ -1,8 +1,10 @@
 package suite
 
 import (
+	"errors"
 	"fmt"
-	"sync/atomic"
+	"io/fs"
+	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -40,17 +42,16 @@ type CampaignSpec struct {
 	Procs int
 	// Axis overrides the sweep's process axis (nil: DefaultAxis(Spec)).
 	Axis []int
-	// Workers caps concurrently-running sweep cells (0 or 1: sequential).
+	// Workers caps concurrently-running sweep cells (0 or 1: one worker).
 	Workers int
 
 	// JournalPath checkpoints completed sweep cells ("" for none; only
-	// sweeps journal).
+	// sweeps journal). Without Resume a stale file there is removed
+	// first, so a fresh campaign never inherits an abandoned one's cells.
 	JournalPath string
-	// Resume skips cells already checkpointed in the journal.
+	// Resume skips cells already checkpointed in the journal; cells a
+	// sharded sweep quarantined are dropped and re-run.
 	Resume bool
-	// KeepQuarantined reuses journaled quarantined cells instead of
-	// re-running them — set by the sharded supervisor's render pass.
-	KeepQuarantined bool
 
 	// Trace, when non-nil, records the campaign's deterministic
 	// observability stream (spans, events, metrics).
@@ -72,8 +73,8 @@ type CampaignSpec struct {
 	AfterCell func(done int64) error
 	// Supervise, when non-nil, runs the sweep axis out of process before
 	// the in-process pass — the sharded supervisor hook. On success the
-	// campaign switches to Resume + KeepQuarantined and renders entirely
-	// from the journal the supervisor filled.
+	// campaign renders entirely from the journal the supervisor filled,
+	// quarantined cells included.
 	Supervise func(axis []int) error
 	// Logf, when non-nil, receives human-readable status lines (resume
 	// notices). Artefact bytes never pass through it.
@@ -130,33 +131,40 @@ func (cs *CampaignSpec) logf(format string, args ...any) {
 	}
 }
 
-// configure builds the base Config for one process count.
-func (cs *CampaignSpec) configure(procs int) Config {
+// configure builds the Config for one process count — the campaign's
+// SweepPlan.Configure. The cancellation check and the wall-clock pause
+// run first; neither can touch the virtual results.
+func (cs *CampaignSpec) configure(procs int) (Config, error) {
+	if cs.Check != nil {
+		if err := cs.Check(); err != nil {
+			return Config{}, err
+		}
+	}
+	if cs.PauseCell != nil {
+		cs.PauseCell()
+	}
 	cfg := DefaultConfig(cs.Spec, procs)
 	cfg.Placement = cs.Placement
 	cfg.Benchmarks = cs.Benchmarks
 	cfg.Faults = cs.Faults
 	cfg.Retry = cs.Retry
-	return cfg
+	return cfg, nil
 }
 
 // RunCampaign executes the campaign described by cs: a single suite run
-// or a journal-backed (optionally sharded, optionally resumed) sweep.
-// Render runs once the results exist; the journal is then removed unless
-// quarantined cells remain, in which case it is kept as the handle for
-// retrying them and the outcome names it.
+// (a one-cell sweep) or a journal-backed (optionally sharded, optionally
+// resumed) sweep. Render runs once the results exist; the journal is
+// then removed unless quarantined cells remain, in which case it is kept
+// as the handle for retrying them and the outcome names it.
 func RunCampaign(cs CampaignSpec) (*CampaignOutcome, error) {
 	if cs.Spec == nil {
 		return nil, fmt.Errorf("suite: campaign has no cluster spec")
 	}
-	var results []*Result
-	var journal *Journal
-	var err error
-	if cs.Sweep {
-		results, journal, err = cs.runSweep()
-	} else {
-		results, err = cs.runSingle()
+	plan, err := cs.plan()
+	if err != nil {
+		return nil, err
 	}
+	results, err := RunSweepPlan(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +177,7 @@ func RunCampaign(cs CampaignSpec) (*CampaignOutcome, error) {
 	// The campaign completed and its output (if any) is safely rendered:
 	// the journal has served its purpose — unless cells were quarantined,
 	// in which case it is the handle for retrying them.
-	if journal != nil {
+	if journal := plan.Journal; journal != nil {
 		if out.Quarantined > 0 {
 			out.JournalKept = journal.Path()
 			return out, nil
@@ -181,171 +189,66 @@ func RunCampaign(cs CampaignSpec) (*CampaignOutcome, error) {
 	return out, nil
 }
 
-// runSingle executes the campaign's one-point form: a single suite run,
-// presented to the live plane as a one-cell sweep.
-func (cs *CampaignSpec) runSingle() ([]*Result, error) {
-	procs := cs.Procs
-	if procs == 0 {
-		procs = cs.Spec.TotalCores()
+// plan builds the campaign's sweep plan: one cell at Procs for a single
+// run, else the sweep axis with its journal. A sharded sweep first runs
+// the axis as supervised worker processes (Supervise), merging their
+// journal segments — and quarantine records for cells lost to a poison
+// shard — into the canonical journal; the plan then renders the
+// campaign entirely from that journal, every cell a journal hit, so
+// sharded output is byte-identical to an in-process run by construction.
+func (cs *CampaignSpec) plan() (SweepPlan, error) {
+	plan := SweepPlan{
+		Workers:   cs.Workers,
+		Trace:     cs.Trace,
+		Live:      cs.Live,
+		Configure: cs.configure,
 	}
-	cfg := cs.configure(procs)
-	if cs.Trace != nil {
-		cfg.Trace = cs.Trace
+	if !cs.Sweep {
+		procs := cs.Procs
+		if procs == 0 {
+			procs = cs.Spec.TotalCores()
+		}
+		plan.Axis = []int{procs}
+		return plan, nil
 	}
-	var done func(err error, retries int, degraded bool)
-	if cs.Live != nil {
-		cfg.Trace = cs.Live.Tap(cfg.Trace, procs)
-		cs.Live.SweepStarted(1, 1)
-		done = cs.Live.BeginCell(procs)
+	plan.Axis = cs.Axis
+	if plan.Axis == nil {
+		plan.Axis = DefaultAxis(cs.Spec)
 	}
-	if cs.Check != nil {
-		if err := cs.Check(); err != nil {
-			if done != nil {
-				done(err, 0, false)
-			}
-			return nil, err
+	if cs.JournalPath != "" && !cs.Resume {
+		if err := os.Remove(cs.JournalPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return plan, err
 		}
 	}
-	if cs.PauseCell != nil {
-		cs.PauseCell()
-	}
-	r, err := Run(cfg)
-	if err != nil {
-		if done != nil {
-			done(err, 0, false)
-		}
-		return nil, err
-	}
-	if done != nil {
-		done(nil, resultRetries(r), r.Degraded)
-		cs.Live.SweepFinished()
-	}
-	return []*Result{r}, nil
-}
-
-// runSweep executes the campaign's sweep form, optionally sharded out of
-// process first (Supervise) and optionally resumed from a journal. The
-// returned journal is non-nil when one was opened; the caller decides
-// whether it is removed or kept.
-func (cs *CampaignSpec) runSweep() ([]*Result, *Journal, error) {
-	axis := cs.Axis
-	if axis == nil {
-		axis = DefaultAxis(cs.Spec)
-	}
-	// A sharded sweep runs the axis as supervised worker processes first,
-	// merging their journal segments (and quarantine records for cells
-	// lost to a poison shard) into the canonical journal. The ordinary
-	// resume path below then renders the campaign entirely from that
-	// journal — every cell a Lookup hit — so sharded output is
-	// byte-identical to a single-process sequential run by construction.
-	resume, keepQuarantined := cs.Resume, cs.KeepQuarantined
 	if cs.Supervise != nil {
-		if err := cs.Supervise(axis); err != nil {
-			return nil, nil, err
+		if err := cs.Supervise(plan.Axis); err != nil {
+			return plan, err
 		}
-		resume, keepQuarantined = true, true
+	}
+	if cs.JournalPath == "" {
+		return plan, nil
 	}
 	// Checkpoint completed (procs, benchmark) cells so an interrupted
 	// sweep can resume instead of re-simulating finished work.
-	var journal *Journal
-	if cs.JournalPath != "" {
-		var err error
-		if journal, err = OpenJournal(cs.JournalPath); err != nil {
-			return nil, nil, err
-		}
-		if err := journal.Bind(cs.Benchmarks); err != nil {
-			return nil, nil, err
-		}
-		if cs.Workers > 1 && journal.LegacyTraces() {
-			return nil, nil, fmt.Errorf("journal %s stores traces in the pre-v3 absolute-time layout; resume it with -workers 1, or delete it to start over", journal.Path())
-		}
-		if resume && journal.Len() > 0 {
-			cs.logf("resuming: %d cell(s) already in %s", journal.Len(), journal.Path())
-		}
-	}
-	var cells atomic.Int64
-	plan := SweepPlan{
-		Axis:    axis,
-		Workers: cs.Workers,
-		Trace:   cs.Trace,
-		Live:    cs.Live,
-		Configure: func(ctx CellContext) (Config, error) {
-			if cs.Check != nil {
-				if err := cs.Check(); err != nil {
-					return Config{}, err
-				}
-			}
-			// A wall-clock pause paces demo and e2e runs so there is a
-			// window to watch the live plane mid-campaign. It happens before
-			// the virtual simulation and cannot touch its results.
-			if cs.PauseCell != nil {
-				cs.PauseCell()
-			}
-			cfg := cs.configure(ctx.Procs)
-			if journal == nil {
-				return cfg, nil
-			}
-			key := func(bench string) string {
-				return CellKey(cs.Spec.Name, ctx.Procs, cs.Placement.String(), bench)
-			}
-			// Journaled traces are cell-relative; the cell origin rebases
-			// them onto this run's campaign clock. Legacy journals recorded
-			// absolute campaign times — replay those verbatim (the
-			// sequential schedule reproduces them).
-			origin := ctx.Origin
-			if journal.LegacyTraces() {
-				origin = 0
-			}
-			// mark fences the recorder per benchmark cell, so each cell's
-			// spans are journaled with it and replayed on resume.
-			mark := ctx.Rec.Mark()
-			if resume {
-				cfg.Lookup = func(bench string) (BenchmarkRun, bool) {
-					run, ok := journal.Lookup(key(bench))
-					// A quarantined cell is an artifact of a lost shard
-					// worker, not a simulation outcome: a user-driven resume
-					// re-runs it. Only the sharded supervisor's own render
-					// pass keeps it cached.
-					if ok && run.Status == StatusQuarantined && !keepQuarantined {
-						return BenchmarkRun{}, false
-					}
-					if ok && ctx.Rec != nil {
-						if tr, hasTrace := journal.LookupTrace(key(bench)); hasTrace {
-							ctx.Rec.Replay(obs.ShiftedSpans(tr.Spans, origin),
-								obs.ShiftedEvents(tr.Events, origin))
-							ctx.Rec.ReplayOps(tr.Ops)
-							mark = ctx.Rec.Mark()
-						}
-					}
-					return run, ok
-				}
-			}
-			cfg.OnBenchmark = func(bench string, run BenchmarkRun) error {
-				if ctx.Rec != nil {
-					spans, events := ctx.Rec.Since(mark)
-					ops := ctx.Rec.OpsSince(mark)
-					mark = ctx.Rec.Mark()
-					journal.SetTrace(key(bench), CellTrace{
-						Spans:  obs.ShiftedSpans(spans, -ctx.Origin),
-						Events: obs.ShiftedEvents(events, -ctx.Origin),
-						Ops:    ops,
-					})
-				}
-				if err := journal.Record(key(bench), run); err != nil {
-					return err
-				}
-				done := cells.Add(1)
-				if cs.AfterCell != nil {
-					return cs.AfterCell(done)
-				}
-				return nil
-			}
-			return cfg, nil
-		},
-	}
-	results, err := RunSweepPlan(plan)
+	journal, err := OpenJournal(cs.JournalPath)
 	if err != nil {
-		return nil, nil, err
+		return plan, err
 	}
-	return results, journal, nil
+	if err := journal.Bind(cs.Benchmarks); err != nil {
+		return plan, err
+	}
+	// A quarantined cell is an artefact of a lost shard worker, not a
+	// simulation outcome: a user-driven resume re-runs it. The sharded
+	// supervisor's own render pass keeps it.
+	if cs.Resume && cs.Supervise == nil {
+		journal.DropQuarantined()
+	}
+	if journal.Len() > 0 {
+		cs.logf("resuming: %d cell(s) already in %s", journal.Len(), journal.Path())
+	}
+	plan.Journal = journal
+	if cs.AfterCell != nil {
+		plan.AfterCheckpoint = func(_ string, done int64) error { return cs.AfterCell(done) }
+	}
+	return plan, nil
 }

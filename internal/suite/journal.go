@@ -11,14 +11,15 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/units"
 )
 
-// journalVersion is the current on-disk layout. v3 adds the benchmark
-// list header (a journal refuses to resume a differently-composed sweep)
-// and stores cell traces in cell-relative virtual time, which makes a
-// journal scheduler-invariant: a sweep checkpointed sequentially resumes
-// under the parallel scheduler and vice versa.
-const journalVersion = 3
+// journalVersion is the only on-disk layout OpenJournal reads. v4 stores
+// each traced benchmark's cell-relative end clock next to its trace, so a
+// resumed cell continues on exactly the clock the original run reached.
+// Journals are transient resume state: a file in any other layout is
+// refused with a pointer to delete it, never migrated.
+const journalVersion = 4
 
 // Journal checkpoints completed (system, procs, placement, benchmark)
 // cells of a sweep to a JSON file, so an interrupted campaign resumes
@@ -28,14 +29,13 @@ const journalVersion = 3
 //
 // When the campaign is traced, each cell also checkpoints the spans and
 // events it emitted (in cell-relative time); a resumed sweep replays
-// them into the live tracer at the cell's origin, so the final trace
-// file covers the whole campaign, not just the cells executed after the
-// restart.
+// them into the cell's tracer, so the final trace file covers the whole
+// campaign, not just the cells executed after the restart.
 //
 // The file is rewritten atomically (temp file + rename) after every cell:
 // a crash mid-checkpoint leaves the previous consistent journal behind.
-// All methods are safe for concurrent use — the parallel sweep scheduler
-// checkpoints cells from several goroutines.
+// All methods are safe for concurrent use — the sweep scheduler's
+// workers checkpoint cells from several goroutines.
 type Journal struct {
 	path string
 
@@ -43,30 +43,25 @@ type Journal struct {
 	cells      map[string]BenchmarkRun
 	traces     map[string]CellTrace
 	benchmarks []string
-	// legacy marks a journal loaded from a pre-v3 file that carries
-	// traces; those are recorded in absolute campaign time and can only
-	// be replayed verbatim by the sequential schedule.
-	legacy bool
 }
 
-// CellTrace is the observability stream one journaled cell produced,
-// in cell-relative virtual time (pre-v3 journals: absolute time). Ops is
-// the cell's metric-update log; replaying it on resume rebuilds the
-// campaign registry bit-for-bit, so a resumed campaign's metrics file is
-// byte-identical to the uninterrupted one. Journals written before ops
-// existed simply carry none.
+// CellTrace is the observability stream one journaled benchmark produced,
+// in cell-relative virtual time. Ops is the benchmark's metric-update
+// log; replaying it on resume rebuilds the campaign registry bit-for-bit,
+// so a resumed campaign's metrics file is byte-identical to the
+// uninterrupted one. End is the cell clock when the benchmark finished:
+// a resumed cell restores it verbatim instead of re-summing the run's
+// times, which would drift the rest of the cell's spans by an ulp.
 type CellTrace struct {
 	Spans  []obs.Span     `json:"spans,omitempty"`
 	Events []obs.Event    `json:"events,omitempty"`
 	Ops    []obs.MetricOp `json:"ops,omitempty"`
+	End    units.Seconds  `json:"end,omitempty"`
 }
 
-// journalFile is the on-disk layout. v3 adds Version and Benchmarks;
-// v2 had Cells and Traces only; v1 was a bare map[string]BenchmarkRun
-// (cell keys always contain '|', so the "cells" key can never collide
-// with one). OpenJournal reads all three.
+// journalFile is the on-disk layout (see journalVersion).
 type journalFile struct {
-	Version    int                     `json:"version,omitempty"`
+	Version    int                     `json:"version"`
 	Benchmarks []string                `json:"benchmarks,omitempty"`
 	Cells      map[string]BenchmarkRun `json:"cells"`
 	Traces     map[string]CellTrace    `json:"traces,omitempty"`
@@ -78,10 +73,10 @@ func CellKey(system string, procs int, placement, bench string) string {
 }
 
 // OpenJournal loads the journal at path, or starts an empty one when the
-// file does not exist yet. The current layout and both legacy layouts
-// (v2: no header; v1: a bare cell map) are accepted. Temp files a killed
-// writer left behind mid-flush are swept away — thanks to the
-// write-fsync-rename protocol they never hold the journal's only copy.
+// file does not exist yet. Only the current layout is accepted. Temp
+// files a killed writer left behind mid-flush are swept away — thanks to
+// the write-fsync-rename protocol they never hold the journal's only
+// copy.
 func OpenJournal(path string) (*Journal, error) {
 	j := &Journal{path: path, cells: map[string]BenchmarkRun{}, traces: map[string]CellTrace{}}
 	removeStaleTemps(path)
@@ -92,29 +87,20 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(b, &probe); err != nil {
+	var f journalFile
+	if err := json.Unmarshal(b, &f); err != nil {
 		return nil, fmt.Errorf("suite: journal %s is corrupt (%v); delete it to start over", path, err)
 	}
-	if _, keyed := probe["cells"]; keyed {
-		var f journalFile
-		if err := json.Unmarshal(b, &f); err != nil {
-			return nil, fmt.Errorf("suite: journal %s is corrupt (%v); delete it to start over", path, err)
-		}
-		if f.Cells != nil {
-			j.cells = f.Cells
-		}
-		if f.Traces != nil {
-			j.traces = f.Traces
-		}
-		j.benchmarks = f.Benchmarks
-		j.legacy = f.Version < journalVersion && len(j.traces) > 0
-		return j, nil
+	if f.Version != journalVersion {
+		return nil, fmt.Errorf("suite: journal %s has layout v%d, but this build reads only v%d; delete it to start over", path, f.Version, journalVersion)
 	}
-	// v1: the whole file is the cell map.
-	if err := json.Unmarshal(b, &j.cells); err != nil {
-		return nil, fmt.Errorf("suite: journal %s is corrupt (%v); delete it to start over", path, err)
+	if f.Cells != nil {
+		j.cells = f.Cells
 	}
+	if f.Traces != nil {
+		j.traces = f.Traces
+	}
+	j.benchmarks = f.Benchmarks
 	return j, nil
 }
 
@@ -128,22 +114,12 @@ func (j *Journal) Len() int {
 	return len(j.cells)
 }
 
-// LegacyTraces reports whether the journal carries pre-v3 traces in
-// absolute campaign time. Such a journal resumes only under the
-// sequential schedule, which reproduces the absolute times the traces
-// were recorded at.
-func (j *Journal) LegacyTraces() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.legacy
-}
-
 // Bind ties the journal to the sweep's ordered benchmark list. A fresh
 // journal records the list in its header; an existing one refuses a
 // differing list — resuming a journal under a different suite
-// composition would silently mix incomparable measurements. Journals
-// written before the header existed (pre-v3) bind to whatever list the
-// resuming sweep supplies.
+// composition would silently mix incomparable measurements. A journal
+// written without a list (only through Record, never Bind) binds to
+// whatever list the resuming sweep supplies.
 func (j *Journal) Bind(benchmarks []string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -176,7 +152,7 @@ func (j *Journal) Lookup(key string) (BenchmarkRun, bool) {
 }
 
 // LookupTrace returns the observability stream checkpointed for a cell.
-// Cells recorded untraced (or by the v1 layout) have none.
+// Cells recorded untraced have none.
 func (j *Journal) LookupTrace(key string) (CellTrace, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -219,14 +195,18 @@ func (j *Journal) Stage(key string, run BenchmarkRun, tr CellTrace) {
 	}
 }
 
-// Drop removes a cell (and its trace) without persisting — how a resumed
-// sharded sweep clears a quarantined cell so it re-runs. Call Flush to
-// persist.
-func (j *Journal) Drop(key string) {
+// DropQuarantined removes every quarantined cell (and its trace) without
+// persisting, so a user-driven resume re-runs the cells a lost shard
+// worker never simulated.
+func (j *Journal) DropQuarantined() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	delete(j.cells, key)
-	delete(j.traces, key)
+	for key, run := range j.cells {
+		if run.Status == StatusQuarantined {
+			delete(j.cells, key)
+			delete(j.traces, key)
+		}
+	}
 }
 
 // Flush persists the journal (atomically: temp file, fsync, rename).
@@ -246,9 +226,7 @@ func (j *Journal) Remove() error {
 	return err
 }
 
-// flushLocked writes the journal atomically; j.mu must be held. A legacy
-// journal keeps its pre-v3 version so its absolute-time traces are never
-// misread as cell-relative ones.
+// flushLocked writes the journal atomically; j.mu must be held.
 //
 // The write protocol is crash-safe: the new contents go to a temp file
 // next to the journal, are fsynced to stable storage, and only then
@@ -259,11 +237,7 @@ func (j *Journal) Remove() error {
 // journals in one directory (shard segments) cannot sweep each other's
 // in-flight temps.
 func (j *Journal) flushLocked() error {
-	version := journalVersion
-	if j.legacy {
-		version = journalVersion - 1
-	}
-	f := journalFile{Version: version, Benchmarks: j.benchmarks, Cells: j.cells}
+	f := journalFile{Version: journalVersion, Benchmarks: j.benchmarks, Cells: j.cells}
 	if len(j.traces) > 0 {
 		f.Traces = j.traces
 	}

@@ -112,31 +112,29 @@ func TestJournalTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJournalReadsLegacyFormat(t *testing.T) {
-	// A pre-trace journal is a bare map of cell key to run.
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	legacy := `{"testbed|4|cyclic|HPL": {"measurement": {"benchmark": "HPL", "metric": "GFLOPS"}, "peak_power": 0, "samples": 7}}`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatalf("legacy journal rejected: %v", err)
-	}
-	run, ok := j.Lookup(CellKey("testbed", 4, "cyclic", "HPL"))
-	if !ok || run.Samples != 7 {
-		t.Fatalf("legacy cell not found: %+v ok=%v", run, ok)
-	}
-	// Recording upgrades the file to the current layout in place.
-	if err := j.Record(CellKey("testbed", 8, "cyclic", "HPL"), BenchmarkRun{Samples: 9}); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.Len() != 2 {
-		t.Errorf("upgraded journal has %d cells, want 2", j2.Len())
+// TestJournalRejectsOtherLayouts: journals are transient resume state,
+// so OpenJournal reads only the current layout and tells the user to
+// delete anything else instead of migrating it.
+func TestJournalRejectsOtherLayouts(t *testing.T) {
+	const cell = `{"measurement": {"benchmark": "HPL", "metric": "GFLOPS"}, "peak_power": 0, "samples": 7}`
+	for _, tc := range []struct{ name, body string }{
+		{"v1 bare map", `{"testbed|4|cyclic|HPL": ` + cell + `}`},
+		{"v2", `{"cells": {"testbed|4|cyclic|HPL": ` + cell + `}, "traces": {"testbed|4|cyclic|HPL": {"spans": [{"track": "HPL", "name": "HPL", "start": 10, "end": 30}]}}}`},
+		{"v3", `{"version": 3, "benchmarks": ["HPL"], "cells": {"testbed|4|cyclic|HPL": ` + cell + `}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sweep.journal")
+			if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenJournal(path)
+			if err == nil {
+				t.Fatal("old journal layout opened")
+			}
+			if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "delete it") {
+				t.Errorf("error does not name the file and say to delete it: %v", err)
+			}
+		})
 	}
 }
 

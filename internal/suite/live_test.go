@@ -21,8 +21,8 @@ func faultySweepArtifacts(t *testing.T, workers int, hub *live.Hub) (results, tr
 		Workers: workers,
 		Trace:   tracer,
 		Live:    hub,
-		Configure: func(ctx CellContext) (Config, error) {
-			return faultyConfig(ctx.Procs), nil
+		Configure: func(procs int) (Config, error) {
+			return faultyConfig(procs), nil
 		},
 	})
 	if err != nil {

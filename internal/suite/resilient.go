@@ -168,7 +168,7 @@ func runSuite(cfg Config, steps []benchStep) (*Result, error) {
 
 	rec := cfg.Trace
 	meter.Instrument(rec)
-	clock := cfg.TraceAt
+	var clock units.Seconds
 
 	res := &Result{
 		System:      spec.Name,
@@ -178,13 +178,13 @@ func runSuite(cfg Config, steps []benchStep) (*Result, error) {
 		Runs:        make([]BenchmarkRun, 0, len(steps)),
 	}
 	for _, st := range steps {
-		if cfg.Lookup != nil {
-			if cached, ok := cfg.Lookup(st.name); ok {
+		if cfg.lookup != nil {
+			// A journal hit also moves the clock to where the original run
+			// left it, so the rest of the cell lands where it did then
+			// (the scheduler replays the cached benchmark's spans).
+			if cached, end, ok := cfg.lookup(st.name, clock); ok {
 				res.Runs = append(res.Runs, cached)
-				// Advance the campaign clock past the cached cell so the
-				// rest of the timeline lands where the original run put it
-				// (resumed sweeps replay the cached cells' spans verbatim).
-				clock += cached.Measurement.Time + cached.WastedTime
+				clock = end
 				continue
 			}
 		}
@@ -217,8 +217,8 @@ func runSuite(cfg Config, steps []benchStep) (*Result, error) {
 				rec.Count("suite.benchmarks_failed", 1)
 			}
 		}
-		if cfg.OnBenchmark != nil {
-			if err := cfg.OnBenchmark(st.name, run); err != nil {
+		if cfg.checkpoint != nil {
+			if err := cfg.checkpoint(st.name, run, clock); err != nil {
 				return nil, fmt.Errorf("suite: checkpointing %s: %w", st.name, err)
 			}
 		}
@@ -237,7 +237,6 @@ func runSuite(cfg Config, steps []benchStep) (*Result, error) {
 		rec.Span(obs.Span{
 			Track: obs.TrackSuite,
 			Name:  fmt.Sprintf("run p=%d", cfg.Procs),
-			Start: cfg.TraceAt,
 			End:   clock,
 			Attrs: []obs.Attr{
 				obs.Str("system", res.System),

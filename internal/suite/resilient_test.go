@@ -293,18 +293,18 @@ func TestLookupAndCheckpointHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Lookup serves HPL from cache; OnBenchmark sees only the fresh runs.
+	// lookup serves HPL from cache; checkpoint sees only the fresh runs.
 	cached := clean.Runs[0]
 	cached.Measurement.Performance = 999 // sentinel proving the cache was used
 	cfg := DefaultConfig(cluster.Testbed(), 4)
-	cfg.Lookup = func(bench string) (BenchmarkRun, bool) {
+	cfg.lookup = func(bench string, clock units.Seconds) (BenchmarkRun, units.Seconds, bool) {
 		if bench == BenchHPL {
-			return cached, true
+			return cached, clock + cached.Measurement.Time, true
 		}
-		return BenchmarkRun{}, false
+		return BenchmarkRun{}, clock, false
 	}
 	var fresh []string
-	cfg.OnBenchmark = func(bench string, run BenchmarkRun) error {
+	cfg.checkpoint = func(bench string, run BenchmarkRun, _ units.Seconds) error {
 		fresh = append(fresh, bench)
 		return nil
 	}
@@ -313,10 +313,10 @@ func TestLookupAndCheckpointHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Runs[0].Measurement.Performance != 999 {
-		t.Error("Lookup hit not reused verbatim")
+		t.Error("lookup hit not reused verbatim")
 	}
 	if len(fresh) != 2 || fresh[0] != BenchSTREAM || fresh[1] != BenchIOzone {
-		t.Errorf("OnBenchmark saw %v, want fresh benchmarks only", fresh)
+		t.Errorf("checkpoint saw %v, want fresh benchmarks only", fresh)
 	}
 	// The cached benchmark must not consume meter samples: the fresh runs
 	// are identical to the clean run's (meter streams are per-benchmark).

@@ -58,162 +58,80 @@ type LiveSink interface {
 	BeginCell(procs int) func(err error, retries int, degraded bool)
 }
 
-// CellContext is what SweepPlan.Configure receives for one sweep cell.
-type CellContext struct {
-	// Procs is the cell's process count (one value of SweepPlan.Axis).
-	Procs int
-	// Rec is the recorder the cell runs under: the campaign tracer itself
-	// when the sweep is sequential, the worker's batch tracer when it is
-	// parallel, nil when the plan has no tracer. A worker runs its cells
-	// one after another, so Mark/Since pairs taken around one cell still
-	// delimit exactly that cell's records; Configure uses them to wire
-	// journaling hooks. The scheduler installs Rec as the run's
-	// Config.Trace, overriding anything Configure set there.
-	Rec *obs.Tracer
-	// Origin is the campaign-clock time at which Rec's timeline begins
-	// for this cell: the accumulated sweep time so far when sequential,
-	// always zero when parallel. Subtracting it from times read off Rec
-	// yields cell-relative (scheduler-invariant) times — what journals
-	// store so a sweep can resume under either scheduler.
-	Origin units.Seconds
-}
-
 // SweepPlan describes a process-count sweep: which cells to run, how to
-// configure each, how many to run at once, and where the campaign's
-// observability stream goes.
+// configure each, how many to run at once, where the campaign's
+// observability stream goes and which journal checkpoints it.
 //
 // Every cell of a sweep is independent by construction — fault draws are
 // pure functions of (plan seed, benchmark, procs, attempt) and meter
 // noise is seeded per process count — so cells may run in any order or
 // concurrently without results changing. The scheduler exploits that:
-// with Workers > 1 cells run on a worker pool, and the per-cell traces
-// are merged back into the campaign tracer in axis order, reproducing
-// the sequential schedule's results, trace and metrics byte-for-byte.
+// cells run on a pool of workers, each recording its cells in
+// cell-relative virtual time, and the per-cell traces are merged into
+// the campaign tracer in axis order. One worker is the same pool with
+// one worker, so results, trace and metrics are byte-identical whatever
+// the worker count.
 type SweepPlan struct {
 	// Axis is the ordered process-count axis; results come back in this
 	// order regardless of execution order.
 	Axis []int
-	// Workers caps concurrently-running cells. 0 or 1 runs the classic
-	// sequential schedule; n > 1 runs up to n cells at once.
+	// Workers caps concurrently-running cells; values below 2 run the
+	// pool with one worker.
 	Workers int
 	// Trace, when non-nil, receives the campaign's spans, events and
-	// metrics — laid out end to end on the virtual-time axis exactly as a
-	// sequential sweep records them.
+	// metrics, the cells laid out end to end on the virtual-time axis in
+	// axis order.
 	Trace *obs.Tracer
 	// Live, when non-nil, receives wall-clock telemetry: cell lifecycle
 	// events plus a mirror of each cell's record stream (via Tap).
 	// The live plane is strictly read-only over the virtual plane —
 	// attaching a sink cannot change results, trace or metrics by a byte.
 	Live LiveSink
-	// Configure builds the Config for one cell. It must be safe for
-	// concurrent calls when Workers > 1. The scheduler owns the returned
-	// config's Trace and TraceAt fields.
-	Configure func(ctx CellContext) (Config, error)
+	// Journal, when non-nil, checkpoints every freshly-run benchmark with
+	// its cell trace (when traced), and serves every benchmark it already
+	// holds instead of running it, replaying the journaled trace. Which
+	// records a resume may reuse is settled where the journal is opened.
+	Journal *Journal
+	// AfterCheckpoint, when non-nil, runs after each benchmark the sweep
+	// journals, with the benchmark's cell key and the running count of
+	// checkpoints; a non-nil error aborts the sweep. It must be safe for
+	// concurrent calls when Workers > 1.
+	AfterCheckpoint func(key string, done int64) error
+	// Configure builds the Config for the cell of procs processes. It
+	// must be safe for concurrent calls when Workers > 1. The scheduler
+	// owns the returned config's Trace when the plan is traced.
+	Configure func(procs int) (Config, error)
 }
 
 // RunSweepPlan executes the plan and returns one Result per axis entry,
-// in axis order. With Workers > 1 the cells run concurrently but the
-// returned results, the campaign trace and the campaign metrics are
-// byte-identical to the sequential schedule's. On error the first
-// failing cell in axis order is reported; under the parallel schedule
-// later cells may already have run by then (they are discarded, and
-// cells after the failure point may be skipped entirely), whereas the
-// sequential schedule stops at the failure.
+// in axis order. Workers claim contiguous axis-order chunks off an
+// atomic cursor and run each chunk's cells back to back against
+// worker-local state: one tracer collecting every cell the worker runs
+// (delimited by per-cell marks) and one cellScratch recycling
+// measurement buffers. Chunking amortizes tracer and scratch
+// construction across a batch and keeps adjacent cells' merges reading
+// from the same arenas.
+//
+// On error the first failing cell in axis order is reported. Cells after
+// it are skipped once the failure is seen; with several workers some may
+// already have run by then, and their results are discarded.
 func RunSweepPlan(plan SweepPlan) ([]*Result, error) {
 	if plan.Configure == nil {
 		return nil, errors.New("suite: sweep plan has no Configure")
 	}
-	workers := plan.Workers
-	if workers < 1 || len(plan.Axis) <= 1 {
-		workers = 1
+	n := len(plan.Axis)
+	workers := 1
+	if plan.Workers > 1 && n > 1 {
+		workers = plan.Workers
 	}
 	if plan.Live != nil {
-		plan.Live.SweepStarted(len(plan.Axis), workers)
+		plan.Live.SweepStarted(n, workers)
 		defer plan.Live.SweepFinished()
 	}
-	if plan.Workers > 1 && len(plan.Axis) > 1 {
-		return runSweepParallel(plan)
-	}
-	return runSweepSequential(plan)
-}
-
-// runCell executes one configured cell under the plan's live sink: the
-// sink sees the cell start, the mirrored record stream (through the tap
-// installed as cfg.Trace), and the completion or failure. With a nil
-// sink this is exactly Run(cfg).
-func runCell(plan SweepPlan, cfg Config, procs int) (*Result, error) {
-	var done func(err error, retries int, degraded bool)
-	if plan.Live != nil {
-		cfg.Trace = plan.Live.Tap(cfg.Trace, procs)
-		done = plan.Live.BeginCell(procs)
-	}
-	r, err := Run(cfg)
-	if err != nil {
-		if done != nil {
-			done(err, 0, false)
-		}
-		return nil, err
-	}
-	if done != nil {
-		done(nil, resultRetries(r), r.Degraded)
-	}
-	return r, nil
-}
-
-// resultRetries totals the re-run attempts across a result's benchmarks.
-func resultRetries(r *Result) int {
-	n := 0
-	for _, b := range r.Runs {
-		n += b.Retries
-	}
-	return n
-}
-
-func runSweepSequential(plan SweepPlan) ([]*Result, error) {
-	out := make([]*Result, 0, len(plan.Axis))
-	scratch := &cellScratch{}
-	var cursor units.Seconds
-	for _, p := range plan.Axis {
-		ctx := CellContext{Procs: p, Rec: plan.Trace, Origin: cursor}
-		cfg, err := plan.Configure(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("suite: p=%d: %w", p, err)
-		}
-		if ctx.Rec != nil {
-			cfg.Trace = ctx.Rec
-			cfg.TraceAt = ctx.Origin
-		}
-		cfg.scratch = scratch
-		r, err := runCell(plan, cfg, p)
-		if err != nil {
-			return nil, fmt.Errorf("suite: p=%d: %w", p, err)
-		}
-		cursor = r.TraceEnd
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// runSweepParallel runs the axis on exactly plan.Workers goroutines.
-// Workers claim contiguous axis-order chunks off an atomic cursor and
-// run each chunk's cells back to back against worker-local state: one
-// batch tracer collecting every cell the worker runs (delimited by
-// per-cell marks) and one cellScratch recycling measurement buffers.
-// Compared with a goroutine-per-cell pool this amortizes tracer and
-// scratch construction across a whole batch and keeps adjacent cells'
-// merges reading from the same arenas.
-func runSweepParallel(plan SweepPlan) ([]*Result, error) {
-	n := len(plan.Axis)
-	workers := plan.Workers
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, max(n, 1))
 	// Several chunks per worker so a slow chunk doesn't serialise the
 	// tail, while chunks stay large enough to amortize claim overhead.
-	chunk := n / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk := max(n/(workers*4), 1)
 	type cellState struct {
 		res      *Result
 		rec      *obs.Tracer
@@ -222,9 +140,10 @@ func runSweepParallel(plan SweepPlan) ([]*Result, error) {
 	}
 	cells := make([]cellState, n)
 	var (
-		next     atomic.Int64 // next unclaimed axis index
-		failedAt atomic.Int64 // lowest failing axis index so far
-		wg       sync.WaitGroup
+		next        atomic.Int64 // next unclaimed axis index
+		failedAt    atomic.Int64 // lowest failing axis index so far
+		checkpoints atomic.Int64 // benchmarks journaled so far
+		wg          sync.WaitGroup
 	)
 	failedAt.Store(int64(n))
 	fail := func(i int) {
@@ -249,40 +168,19 @@ func runSweepParallel(plan SweepPlan) ([]*Result, error) {
 				if start >= n {
 					return
 				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
+				for i := start; i < min(start+chunk, n); i++ {
 					// Cells after a failure are doomed to be discarded —
 					// skip them. Cells before it still run, so the error
 					// contract (first failing cell in axis order) holds.
 					if int64(i) > failedAt.Load() {
 						continue
 					}
-					p := plan.Axis[i]
 					c := &cells[i]
-					c.rec = rec
-					c.from = rec.Mark()
-					ctx := CellContext{Procs: p, Rec: rec}
-					cfg, err := plan.Configure(ctx)
-					if err != nil {
-						c.err = fmt.Errorf("suite: p=%d: %w", p, err)
+					c.rec, c.from = rec, rec.Mark()
+					if c.res, c.err = plan.runCell(plan.Axis[i], rec, scratch, &checkpoints); c.err != nil {
 						fail(i)
 						continue
 					}
-					if rec != nil {
-						cfg.Trace = rec
-						cfg.TraceAt = 0
-					}
-					cfg.scratch = scratch
-					r, err := runCell(plan, cfg, p)
-					if err != nil {
-						c.err = fmt.Errorf("suite: p=%d: %w", p, err)
-						fail(i)
-						continue
-					}
-					c.res = r
 					c.to = rec.Mark()
 				}
 			}
@@ -295,8 +193,7 @@ func runSweepParallel(plan SweepPlan) ([]*Result, error) {
 		}
 	}
 	// Merge in axis order: stream each cell's zero-based mark range end
-	// to end onto the campaign clock, exactly where the sequential
-	// schedule would have recorded it.
+	// to end onto the campaign clock.
 	out := make([]*Result, n)
 	var cursor units.Seconds
 	for i := range cells {
@@ -308,14 +205,101 @@ func runSweepParallel(plan SweepPlan) ([]*Result, error) {
 	return out, nil
 }
 
+// runCell configures and runs the cell of procs processes on a worker
+// whose tracer is rec (nil when the plan is untraced), under the plan's
+// journal and live sink.
+func (plan *SweepPlan) runCell(procs int, rec *obs.Tracer, scratch *cellScratch, checkpoints *atomic.Int64) (*Result, error) {
+	cfg, err := plan.Configure(procs)
+	if err != nil {
+		return nil, fmt.Errorf("suite: p=%d: %w", procs, err)
+	}
+	if rec != nil {
+		cfg.Trace = rec
+	}
+	cfg.scratch = scratch
+	if plan.Journal != nil {
+		plan.journalCell(&cfg, procs, rec, checkpoints)
+	}
+	var done func(err error, retries int, degraded bool)
+	if plan.Live != nil {
+		cfg.Trace = plan.Live.Tap(cfg.Trace, procs)
+		done = plan.Live.BeginCell(procs)
+	}
+	r, err := Run(cfg)
+	if err != nil {
+		if done != nil {
+			done(err, 0, false)
+		}
+		return nil, fmt.Errorf("suite: p=%d: %w", procs, err)
+	}
+	if done != nil {
+		done(nil, resultRetries(r), r.Degraded)
+	}
+	return r, nil
+}
+
+// journalCell wires cfg to the plan's journal. A journaled benchmark is
+// served from the journal: its trace is replayed into rec and the cell
+// clock restored to where the original run stopped. A fresh benchmark is
+// checkpointed with the records rec gained since the previous benchmark
+// of the cell. Untraced clocks reach no artefact, so without a trace the
+// clock advances by the run's accounted time.
+func (plan *SweepPlan) journalCell(cfg *Config, procs int, rec *obs.Tracer, checkpoints *atomic.Int64) {
+	j, spec, placement := plan.Journal, cfg.Spec, cfg.Placement
+	key := func(bench string) string {
+		return CellKey(spec.Name, procs, placement.String(), bench)
+	}
+	mark := rec.Mark()
+	cfg.lookup = func(bench string, clock units.Seconds) (BenchmarkRun, units.Seconds, bool) {
+		run, ok := j.Lookup(key(bench))
+		if !ok {
+			return run, clock, false
+		}
+		end := clock + run.Measurement.Time + run.WastedTime
+		if tr, traced := j.LookupTrace(key(bench)); traced && rec != nil {
+			rec.Replay(tr.Spans, tr.Events)
+			rec.ReplayOps(tr.Ops)
+			mark = rec.Mark()
+			end = tr.End
+		}
+		return run, end, true
+	}
+	cfg.checkpoint = func(bench string, run BenchmarkRun, end units.Seconds) error {
+		k := key(bench)
+		if rec != nil {
+			spans, events := rec.Since(mark)
+			ops := rec.OpsSince(mark)
+			mark = rec.Mark()
+			j.SetTrace(k, CellTrace{Spans: spans, Events: events, Ops: ops, End: end})
+		}
+		if err := j.Record(k, run); err != nil {
+			return err
+		}
+		done := checkpoints.Add(1)
+		if plan.AfterCheckpoint != nil {
+			return plan.AfterCheckpoint(k, done)
+		}
+		return nil
+	}
+}
+
+// resultRetries totals the re-run attempts across a result's benchmarks.
+func resultRetries(r *Result) int {
+	n := 0
+	for _, b := range r.Runs {
+		n += b.Retries
+	}
+	return n
+}
+
 // SweepParallel is Sweep on a worker pool: the same cells, seeds and
 // results, executed up to workers at a time.
 func SweepParallel(spec *cluster.Spec, procs []int, workers int) ([]*Result, error) {
 	return RunSweepPlan(SweepPlan{
 		Axis:    procs,
 		Workers: workers,
-		Configure: func(ctx CellContext) (Config, error) {
-			return SeededConfig(spec, ctx.Procs, 17), nil
+		Configure: func(p int) (Config, error) {
+			return SeededConfig(spec, p, 17), nil
 		},
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -39,7 +38,7 @@ func fireFaultyPlan() *faults.Plan {
 
 // TestParallelFireSweepByteIdentical is the scheduler's golden test: the
 // paper's Fire sweep under -workers N must serialise byte-for-byte like
-// the sequential schedule — with and without an active fault plan.
+// one worker — with and without an active fault plan.
 func TestParallelFireSweepByteIdentical(t *testing.T) {
 	spec := cluster.Fire()
 	cases := []struct {
@@ -51,8 +50,8 @@ func TestParallelFireSweepByteIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			configure := func(ctx CellContext) (Config, error) {
-				cfg := SeededConfig(spec, ctx.Procs, 17)
+			configure := func(procs int) (Config, error) {
+				cfg := SeededConfig(spec, procs, 17)
 				if tc.plan != nil {
 					cfg.Faults = tc.plan
 					cfg.Retry = RetryPolicy{MaxAttempts: 3, Backoff: 30}
@@ -78,68 +77,94 @@ func TestParallelFireSweepByteIdentical(t *testing.T) {
 	}
 }
 
+// readmeFaultPlan is the README's fault scenario with seed 4 plus a
+// scheduled crash on STREAM's first attempt, so every cell retries.
+func readmeFaultPlan() *faults.Plan {
+	return &faults.Plan{
+		Seed:      4,
+		CrashProb: 0.2,
+		Crashes:   []faults.Crash{{Benchmark: BenchSTREAM, Node: 1, At: 1}},
+		Straggler: &faults.Straggler{Prob: 0.1, ClockFactor: 0.5},
+		Meter:     &faults.Meter{DropRate: 0.05, GlitchRate: 0.02, GlitchWatts: 60},
+	}
+}
+
 // TestParallelSweepTraceByteIdentical: the merged campaign trace and
-// metrics of a parallel sweep must reproduce the sequential recording
+// metrics of a parallel sweep must reproduce the one-worker recording
 // byte-for-byte — spans laid end to end on the virtual-time axis and
 // metric accumulation replayed in axis order.
 func TestParallelSweepTraceByteIdentical(t *testing.T) {
-	axis := []int{2, 4, 8}
-	sweep := func(workers int) (*obs.Tracer, []*Result) {
-		tracer := obs.NewTracer()
-		rs, err := RunSweepPlan(SweepPlan{
-			Axis:    axis,
-			Workers: workers,
-			Trace:   tracer,
-			Configure: func(ctx CellContext) (Config, error) {
-				return faultyConfig(ctx.Procs), nil
-			},
+	cases := []struct {
+		name      string
+		axis      []int
+		configure func(procs int) (Config, error)
+		workers   int
+	}{
+		{"faulty", []int{2, 4, 8}, func(procs int) (Config, error) {
+			return faultyConfig(procs), nil
+		}, 3},
+		// The zero (block) placement, as a CampaignSpec that sets none runs.
+		{"readme-plan", DefaultAxis(cluster.Testbed()), func(procs int) (Config, error) {
+			cfg := DefaultConfig(cluster.Testbed(), procs)
+			cfg.Placement = cluster.Block
+			cfg.Faults = readmeFaultPlan()
+			cfg.Retry = RetryPolicy{MaxAttempts: 4, Backoff: 30}
+			return cfg, nil
+		}, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sweep := func(workers int) (*obs.Tracer, []*Result) {
+				tracer := obs.NewTracer()
+				rs, err := RunSweepPlan(SweepPlan{
+					Axis:      tc.axis,
+					Workers:   workers,
+					Trace:     tracer,
+					Configure: tc.configure,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tracer, rs
+			}
+			chrome := func(tr *obs.Tracer) []byte {
+				path := filepath.Join(t.TempDir(), "trace.json")
+				if err := obs.WriteChromeTraceFile(path, tr.Spans(), tr.Events()); err != nil {
+					t.Fatal(err)
+				}
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			metrics := func(tr *obs.Tracer) []byte {
+				var buf bytes.Buffer
+				if err := tr.Registry().Snapshot().WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			seqTracer, seqResults := sweep(1)
+			parTracer, parResults := sweep(tc.workers)
+			if !bytes.Equal(marshalResults(t, seqResults), marshalResults(t, parResults)) {
+				t.Error("traced parallel sweep results differ from sequential")
+			}
+			if !bytes.Equal(chrome(seqTracer), chrome(parTracer)) {
+				t.Error("parallel campaign trace differs from sequential recording")
+			}
+			if !bytes.Equal(metrics(seqTracer), metrics(parTracer)) {
+				t.Errorf("parallel campaign metrics differ from sequential:\n%s\n%s",
+					metrics(seqTracer), metrics(parTracer))
+			}
+			// TraceEnd bookkeeping must tile the campaign axis identically too.
+			for i := range seqResults {
+				if s, p := seqResults[i].TraceEnd, parResults[i].TraceEnd; s != p {
+					t.Errorf("p=%d: TraceEnd %v (sequential) != %v (parallel)",
+						seqResults[i].Procs, s, p)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tracer, rs
-	}
-	chrome := func(tr *obs.Tracer) []byte {
-		path := filepath.Join(t.TempDir(), "trace.json")
-		if err := obs.WriteChromeTraceFile(path, tr.Spans(), tr.Events()); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	metrics := func(tr *obs.Tracer) []byte {
-		var buf bytes.Buffer
-		if err := tr.Registry().Snapshot().WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	seqTracer, seqResults := sweep(1)
-	parTracer, parResults := sweep(3)
-	if !bytes.Equal(marshalResults(t, seqResults), marshalResults(t, parResults)) {
-		t.Error("traced parallel sweep results differ from sequential")
-	}
-	if !bytes.Equal(chrome(seqTracer), chrome(parTracer)) {
-		t.Error("parallel campaign trace differs from sequential recording")
-	}
-	if !bytes.Equal(metrics(seqTracer), metrics(parTracer)) {
-		t.Errorf("parallel campaign metrics differ from sequential:\n%s\n%s",
-			metrics(seqTracer), metrics(parTracer))
-	}
-	// TraceEnd bookkeeping must tile the campaign axis identically too.
-	// It is never serialised (json:"-") and the merge associates its
-	// floating-point additions differently from the in-place sequential
-	// clock, so equality here is to ulp-level tolerance; all serialised
-	// artefacts (results JSON, trace, metrics) are byte-compared above.
-	for i := range seqResults {
-		s, p := float64(seqResults[i].TraceEnd), float64(parResults[i].TraceEnd)
-		if diff := math.Abs(s - p); diff > 1e-6 {
-			t.Errorf("p=%d: TraceEnd %v (sequential) != %v (parallel), diff %g",
-				seqResults[i].Procs, s, p, diff)
-		}
 	}
 }
 
@@ -161,20 +186,9 @@ func TestParallelSweepSharedJournal(t *testing.T) {
 		Axis:    axis,
 		Workers: 8,
 		Trace:   tracer,
-		Configure: func(ctx CellContext) (Config, error) {
-			cfg := SeededConfig(spec, ctx.Procs, 17)
-			mark := ctx.Rec.Mark()
-			cfg.OnBenchmark = func(bench string, run BenchmarkRun) error {
-				spans, events := ctx.Rec.Since(mark)
-				mark = ctx.Rec.Mark()
-				key := CellKey(spec.Name, ctx.Procs, cfg.Placement.String(), bench)
-				journal.SetTrace(key, CellTrace{
-					Spans:  obs.ShiftedSpans(spans, -ctx.Origin),
-					Events: obs.ShiftedEvents(events, -ctx.Origin),
-				})
-				return journal.Record(key, run)
-			}
-			return cfg, nil
+		Journal: journal,
+		Configure: func(procs int) (Config, error) {
+			return SeededConfig(spec, procs, 17), nil
 		},
 	})
 	if err != nil {
@@ -212,9 +226,9 @@ func TestSweepPlanErrors(t *testing.T) {
 		_, err := RunSweepPlan(SweepPlan{
 			Axis:    []int{2, 4, 6},
 			Workers: workers,
-			Configure: func(ctx CellContext) (Config, error) {
-				cfg := SeededConfig(spec, ctx.Procs, 17)
-				if ctx.Procs >= 4 {
+			Configure: func(procs int) (Config, error) {
+				cfg := SeededConfig(spec, procs, 17)
+				if procs >= 4 {
 					cfg.Procs = -1 // invalid: fails Validate inside Run
 				}
 				return cfg, nil
@@ -260,9 +274,9 @@ func TestSweepSeededViaPlanUnchanged(t *testing.T) {
 }
 
 // TestSweepWorkerEdgeCases pins the scheduler's degenerate worker
-// counts: one worker (which must take the sequential path) and more
-// workers than cells (which must clamp) both serialise results, trace
-// and metrics byte-identically to the sequential schedule.
+// counts: an explicit one worker and more workers than cells (which must
+// clamp) both serialise results, trace and metrics byte-identically to
+// the zero-value Workers.
 func TestSweepWorkerEdgeCases(t *testing.T) {
 	axis := []int{2, 4, 8}
 	sweep := func(workers int) ([]byte, []byte, []byte) {
@@ -271,8 +285,8 @@ func TestSweepWorkerEdgeCases(t *testing.T) {
 			Axis:    axis,
 			Workers: workers,
 			Trace:   tracer,
-			Configure: func(ctx CellContext) (Config, error) {
-				return faultyConfig(ctx.Procs), nil
+			Configure: func(procs int) (Config, error) {
+				return faultyConfig(procs), nil
 			},
 		})
 		if err != nil {
@@ -292,7 +306,7 @@ func TestSweepWorkerEdgeCases(t *testing.T) {
 		}
 		return marshalResults(t, rs), chrome, metrics.Bytes()
 	}
-	baseRes, baseSpans, baseMetrics := sweep(0) // classic sequential schedule
+	baseRes, baseSpans, baseMetrics := sweep(0) // zero value: one worker
 	for _, workers := range []int{1, len(axis) + 5} {
 		res, spans, metrics := sweep(workers)
 		if !bytes.Equal(res, baseRes) {
@@ -318,9 +332,9 @@ func TestSweepParallelErrorNoLeak(t *testing.T) {
 		Axis:    []int{2, 3, 4, 5, 6, 8},
 		Workers: 4,
 		Trace:   obs.NewTracer(),
-		Configure: func(ctx CellContext) (Config, error) {
-			cfg := SeededConfig(spec, ctx.Procs, 17)
-			if ctx.Procs >= 4 {
+		Configure: func(procs int) (Config, error) {
+			cfg := SeededConfig(spec, procs, 17)
+			if procs >= 4 {
 				cfg.Procs = -1 // invalid: fails Validate inside Run
 			}
 			return cfg, nil

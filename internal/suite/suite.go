@@ -111,14 +111,15 @@ type Config struct {
 	// Retry governs per-benchmark retries, backoff and timeouts; the zero
 	// value runs each benchmark exactly once with no timeout.
 	Retry RetryPolicy
-	// Lookup, when set, is consulted before each benchmark executes; a
-	// cached BenchmarkRun is reused verbatim. This is how resumable sweeps
-	// skip completed (procs, benchmark) cells.
-	Lookup func(bench string) (BenchmarkRun, bool)
-	// OnBenchmark, when set, is invoked after each freshly-executed
-	// benchmark (not for Lookup hits); an error aborts the run. This is
-	// the checkpoint hook of resumable sweeps.
-	OnBenchmark func(bench string, run BenchmarkRun) error
+	// lookup, when the sweep scheduler sets it, serves a benchmark from
+	// the sweep's journal instead of running it. It receives the cell
+	// clock and, on a hit, returns the journaled run and the clock the
+	// original run stopped at.
+	lookup func(bench string, clock units.Seconds) (BenchmarkRun, units.Seconds, bool)
+	// checkpoint, when the sweep scheduler sets it, journals each
+	// freshly-executed benchmark with the cell clock at its end; an error
+	// aborts the run.
+	checkpoint func(bench string, run BenchmarkRun, end units.Seconds) error
 
 	// Trace receives the run's observability stream: a span per
 	// benchmark, retry attempt, backoff wait and meter window, an event
@@ -126,11 +127,10 @@ type Config struct {
 	// Recording is strictly passive — it reads values the pipeline has
 	// already computed and can never perturb results, RNG draws or retry
 	// decisions. nil (or a nil *obs.Tracer, or obs.Discard) disables
-	// instrumentation; the output is byte-identical either way.
+	// instrumentation; the output is byte-identical either way. A run's
+	// clock starts at zero; the sweep scheduler lays the cells of a sweep
+	// end to end on the campaign clock when it merges their traces.
 	Trace obs.Recorder
-	// TraceAt offsets this run's spans on the campaign's virtual-time
-	// axis, so the runs of a sweep lay out end to end in one trace.
-	TraceAt units.Seconds
 
 	// scratch, when the sweep scheduler sets it, carries per-worker
 	// reusable buffers (the meter and its sample storage) across the
@@ -239,9 +239,9 @@ type Result struct {
 	Degraded bool     `json:"degraded,omitempty"`
 	Warnings []string `json:"warnings,omitempty"`
 
-	// TraceEnd is where the run's campaign clock stopped (TraceAt plus
-	// all benchmark time, backoff and waste) — the TraceAt of the next
-	// run in a sweep. Bookkeeping only, never serialised.
+	// TraceEnd is where the run's clock stopped: all benchmark time,
+	// backoff and waste, offset by the cell's start on the campaign clock
+	// when the run is part of a sweep. Bookkeeping only, never serialised.
 	TraceEnd units.Seconds `json:"-"`
 }
 
@@ -287,8 +287,8 @@ func Sweep(spec *cluster.Spec, procs []int) ([]*Result, error) {
 func SweepSeeded(spec *cluster.Spec, procs []int, seedBase uint64) ([]*Result, error) {
 	return RunSweepPlan(SweepPlan{
 		Axis: procs,
-		Configure: func(ctx CellContext) (Config, error) {
-			return SeededConfig(spec, ctx.Procs, seedBase), nil
+		Configure: func(p int) (Config, error) {
+			return SeededConfig(spec, p, seedBase), nil
 		},
 	})
 }

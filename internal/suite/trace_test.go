@@ -44,18 +44,20 @@ func TestTracingIsInert(t *testing.T) {
 		return b
 	}
 	sweep := func(rec obs.Recorder) []byte {
-		var rs []*Result
-		var cursor units.Seconds
-		for _, p := range []int{2, 4, 8} {
-			cfg := faultyConfig(p)
-			cfg.Trace = rec
-			cfg.TraceAt = cursor
-			r, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cursor = r.TraceEnd
-			rs = append(rs, r)
+		plan := SweepPlan{
+			Axis: []int{2, 4, 8},
+			Configure: func(procs int) (Config, error) {
+				cfg := faultyConfig(procs)
+				cfg.Trace = rec
+				return cfg, nil
+			},
+		}
+		if tracer, ok := rec.(*obs.Tracer); ok {
+			plan.Trace = tracer
+		}
+		rs, err := RunSweepPlan(plan)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return marshal(rs)
 	}
@@ -124,8 +126,7 @@ func TestGoldenChromeTrace(t *testing.T) {
 }
 
 // TestTraceTimelineTiles checks the campaign-clock contract: a benchmark's
-// span covers its attempts, backoffs and waste exactly, and consecutive
-// runs of a sweep lay out end to end.
+// span covers its attempts, backoffs and waste exactly.
 func TestTraceTimelineTiles(t *testing.T) {
 	tracer := obs.NewTracer()
 	cfg := faultyConfig(4)
@@ -141,7 +142,7 @@ func TestTraceTimelineTiles(t *testing.T) {
 	if r.TraceEnd != total {
 		t.Errorf("TraceEnd = %v, want the accounted %v", r.TraceEnd, total)
 	}
-	// The run-level span covers [TraceAt, TraceEnd].
+	// The run-level span covers [0, TraceEnd].
 	found := false
 	for _, s := range tracer.Spans() {
 		if s.Track == "suite" {
@@ -153,22 +154,5 @@ func TestTraceTimelineTiles(t *testing.T) {
 	}
 	if !found {
 		t.Error("no run-level span on the suite track")
-	}
-	// A second run offset by TraceAt starts where the first ended.
-	tracer2 := obs.NewTracer()
-	cfg2 := faultyConfig(4)
-	cfg2.Trace = tracer2
-	cfg2.TraceAt = r.TraceEnd
-	r2, err := Run(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := float64(r2.TraceEnd - 2*r.TraceEnd); diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("offset run TraceEnd = %v, want %v", r2.TraceEnd, 2*r.TraceEnd)
-	}
-	for _, s := range tracer2.Spans() {
-		if s.Start < r.TraceEnd {
-			t.Errorf("offset run span %q starts at %v, before TraceAt %v", s.Name, s.Start, r.TraceEnd)
-		}
 	}
 }
