@@ -375,6 +375,9 @@ func (m *Manager) runJob(j *Job) {
 	}
 
 	outcome, err := suite.RunCampaign(cs)
+	// Recorded before finish closes Done, so a client that saw the job
+	// end also sees it counted on /statusz and /metrics.
+	m.cfg.Ops.Queue().JobFinished(time.Since(started).Seconds())
 	flightPath := filepath.Join(j.dir, FlightFile)
 	switch {
 	case err != nil && errors.Is(err, ErrCancelled):
@@ -398,7 +401,6 @@ func (m *Manager) runJob(j *Job) {
 		log.Info("job done")
 	}
 
-	m.cfg.Ops.Queue().JobFinished(time.Since(started).Seconds())
 	m.mu.Lock()
 	m.running--
 	m.startLocked()

@@ -6,16 +6,14 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"strings"
-	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/obs/ops"
 )
@@ -41,20 +39,15 @@ import (
 //	                          queue depth, slot use and accepting state
 //	GET    /buildinfo         Go/module build information as JSON
 //	/debug/pprof/...          profiling, only with ServerConfig.Pprof
+//
+// Close stops the server and ends open event streams; it does not touch
+// the manager, so jobs keep running until Manager.Close.
 type Server struct {
+	*live.HTTPServer
 	m     *Manager
 	log   *slog.Logger
-	ln    net.Listener
-	srv   *http.Server
 	ops   *ops.Telemetry
 	start time.Time
-
-	shutdown chan struct{}
-
-	mu        sync.Mutex // guards closing
-	closing   bool
-	streams   sync.WaitGroup // open /jobs/{id}/events handlers
-	closeOnce sync.Once
 }
 
 // ServerConfig configures a campaign server.
@@ -85,12 +78,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if log == nil {
 		log = cfg.Manager.log
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
+	hs, err := live.Listen(cfg.Addr)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: listen %s: %w", cfg.Addr, err)
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	s := &Server{m: cfg.Manager, log: log, ln: ln, ops: cfg.Ops,
-		start: time.Now(), shutdown: make(chan struct{})}
+	s := &Server{HTTPServer: hs, m: cfg.Manager, log: log, ops: cfg.Ops, start: time.Now()}
 	mux := http.NewServeMux()
 	// Each route is wrapped in the ops middleware under its mux pattern —
 	// a bounded label set, never the raw URL. On a nil ops bundle the
@@ -117,41 +109,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	s.srv = &http.Server{Handler: mux}
-	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
+	s.Serve(mux)
 	return s, nil
-}
-
-// Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// trackStream registers an open event stream with the close
-// bookkeeping; see live.Server for the pattern. It refuses once Close
-// has begun, and otherwise the handler owes a streams.Done().
-func (s *Server) trackStream() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closing {
-		return false
-	}
-	s.streams.Add(1)
-	return true
-}
-
-// Close stops the server, ends open event streams, and waits for their
-// handlers to return. Safe to call more than once. It does not touch
-// the manager — jobs keep running until Manager.Close.
-func (s *Server) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		s.mu.Lock()
-		s.closing = true
-		s.mu.Unlock()
-		close(s.shutdown)
-		err = s.srv.Close()
-		s.streams.Wait()
-	})
-	return err
 }
 
 // errorBody is every non-2xx response: a message for humans and a
@@ -370,78 +329,16 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
-// handleEvents streams one job's live events as NDJSON: first the
-// flight recorder's retained prefix, then the live feed. Subscribing
-// before snapshotting the ring and deduplicating on sequence number
-// guarantees no event is skipped or repeated across the seam. The
-// stream ends when the client goes away, the server closes, or the job
-// reaches a terminal state (after draining what is buffered).
+// handleEvents streams one job's events as NDJSON: the flight
+// recorder's retained prefix, then the live feed. The stream ends on
+// its own once the job reaches a terminal state.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
 		return
 	}
-	if !s.trackStream() {
+	if !s.StreamEvents(w, r, j.Hub(), j.Done()) {
 		writeError(w, http.StatusServiceUnavailable, ReasonShuttingDown, "server shutting down")
-		return
-	}
-	defer s.streams.Done()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	flush()
-
-	sub := j.Hub().Bus().Subscribe(256)
-	defer sub.Close()
-	var last uint64
-	for _, e := range j.Hub().FlightEvents() {
-		if live.WriteEventNDJSON(w, e) != nil {
-			return
-		}
-		last = e.Seq
-	}
-	flush()
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case e := <-sub.Events():
-			if e.Seq <= last {
-				continue // already replayed from the flight ring
-			}
-			if live.WriteEventNDJSON(w, e) != nil {
-				return
-			}
-			flush()
-		case <-r.Context().Done():
-			return
-		case <-s.shutdown:
-			return
-		case <-j.Done():
-			// Terminal: drain what is buffered, then end the stream so
-			// curl-style consumers terminate naturally.
-			for {
-				select {
-				case e := <-sub.Events():
-					if e.Seq <= last {
-						continue
-					}
-					if live.WriteEventNDJSON(w, e) != nil {
-						return
-					}
-				default:
-					flush()
-					return
-				}
-			}
-		case <-tick.C:
-		}
 	}
 }
 
@@ -456,29 +353,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, j := range jobs {
 		byState[j.State()]++
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# TYPE campaign_jobs gauge\n")
+	var p obs.PromWriter
+	p.Type("campaign_jobs", "gauge")
 	for _, st := range States() {
-		fmt.Fprintf(&b, "campaign_jobs{state=%q} %d\n", st, byState[st])
+		p.Uint("campaign_jobs", uint64(byState[st]), "state", string(st))
 	}
-	fmt.Fprintf(&b, "# TYPE campaign_queue_depth gauge\ncampaign_queue_depth %d\n", s.m.QueueDepth())
-	fmt.Fprintf(&b, "# TYPE campaign_jobs_total counter\ncampaign_jobs_total %d\n", len(jobs))
-	fmt.Fprintf(&b, "# TYPE campaign_job_cells_total gauge\n")
-	fmt.Fprintf(&b, "# TYPE campaign_job_cells_done gauge\n")
-	fmt.Fprintf(&b, "# TYPE campaign_job_events_published gauge\n")
-	fmt.Fprintf(&b, "# TYPE campaign_job_events_dropped gauge\n")
+	p.Type("campaign_queue_depth", "gauge")
+	p.Uint("campaign_queue_depth", uint64(s.m.QueueDepth()))
+	p.Type("campaign_jobs_total", "counter")
+	p.Uint("campaign_jobs_total", uint64(len(jobs)))
+	for _, name := range []string{"campaign_job_cells_total", "campaign_job_cells_done",
+		"campaign_job_events_published", "campaign_job_events_dropped"} {
+		p.Type(name, "gauge")
+	}
 	var dropped uint64
 	for _, j := range jobs {
-		p := j.Hub().Progress()
-		id := j.ID()
-		fmt.Fprintf(&b, "campaign_job_cells_total{job=%q} %d\n", id, p.CellsTotal)
-		fmt.Fprintf(&b, "campaign_job_cells_done{job=%q} %d\n", id, p.CellsDone)
-		fmt.Fprintf(&b, "campaign_job_events_published{job=%q} %d\n", id, p.EventsPublished)
-		fmt.Fprintf(&b, "campaign_job_events_dropped{job=%q} %d\n", id, p.EventsDropped)
-		dropped += p.EventsDropped
+		prog, id := j.Hub().Progress(), j.ID()
+		p.Uint("campaign_job_cells_total", uint64(prog.CellsTotal), "job", id)
+		p.Uint("campaign_job_cells_done", uint64(prog.CellsDone), "job", id)
+		p.Uint("campaign_job_events_published", prog.EventsPublished, "job", id)
+		p.Uint("campaign_job_events_dropped", prog.EventsDropped, "job", id)
+		dropped += prog.EventsDropped
 	}
-	fmt.Fprintf(&b, "# TYPE campaign_events_dropped_total counter\ncampaign_events_dropped_total %d\n", dropped)
-	io.WriteString(w, b.String())
+	p.Type("campaign_events_dropped_total", "counter")
+	p.Uint("campaign_events_dropped_total", dropped)
+	p.WriteTo(w)
 	// The ops plane appends its route/tenant/queue/runtime series; a nil
 	// bundle appends nothing.
 	ops.WritePrometheus(w, s.ops)

@@ -1,87 +1,50 @@
 package live
 
 import (
-	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"repro/internal/obs"
 )
 
-// promName sanitises a registry metric name into the Prometheus
-// identifier charset: dots and any other illegal rune become
-// underscores, and a leading digit is prefixed.
-func promName(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(r >= '0' && r <= '9' && i > 0)
-		if ok {
-			b.WriteRune(r)
-		} else if r >= '0' && r <= '9' { // leading digit
-			b.WriteByte('_')
-			b.WriteRune(r)
-		} else {
-			b.WriteByte('_')
-		}
-	}
-	if b.Len() == 0 {
-		return "_"
-	}
-	return b.String()
-}
-
-func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 // WritePrometheus renders a registry snapshot plus the hub's live
 // progress gauges in the Prometheus text exposition format (version
-// 0.0.4). Registry histograms become native Prometheus histograms with
-// cumulative le buckets; progress fields become live_* gauges.
+// 0.0.4). Registry names are sanitised into Prometheus identifiers,
+// registry histograms become native Prometheus histograms, and progress
+// fields become live_* gauges.
 func WritePrometheus(w io.Writer, snap obs.Snapshot, prog ProgressSnapshot) error {
-	var b strings.Builder
+	var p obs.PromWriter
+	family := func(name, kind string, v float64) {
+		p.Type(name, kind)
+		p.Float(name, v)
+	}
 	for _, m := range snap.Counters {
-		n := promName(m.Name)
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %s\n", n, n, promFloat(m.Value))
+		family(m.Name, "counter", m.Value)
 	}
 	for _, m := range snap.Gauges {
-		n := promName(m.Name)
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", n, n, promFloat(m.Value))
+		family(m.Name, "gauge", m.Value)
 	}
 	for _, h := range snap.Histograms {
-		n := promName(h.Name)
-		fmt.Fprintf(&b, "# TYPE %s histogram\n", n)
-		var cum uint64
-		for i, bound := range h.Bounds {
-			cum += h.Counts[i]
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", n, promFloat(bound), cum)
-		}
-		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", n, h.Count)
-		fmt.Fprintf(&b, "%s_sum %s\n", n, promFloat(h.Sum))
-		fmt.Fprintf(&b, "%s_count %d\n", n, h.Count)
+		p.Type(h.Name, "histogram")
+		p.Hist(h.Name, h)
 	}
 
-	gauge := func(name string, v float64) {
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", name, name, promFloat(v))
-	}
-	gauge("live_cells_total", float64(prog.CellsTotal))
-	gauge("live_cells_done", float64(prog.CellsDone))
-	gauge("live_cells_failed", float64(prog.CellsFailed))
-	gauge("live_in_flight", float64(prog.InFlight))
-	gauge("live_retries", float64(prog.Retries))
-	gauge("live_degraded_cells", float64(prog.DegradedCells))
-	gauge("live_workers", float64(prog.Workers))
-	gauge("live_elapsed_seconds", prog.ElapsedSeconds)
-	gauge("live_eta_seconds", prog.ETASeconds)
-	gauge("live_events_published", float64(prog.EventsPublished))
-	gauge("live_events_dropped", float64(prog.EventsDropped))
+	family("live_cells_total", "gauge", float64(prog.CellsTotal))
+	family("live_cells_done", "gauge", float64(prog.CellsDone))
+	family("live_cells_failed", "gauge", float64(prog.CellsFailed))
+	family("live_in_flight", "gauge", float64(prog.InFlight))
+	family("live_retries", "gauge", float64(prog.Retries))
+	family("live_degraded_cells", "gauge", float64(prog.DegradedCells))
+	family("live_workers", "gauge", float64(prog.Workers))
+	family("live_elapsed_seconds", "gauge", prog.ElapsedSeconds)
+	family("live_eta_seconds", "gauge", prog.ETASeconds)
+	family("live_events_published", "gauge", float64(prog.EventsPublished))
+	family("live_events_dropped", "gauge", float64(prog.EventsDropped))
 	done := 0.0
 	if prog.Done {
 		done = 1
 	}
-	gauge("live_done", done)
+	family("live_done", "gauge", done)
 
-	_, err := io.WriteString(w, b.String())
+	_, err := p.WriteTo(w)
 	return err
 }

@@ -7,22 +7,6 @@ import (
 	"repro/internal/obs"
 )
 
-func TestPromName(t *testing.T) {
-	cases := map[string]string{
-		"suite.attempt_seconds": "suite_attempt_seconds",
-		"meter.window_seconds":  "meter_window_seconds",
-		"ok_name:sub":           "ok_name:sub",
-		"7leading":              "_7leading",
-		"spaces and-dashes":     "spaces_and_dashes",
-		"":                      "_",
-	}
-	for in, want := range cases {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestWritePrometheus(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Add("suite.runs", 3)

@@ -104,32 +104,55 @@ func TestServerEventsStream(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}()
+	readEvents(t, resp.Body, 3, func(i int, e Event) {
+		if e.Kind != KindSweepStarted {
+			t.Fatalf("stream line %d kind = %v", i, e.Kind)
+		}
+	})
 
+	// A late subscriber gets the flight ring's retained events first,
+	// then the live ones: Seq contiguous, no gap and no duplicate.
+	late, err := http.Get("http://" + srv.Addr() + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Body.Close()
+	for i := 0; i < 2; i++ {
+		hub.SweepStarted(1, 1)
+	}
+	readEvents(t, late.Body, 5, func(i int, e Event) {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("late stream line %d has seq %d, want %d", i, e.Seq, i+1)
+		}
+	})
+}
+
+// readEvents reads n NDJSON events from body, handing each to check,
+// and fails if they do not arrive in time.
+func readEvents(t *testing.T, body io.Reader, n int, check func(i int, e Event)) {
+	t.Helper()
 	type line struct {
-		ok  bool
 		ev  Event
 		err error
 	}
-	lines := make(chan line, 8)
+	lines := make(chan line, n)
 	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
+		sc := bufio.NewScanner(body)
+		for i := 0; i < n && sc.Scan(); i++ {
 			var e Event
 			err := json.Unmarshal(sc.Bytes(), &e)
-			lines <- line{ok: err == nil, ev: e, err: err}
+			lines <- line{ev: e, err: err}
 		}
 	}()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < n; i++ {
 		select {
 		case l := <-lines:
-			if !l.ok {
+			if l.err != nil {
 				t.Fatalf("stream line %d not JSON: %v", i, l.err)
 			}
-			if l.ev.Kind != KindSweepStarted {
-				t.Fatalf("stream line %d kind = %v", i, l.ev.Kind)
-			}
+			check(i, l.ev)
 		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d of 3 events streamed", i)
+			t.Fatalf("only %d of %d events streamed", i, n)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package ops
 
-import (
-	"sort"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Wall-clock bucket scales. HTTP requests resolve sub-millisecond to
 // tens of seconds (event streams stay open for the life of a job, so
@@ -14,38 +10,6 @@ var (
 	latencyBuckets  = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60, 600}
 	durationBuckets = []float64{0.001, 0.01, 0.1, 1, 10, 60, 600, 3600}
 )
-
-// hist is a fixed-bucket wall-clock histogram. It is not safe for
-// concurrent use on its own: the owning component's mutex guards it.
-// Snapshots reuse obs.HistSnap so the quantile estimator and rendering
-// conventions stay shared between the two planes.
-type hist struct {
-	bounds []float64
-	counts []uint64
-	count  uint64
-	sum    float64
-}
-
-func newHist(bounds []float64) *hist {
-	return &hist{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *hist) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	h.count++
-	h.sum += v
-}
-
-func (h *hist) snap(name string) obs.HistSnap {
-	return obs.HistSnap{
-		Name:   name,
-		Bounds: h.bounds,
-		Counts: append([]uint64(nil), h.counts...),
-		Count:  h.count,
-		Sum:    h.sum,
-	}
-}
 
 // HistSummary is the compact /statusz rendering of a histogram: count,
 // sum and the interpolated quantiles, without the raw buckets.
@@ -58,12 +22,6 @@ type HistSummary struct {
 }
 
 func summarize(s obs.HistSnap) HistSummary {
-	q := func(p float64) float64 {
-		v, ok := s.Quantile(p)
-		if !ok {
-			return 0
-		}
-		return v
-	}
-	return HistSummary{Count: s.Count, Sum: s.Sum, P50: q(0.50), P95: q(0.95), P99: q(0.99)}
+	p50, p95, p99 := s.Percentiles()
+	return HistSummary{Count: s.Count, Sum: s.Sum, P50: p50, P95: p95, P99: p99}
 }

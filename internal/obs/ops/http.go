@@ -3,7 +3,6 @@ package ops
 import (
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -25,12 +24,12 @@ const maxTenants = 64
 type routeStats struct {
 	inFlight int64
 	byCode   map[int]uint64
-	latency  *hist
+	latency  *obs.Histogram
 }
 
 type tenantStats struct {
 	requests uint64
-	latency  *hist
+	latency  *obs.Histogram
 }
 
 // HTTPMetrics instruments the campaign server's routes: request and
@@ -114,19 +113,19 @@ func (m *HTTPMetrics) end(route, tenant string, code int, seconds float64) {
 	rs := m.route(route)
 	rs.inFlight--
 	rs.byCode[code]++
-	rs.latency.observe(seconds)
+	rs.latency.Observe(seconds)
 	ts, ok := m.tenants[tenant]
 	if !ok {
 		if len(m.tenants) >= maxTenants {
 			tenant = "overflow"
 		}
 		if ts, ok = m.tenants[tenant]; !ok {
-			ts = &tenantStats{latency: newHist(latencyBuckets)}
+			ts = &tenantStats{latency: obs.NewHistogram(latencyBuckets)}
 			m.tenants[tenant] = ts
 		}
 	}
 	ts.requests++
-	ts.latency.observe(seconds)
+	ts.latency.Observe(seconds)
 	m.mu.Unlock()
 }
 
@@ -134,7 +133,7 @@ func (m *HTTPMetrics) end(route, tenant string, code int, seconds float64) {
 func (m *HTTPMetrics) route(route string) *routeStats {
 	rs, ok := m.routes[route]
 	if !ok {
-		rs = &routeStats{byCode: map[int]uint64{}, latency: newHist(latencyBuckets)}
+		rs = &routeStats{byCode: map[int]uint64{}, latency: obs.NewHistogram(latencyBuckets)}
 		m.routes[route] = rs
 	}
 	return rs
@@ -187,7 +186,7 @@ func (m *HTTPMetrics) Routes() []RouteSnap {
 			byCode = append(byCode, CodeCount{Code: code, Count: rs.byCode[code]})
 			total += rs.byCode[code]
 		}
-		snap := rs.latency.snap("ops_http_request_seconds")
+		snap := rs.latency.Snap("ops_http_request_seconds")
 		out = append(out, RouteSnap{
 			Route: name, Requests: total, InFlight: rs.inFlight,
 			ByCode: byCode, Latency: summarize(snap), hist: snap,
@@ -220,11 +219,8 @@ func (m *HTTPMetrics) Tenants() []TenantSnap {
 	out := make([]TenantSnap, 0, len(names))
 	for _, name := range names {
 		ts := m.tenants[name]
-		snap := ts.latency.snap("ops_tenant_request_seconds")
+		snap := ts.latency.Snap("ops_tenant_request_seconds")
 		out = append(out, TenantSnap{Tenant: name, Requests: ts.requests, Latency: summarize(snap), hist: snap})
 	}
 	return out
 }
-
-// quoteLabel renders a Prometheus label value.
-func quoteLabel(v string) string { return strconv.Quote(v) }

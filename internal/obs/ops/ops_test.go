@@ -5,10 +5,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 )
@@ -187,11 +189,11 @@ func TestQueueDepthSeriesRingWraps(t *testing.T) {
 }
 
 func TestHistQuantiles(t *testing.T) {
-	h := newHist(durationBuckets)
+	h := obs.NewHistogram(durationBuckets)
 	for i := 0; i < 100; i++ {
-		h.observe(0.05) // lands in the (0.01, 0.1] bucket
+		h.Observe(0.05) // lands in the (0.01, 0.1] bucket
 	}
-	s := summarize(h.snap("t"))
+	s := summarize(h.Snap("t"))
 	if s.Count != 100 {
 		t.Fatalf("count = %d, want 100", s.Count)
 	}
@@ -292,10 +294,25 @@ func TestTimelineTrace(t *testing.T) {
 	}
 }
 
+// promSample is the text exposition grammar for one sample line: a
+// metric name, optional labels whose values use only the \\, \" and \n
+// escapes, and a float value.
+var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+	`(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})?` +
+	` [-+]?(?:[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|Inf|NaN)$`)
+
 func TestWritePrometheusRendersEverySeries(t *testing.T) {
 	tel := New()
 	h := tel.HTTP().Handler("GET /jobs", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/jobs", nil))
+	// Tenant headers are client input: Go's server accepts a tab and
+	// bytes 0x80-0xFF in a header value, and quotes and backslashes must
+	// be escaped, so each must still render as a well-formed label.
+	for _, tenant := range []string{"a\tb", "caf\xe9", `q"\`} {
+		req := httptest.NewRequest("GET", "/jobs", nil)
+		req.Header.Set(TenantHeader, tenant)
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}
 	tel.Queue().Configure(2, 16)
 	tel.Queue().JobQueued()
 	tel.Queue().JobStarted(0.1)
@@ -308,10 +325,13 @@ func TestWritePrometheusRendersEverySeries(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		`ops_http_requests_total{route="GET /jobs",code="200"} 1`,
+		`ops_http_requests_total{route="GET /jobs",code="200"} 4`,
 		`ops_http_in_flight{route="GET /jobs"} 0`,
-		`ops_http_request_seconds_count{route="GET /jobs"} 1`,
+		`ops_http_request_seconds_count{route="GET /jobs"} 4`,
 		`ops_tenant_requests_total{tenant="anonymous"} 1`,
+		"ops_tenant_requests_total{tenant=\"a\tb\"} 1",
+		"ops_tenant_requests_total{tenant=\"caf\uFFFD\"} 1",
+		`ops_tenant_requests_total{tenant="q\"\\"} 1`,
 		"campaign_slots 2",
 		"campaign_slots_in_use 1",
 		"campaign_max_queued 16",
@@ -326,6 +346,14 @@ func TestWritePrometheusRendersEverySeries(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			continue
+		}
+		if !utf8.ValidString(line) || !promSample.MatchString(line) {
+			t.Errorf("sample line breaks the exposition grammar: %q", line)
 		}
 	}
 	// Stable: a second render of the same state is byte-identical (sorted

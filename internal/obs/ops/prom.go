@@ -1,41 +1,11 @@
 package ops
 
 import (
-	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"repro/internal/obs"
 )
-
-func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// promHist renders one histogram in the text exposition format with an
-// optional label pair (cumulative le buckets, sum, count).
-func promHist(b *strings.Builder, name, labelKey, labelValue string, h obs.HistSnap) {
-	label := func(le string) string {
-		if labelKey == "" {
-			if le == "" {
-				return ""
-			}
-			return "{le=" + le + "}"
-		}
-		kv := labelKey + "=" + quoteLabel(labelValue)
-		if le == "" {
-			return "{" + kv + "}"
-		}
-		return "{" + kv + ",le=" + le + "}"
-	}
-	var cum uint64
-	for i, bound := range h.Bounds {
-		cum += h.Counts[i]
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, label(strconv.Quote(promFloat(bound))), cum)
-	}
-	fmt.Fprintf(b, "%s_bucket%s %d\n", name, label(`"+Inf"`), h.Count)
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, label(""), promFloat(h.Sum))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, label(""), h.Count)
-}
 
 // WritePrometheus renders the ops plane in the Prometheus text
 // exposition format (version 0.0.4): per-route and per-tenant request
@@ -46,52 +16,55 @@ func WritePrometheus(w io.Writer, t *Telemetry) error {
 	if t == nil {
 		return nil
 	}
-	var b strings.Builder
+	var p obs.PromWriter
 
 	routes := t.HTTP().Routes()
-	b.WriteString("# TYPE ops_http_requests_total counter\n")
+	p.Type("ops_http_requests_total", "counter")
 	for _, r := range routes {
 		for _, c := range r.ByCode {
-			fmt.Fprintf(&b, "ops_http_requests_total{route=%s,code=\"%d\"} %d\n",
-				quoteLabel(r.Route), c.Code, c.Count)
+			p.Uint("ops_http_requests_total", c.Count, "route", r.Route, "code", strconv.Itoa(c.Code))
 		}
 	}
-	b.WriteString("# TYPE ops_http_in_flight gauge\n")
+	p.Type("ops_http_in_flight", "gauge")
 	for _, r := range routes {
-		fmt.Fprintf(&b, "ops_http_in_flight{route=%s} %d\n", quoteLabel(r.Route), r.InFlight)
+		p.Uint("ops_http_in_flight", uint64(r.InFlight), "route", r.Route)
 	}
-	b.WriteString("# TYPE ops_http_request_seconds histogram\n")
+	p.Type("ops_http_request_seconds", "histogram")
 	for _, r := range routes {
-		promHist(&b, "ops_http_request_seconds", "route", r.Route, r.hist)
+		p.Hist("ops_http_request_seconds", r.hist, "route", r.Route)
 	}
 
 	tenants := t.HTTP().Tenants()
-	b.WriteString("# TYPE ops_tenant_requests_total counter\n")
+	p.Type("ops_tenant_requests_total", "counter")
 	for _, tn := range tenants {
-		fmt.Fprintf(&b, "ops_tenant_requests_total{tenant=%s} %d\n", quoteLabel(tn.Tenant), tn.Requests)
+		p.Uint("ops_tenant_requests_total", tn.Requests, "tenant", tn.Tenant)
 	}
-	b.WriteString("# TYPE ops_tenant_request_seconds histogram\n")
+	p.Type("ops_tenant_request_seconds", "histogram")
 	for _, tn := range tenants {
-		promHist(&b, "ops_tenant_request_seconds", "tenant", tn.Tenant, tn.hist)
+		p.Hist("ops_tenant_request_seconds", tn.hist, "tenant", tn.Tenant)
 	}
 
-	q := t.Queue().Snapshot()
 	gauge := func(name string, v float64) {
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", name, name, promFloat(v))
+		p.Type(name, "gauge")
+		p.Float(name, v)
 	}
 	counter := func(name string, v uint64) {
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", name, name, v)
+		p.Type(name, "counter")
+		p.Uint(name, v)
 	}
+	hist := func(name string, h obs.HistSnap) {
+		p.Type(name, "histogram")
+		p.Hist(name, h)
+	}
+	q := t.Queue().Snapshot()
 	gauge("campaign_slots", float64(q.Slots))
 	gauge("campaign_slots_in_use", float64(q.SlotsInUse))
 	gauge("campaign_max_queued", float64(q.MaxQueued))
 	counter("campaign_jobs_queued_total", q.JobsQueued)
 	counter("campaign_jobs_started_total", q.JobsStarted)
 	counter("campaign_jobs_finished_total", q.JobsRun)
-	b.WriteString("# TYPE campaign_queue_wait_seconds histogram\n")
-	promHist(&b, "campaign_queue_wait_seconds", "", "", q.queueWaitHist)
-	b.WriteString("# TYPE campaign_run_seconds histogram\n")
-	promHist(&b, "campaign_run_seconds", "", "", q.runDurHist)
+	hist("campaign_queue_wait_seconds", q.queueWaitHist)
+	hist("campaign_run_seconds", q.runDurHist)
 
 	rt := t.Runtime()
 	gauge("ops_runtime_goroutines", float64(rt.Goroutines))
@@ -102,6 +75,6 @@ func WritePrometheus(w io.Writer, t *Telemetry) error {
 	gauge("ops_runtime_gc_pause_total_seconds", rt.GCPauseTotalSeconds)
 	gauge("ops_runtime_open_fds", float64(rt.OpenFDs))
 
-	_, err := io.WriteString(w, b.String())
+	_, err := p.WriteTo(w)
 	return err
 }

@@ -31,8 +31,8 @@ type QueueStats struct {
 	queued    uint64 // jobs ever enqueued
 	started   uint64 // jobs that reached a slot
 	finished  uint64 // jobs that reached a terminal state after running
-	queueWait *hist
-	runDur    *hist
+	queueWait *obs.Histogram
+	runDur    *obs.Histogram
 	series    []DepthSample
 	next      int // ring cursor once len(series) == depthSeriesCap
 	now       func() time.Time
@@ -40,8 +40,8 @@ type QueueStats struct {
 
 func newQueueStats() *QueueStats {
 	return &QueueStats{
-		queueWait: newHist(durationBuckets),
-		runDur:    newHist(durationBuckets),
+		queueWait: obs.NewHistogram(durationBuckets),
+		runDur:    obs.NewHistogram(durationBuckets),
 		now:       time.Now,
 	}
 }
@@ -92,7 +92,7 @@ func (q *QueueStats) JobStarted(waitSeconds float64) {
 	}
 	q.mu.Lock()
 	q.started++
-	q.queueWait.observe(waitSeconds)
+	q.queueWait.Observe(waitSeconds)
 	q.mu.Unlock()
 }
 
@@ -104,7 +104,7 @@ func (q *QueueStats) JobFinished(runSeconds float64) {
 	}
 	q.mu.Lock()
 	q.finished++
-	q.runDur.observe(runSeconds)
+	q.runDur.Observe(runSeconds)
 	q.mu.Unlock()
 }
 
@@ -142,8 +142,8 @@ func (q *QueueStats) Snapshot() QueueSnap {
 	} else {
 		series = append(series, q.series...)
 	}
-	waitSnap := q.queueWait.snap("campaign_queue_wait_seconds")
-	runSnap := q.runDur.snap("campaign_run_seconds")
+	waitSnap := q.queueWait.Snap("campaign_queue_wait_seconds")
+	runSnap := q.runDur.Snap("campaign_run_seconds")
 	return QueueSnap{
 		Slots: q.slots, SlotsInUse: q.running, MaxQueued: q.maxQueued, Depth: q.depth,
 		JobsQueued: q.queued, JobsStarted: q.started, JobsRun: q.finished,

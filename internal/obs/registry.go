@@ -23,14 +23,43 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]float64
 	gauges   map[string]float64
-	hists    map[string]*histogram
+	hists    map[string]*Histogram
 }
 
-type histogram struct {
+// Histogram is a fixed-bucket histogram: ascending upper bounds with an
+// implicit overflow bucket. It is not safe for concurrent use on its
+// own: the owning component's mutex guards it, as the Registry's does
+// for its histograms.
+type Histogram struct {
 	bounds []float64 // upper bounds, ascending; +Inf bucket is implicit
 	counts []uint64  // len(bounds)+1
 	count  uint64
 	sum    float64
+}
+
+// NewHistogram returns an empty histogram over bounds, which must be
+// ascending. The histogram keeps bounds without copying.
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+}
+
+// Observe adds v to the bucket of the first bound at or above it.
+func (h *Histogram) Observe(v float64) {
+	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
+	h.counts[i]++
+	h.count++
+	h.sum += v
+}
+
+// Snap copies the histogram's state under the given name.
+func (h *Histogram) Snap(name string) HistSnap {
+	return HistSnap{
+		Name:   name,
+		Bounds: append([]float64(nil), h.bounds...),
+		Counts: append([]uint64(nil), h.counts...),
+		Count:  h.count,
+		Sum:    h.sum,
+	}
 }
 
 // NewRegistry returns an empty registry.
@@ -38,7 +67,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]float64{},
 		gauges:   map[string]float64{},
-		hists:    map[string]*histogram{},
+		hists:    map[string]*Histogram{},
 	}
 }
 
@@ -73,8 +102,7 @@ func (r *Registry) RegisterHistogram(name string, bounds []float64) error {
 	if _, ok := r.hists[name]; ok {
 		return fmt.Errorf("obs: histogram %q already has observations", name)
 	}
-	cp := append([]float64(nil), bounds...)
-	r.hists[name] = &histogram{bounds: cp, counts: make([]uint64, len(cp)+1)}
+	r.hists[name] = NewHistogram(append([]float64(nil), bounds...))
 	return nil
 }
 
@@ -84,13 +112,10 @@ func (r *Registry) Observe(name string, v float64) {
 	r.mu.Lock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &histogram{bounds: DefaultBuckets, counts: make([]uint64, len(DefaultBuckets)+1)}
+		h = NewHistogram(DefaultBuckets)
 		r.hists[name] = h
 	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	h.count++
-	h.sum += v
+	h.Observe(v)
 	r.mu.Unlock()
 }
 
@@ -145,14 +170,15 @@ func (h HistSnap) Quantile(q float64) (v float64, ok bool) {
 	return h.Bounds[len(h.Bounds)-1], true
 }
 
-// quantileOrZero renders a quantile for the snapshot encoding (0 when
-// the histogram is empty, keeping the JSON shape fixed).
-func (h HistSnap) quantileOrZero(q float64) float64 {
-	v, ok := h.Quantile(q)
-	if !ok {
-		return 0
+// Percentiles returns the p50, p95 and p99 estimates, each 0 when the
+// histogram is empty: the fixed shape that metrics.json and the ops
+// plane's /statusz summaries both render.
+func (h HistSnap) Percentiles() (p50, p95, p99 float64) {
+	q := func(q float64) float64 {
+		v, _ := h.Quantile(q) // 0 when empty
+		return v
 	}
-	return v
+	return q(0.50), q(0.95), q(0.99)
 }
 
 // Snapshot is a deterministic point-in-time copy of a registry.
@@ -174,13 +200,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges = append(s.Gauges, MetricSnap{Name: name, Value: v})
 	}
 	for name, h := range r.hists {
-		s.Histograms = append(s.Histograms, HistSnap{
-			Name:   name,
-			Bounds: append([]float64(nil), h.bounds...),
-			Counts: append([]uint64(nil), h.counts...),
-			Count:  h.count,
-			Sum:    h.sum,
-		})
+		s.Histograms = append(s.Histograms, h.Snap(name))
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
@@ -229,9 +249,9 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 			}
 			b.WriteString(strconv.FormatUint(c, 10))
 		}
+		p50, p95, p99 := h.Percentiles()
 		fmt.Fprintf(&b, "], \"count\": %d, \"sum\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s}",
-			h.Count, num(h.Sum),
-			num(h.quantileOrZero(0.50)), num(h.quantileOrZero(0.95)), num(h.quantileOrZero(0.99)))
+			h.Count, num(h.Sum), num(p50), num(p95), num(p99))
 		if i < len(s.Histograms)-1 {
 			b.WriteString(",")
 		}
