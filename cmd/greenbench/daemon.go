@@ -5,18 +5,16 @@ package main
 // over HTTP, each job runs in its own directory with its own journal,
 // tracer and live hub, and the whole lifecycle is observable: states,
 // progress, per-job NDJSON event streams, Prometheus metrics, reports.
-// This file only wires flags into the campaign package and supplies the
-// one thing the package cannot know — how to exec this binary as a
-// shard worker.
+// Job specs resolve through campaign.JobSpec.Resolve, the same path the
+// CLI's own flags take, and sharded jobs start their workers with the
+// CLI's factory and argv builder (shard.go). This file only wires the
+// server flags into the campaign package.
 
 import (
 	"fmt"
 	"log/slog"
 	"os"
-	"os/exec"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"repro/internal/campaign"
@@ -28,17 +26,9 @@ import (
 // hook) asks it to shut down.
 func runDaemon(o options) error {
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	worker := o.daemonWorker
-	if worker == nil {
-		exe, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("resolving worker executable: %w", err)
-		}
-		worker = func(w campaign.WorkerSpec) (*exec.Cmd, error) {
-			cmd := exec.Command(exe, daemonWorkerArgs(w)...)
-			cmd.Stderr = os.Stderr
-			return cmd, nil
-		}
+	worker, err := o.workerFactory()
+	if err != nil {
+		return err
 	}
 	flightCap := o.flightrecSize
 	if flightCap == 0 {
@@ -108,43 +98,4 @@ func runDaemon(o options) error {
 	mgr.Close()
 	logger.Info("campaign server stopped")
 	return nil
-}
-
-// daemonWorkerArgs builds the argv of one daemon shard worker — the same
-// hidden worker-mode flags workerArgs builds for a CLI sharded sweep,
-// sourced from the job spec instead of the parent's flags.
-func daemonWorkerArgs(w campaign.WorkerSpec) []string {
-	procs := make([]string, len(w.Task.Procs))
-	for i, p := range w.Task.Procs {
-		procs[i] = strconv.Itoa(p)
-	}
-	args := []string{
-		"-shard-worker", strconv.Itoa(w.Task.Shard),
-		"-shard-axis", strings.Join(procs, ","),
-		"-journal", w.Segment,
-		"-shard-tick", w.Tick.String(),
-		"-placement", w.Placement,
-		"-bench", strings.Join(w.Benchmarks, ","),
-	}
-	if w.SpecFile != "" {
-		args = append(args, "-spec", w.SpecFile)
-	} else {
-		args = append(args, "-system", w.System)
-	}
-	if w.Traced {
-		args = append(args, "-shard-trace")
-	}
-	if w.FaultsFile != "" {
-		args = append(args, "-faults", w.FaultsFile)
-	}
-	if w.Retries > 0 {
-		args = append(args, "-retries", strconv.Itoa(w.Retries))
-	}
-	if w.TimeoutSeconds > 0 {
-		args = append(args, "-timeout", strconv.FormatFloat(w.TimeoutSeconds, 'g', -1, 64))
-	}
-	if w.CellPause > 0 {
-		args = append(args, "-cellpause", w.CellPause.String())
-	}
-	return args
 }

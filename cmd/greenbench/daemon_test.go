@@ -6,15 +6,12 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/shard"
 )
 
 // startDaemon runs greenbench -daemon in-process on an ephemeral port
@@ -243,25 +240,7 @@ func TestDaemonShardedJobMatchesCLI(t *testing.T) {
 	dir := t.TempDir()
 	seqOut, seqTrace, seqMetrics := sequentialBaseline(t, dir)
 
-	worker := func(w campaign.WorkerSpec) (*exec.Cmd, error) {
-		procs := make([]string, len(w.Task.Procs))
-		for i, p := range w.Task.Procs {
-			procs[i] = strconv.Itoa(p)
-		}
-		env, err := json.Marshal(workerEnv{
-			Shard: w.Task.Shard, Axis: strings.Join(procs, ","), Journal: w.Segment,
-			System: w.System, Bench: strings.Join(w.Benchmarks, ","), Placement: w.Placement,
-			Trace: w.Traced, Tick: 50 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cmd := exec.Command(os.Args[0], "-test.run=TestShardWorkerProcess$")
-		cmd.Env = append(os.Environ(), workerEnvVar+"="+string(env))
-		cmd.Stderr = os.Stderr
-		return cmd, nil
-	}
-	base := startDaemon(t, options{daemonDir: filepath.Join(dir, "jobs"), daemonWorker: worker})
+	base := startDaemon(t, options{daemonDir: filepath.Join(dir, "jobs"), worker: testWorker})
 	st := submitJob(t, base, campaign.JobSpec{System: "testbed", Sweep: true, Shards: 2})
 	st = waitJob(t, base, st.ID)
 	if st.State != campaign.StateDone {
@@ -278,31 +257,6 @@ func TestDaemonShardedJobMatchesCLI(t *testing.T) {
 	mustEqualFiles(t, "results", seqOut, filepath.Join(st.Dir, campaign.ResultsFile))
 	mustEqualFiles(t, "trace", seqTrace, filepath.Join(st.Dir, campaign.TraceFile))
 	mustEqualFiles(t, "metrics", seqMetrics, filepath.Join(st.Dir, campaign.MetricsFile))
-}
-
-// TestDaemonWorkerArgsMirrorCLIWorkerArgs pins the daemon's shard-worker
-// argv to the CLI's: both front ends must drive the hidden worker mode
-// identically, or sharded daemon jobs would diverge from -shards runs.
-func TestDaemonWorkerArgsMirrorCLIWorkerArgs(t *testing.T) {
-	o := options{
-		system: "testbed", placement: "cyclic", sweep: true, shards: 2,
-		retries: 3, timeout: 9.5, cellPause: 20 * time.Millisecond,
-		faultsPath: "plan.json", tracePath: "t.json",
-		shardTimeout: 10 * time.Second,
-	}
-	benches := []string{"hpl", "stream"}
-	task := shard.Task{Shard: 1, Procs: []int{4, 8}}
-	cliArgs := workerArgs(o, benches, task, "seg.journal")
-	daemonArgs := daemonWorkerArgs(campaign.WorkerSpec{
-		Task: task, Segment: "seg.journal",
-		System: "testbed", Placement: "cyclic", Benchmarks: benches,
-		Traced: true, Retries: 3, TimeoutSeconds: 9.5,
-		CellPause: 20 * time.Millisecond, FaultsFile: "plan.json",
-		Tick: 2 * time.Second,
-	})
-	if strings.Join(cliArgs, " ") != strings.Join(daemonArgs, " ") {
-		t.Errorf("worker argv diverged:\n cli:    %v\n daemon: %v", cliArgs, daemonArgs)
-	}
 }
 
 // TestDaemonOpsEndpoints scrapes the operational surface of a working

@@ -51,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strings"
 	"time"
@@ -63,95 +62,70 @@ import (
 	"repro/internal/native"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
-	"repro/internal/shard"
 	"repro/internal/suite"
 	"repro/internal/units"
 )
 
-func specByName(name string) (*cluster.Spec, error) {
-	switch strings.ToLower(name) {
-	case "fire":
-		return cluster.Fire(), nil
-	case "systemg":
-		return cluster.SystemG(), nil
-	case "greengpu", "gpu":
-		return cluster.GreenGPU(), nil
-	case "sicortex":
-		return cluster.SiCortex(), nil
-	case "testbed":
-		return cluster.Testbed(), nil
-	default:
-		return nil, fmt.Errorf("unknown system %q (want fire, systemg, greengpu, sicortex or testbed)", name)
-	}
-}
-
 func main() {
-	system := flag.String("system", "fire", "cluster model: fire, systemg, greengpu, testbed")
-	specPath := flag.String("spec", "", "JSON machine-spec file (overrides -system)")
-	nativeRun := flag.Bool("native", false, "run the real benchmark suite on this host")
-	watts := flag.Float64("watts", 0, "host wall power for -native (from your meter)")
-	procs := flag.Int("procs", 0, "MPI process count (default: all cores)")
-	sweep := flag.Bool("sweep", false, "run the paper's process sweep instead of one point")
-	extended := flag.Bool("extended", false, "run the seven-benchmark extended suite")
-	benchList := flag.String("bench", "", "ordered comma-separated benchmark list, or 'paper'/'extended' (default: paper; see -list)")
-	workers := flag.Int("workers", 1, "concurrent sweep cells (output is byte-identical whatever the count; 1 runs one worker)")
-	list := flag.Bool("list", false, "list the registered benchmark workloads and exit")
-	out := flag.String("o", "", "output JSON path (default: stdout summary only)")
-	placement := flag.String("placement", "cyclic", "process placement: cyclic or block")
-	faultsPath := flag.String("faults", "", "JSON fault-plan file to inject (see internal/faults)")
-	retries := flag.Int("retries", 0, "retries per benchmark after an injected failure")
-	timeout := flag.Float64("timeout", 0, "per-benchmark virtual-time limit in seconds (0: none)")
-	resume := flag.Bool("resume", false, "skip (procs, benchmark) cells checkpointed in the journal")
-	journalPath := flag.String("journal", "", "sweep checkpoint journal (default: <out>.journal)")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline of the campaign")
-	metricsPath := flag.String("metrics", "", "write campaign metrics (counters, gauges, histograms) as JSON")
-	reportPath := flag.String("report", "", "write the human-readable run report ('-': stdout)")
-	serve := flag.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :8080; /metrics, /progress, /events)")
-	progressEvery := flag.Duration("progress", 0, "print a progress line to stderr at this wall-clock interval (e.g. 2s; 0: off)")
-	eventsPath := flag.String("events", "", "append the live event stream to this file as NDJSON")
-	flightPath := flag.String("flightrec", "", "flight-recorder dump path on interrupt/abort (default: <out>.flightrec.json)")
-	flightrecSize := flag.Int("flightrec-size", live.DefaultFlightCapacity,
-		fmt.Sprintf("flight-recorder ring capacity in events (%d..%d)", live.MinFlightCapacity, live.MaxFlightCapacity))
-	cellPause := flag.Duration("cellpause", 0, "wall-clock pause before each sweep cell (demo/e2e pacing; virtual results unaffected)")
-	shards := flag.Int("shards", 0, "run the sweep as this many supervised worker processes (crash isolation; needs -sweep and -o/-journal)")
-	shardTimeout := flag.Duration("shard-timeout", 30*time.Second, "kill and relaunch a shard worker whose heartbeat is silent this long")
-	shardRetries := flag.Int("shard-retries", 2, "relaunches per lost shard before bisecting to the poison cell (negative: none)")
-	shardWorker := flag.Int("shard-worker", 0, "internal: shard index when running as a supervised worker")
-	shardAxis := flag.String("shard-axis", "", "internal: comma-separated process counts this worker owns (enables worker mode)")
-	shardTrace := flag.Bool("shard-trace", false, "internal: journal cell traces and metric ops in the worker")
-	shardTick := flag.Duration("shard-tick", time.Second, "internal: worker heartbeat interval")
-	daemon := flag.String("daemon", "", "run as a multi-tenant campaign server on this address (e.g. :8080; POST /jobs)")
-	daemonDir := flag.String("daemon-dir", "greenbench-jobs", "campaign server: directory for per-job journals and artefacts")
-	maxJobs := flag.Int("max-jobs", 2, "campaign server: jobs running concurrently (others queue)")
-	pprofFlag := flag.Bool("pprof", false, "campaign server: mount net/http/pprof under /debug/pprof")
-	opsTrace := flag.String("ops-trace", "", "write the sharded sweep's wall-clock supervisor timeline (Chrome trace) to this path")
-	noOps := flag.Bool("no-ops", false, "campaign server: disable the wall-clock operational telemetry plane")
-	opsSample := flag.Duration("ops-sample", 10*time.Second, "campaign server: runtime self-sample interval (goroutines, heap, GC, fds)")
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-
-	o := options{
-		system: *system, specPath: *specPath, native: *nativeRun, watts: *watts,
-		procs: *procs, sweep: *sweep, extended: *extended, bench: *benchList,
-		workers: *workers, list: *list, out: *out, placement: *placement,
-		faultsPath: *faultsPath, retries: *retries, timeout: *timeout,
-		resume: *resume, journalPath: *journalPath,
-		tracePath: *tracePath, metricsPath: *metricsPath, reportPath: *reportPath,
-		serve: *serve, progressEvery: *progressEvery, eventsPath: *eventsPath,
-		flightPath: *flightPath, flightrecSize: *flightrecSize, cellPause: *cellPause,
-		shards: *shards, shardTimeout: *shardTimeout, shardRetries: *shardRetries,
-		shardWorker: *shardWorker, shardAxis: *shardAxis, shardTrace: *shardTrace,
-		shardTick: *shardTick,
-		daemon:    *daemon, daemonDir: *daemonDir, maxJobs: *maxJobs, pprof: *pprofFlag,
-		opsTracePath: *opsTrace, noOps: *noOps, opsSample: *opsSample,
-	}
-	if err := validateCLI(o); err != nil {
+	if err := validateCLI(*o); err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
 		os.Exit(2)
 	}
-	if err := run(o); err != nil {
+	if err := run(*o); err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
 		os.Exit(1)
 	}
+}
+
+// defineFlags registers greenbench's flags on fs, bound to the fields of
+// the returned options. A shard worker's argv (workerArgs) parses back
+// through the same set.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.system, "system", "fire", "cluster model: fire, systemg, greengpu, testbed")
+	fs.StringVar(&o.specPath, "spec", "", "JSON machine-spec file (overrides -system)")
+	fs.BoolVar(&o.native, "native", false, "run the real benchmark suite on this host")
+	fs.Float64Var(&o.watts, "watts", 0, "host wall power for -native (from your meter)")
+	fs.IntVar(&o.procs, "procs", 0, "MPI process count (default: all cores)")
+	fs.BoolVar(&o.sweep, "sweep", false, "run the paper's process sweep instead of one point")
+	fs.BoolVar(&o.extended, "extended", false, "run the seven-benchmark extended suite")
+	fs.StringVar(&o.bench, "bench", "", "ordered comma-separated benchmark list, or 'paper'/'extended' (default: paper; see -list)")
+	fs.IntVar(&o.workers, "workers", 1, "concurrent sweep cells (output is byte-identical whatever the count; 1 runs one worker)")
+	fs.BoolVar(&o.list, "list", false, "list the registered benchmark workloads and exit")
+	fs.StringVar(&o.out, "o", "", "output JSON path (default: stdout summary only)")
+	fs.StringVar(&o.placement, "placement", "cyclic", "process placement: cyclic or block")
+	fs.StringVar(&o.faultsPath, "faults", "", "JSON fault-plan file to inject (see internal/faults)")
+	fs.IntVar(&o.retries, "retries", 0, "retries per benchmark after an injected failure")
+	fs.Float64Var(&o.timeout, "timeout", 0, "per-benchmark virtual-time limit in seconds (0: none)")
+	fs.BoolVar(&o.resume, "resume", false, "skip (procs, benchmark) cells checkpointed in the journal")
+	fs.StringVar(&o.journalPath, "journal", "", "sweep checkpoint journal (default: <out>.journal)")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace_event JSON timeline of the campaign")
+	fs.StringVar(&o.metricsPath, "metrics", "", "write campaign metrics (counters, gauges, histograms) as JSON")
+	fs.StringVar(&o.reportPath, "report", "", "write the human-readable run report ('-': stdout)")
+	fs.StringVar(&o.serve, "serve", "", "serve live telemetry over HTTP on this address (e.g. :8080; /metrics, /progress, /events)")
+	fs.DurationVar(&o.progressEvery, "progress", 0, "print a progress line to stderr at this wall-clock interval (e.g. 2s; 0: off)")
+	fs.StringVar(&o.eventsPath, "events", "", "append the live event stream to this file as NDJSON")
+	fs.StringVar(&o.flightPath, "flightrec", "", "flight-recorder dump path on interrupt/abort (default: <out>.flightrec.json)")
+	fs.IntVar(&o.flightrecSize, "flightrec-size", live.DefaultFlightCapacity,
+		fmt.Sprintf("flight-recorder ring capacity in events (%d..%d)", live.MinFlightCapacity, live.MaxFlightCapacity))
+	fs.DurationVar(&o.cellPause, "cellpause", 0, "wall-clock pause before each sweep cell (demo/e2e pacing; virtual results unaffected)")
+	fs.IntVar(&o.shards, "shards", 0, "run the sweep as this many supervised worker processes (crash isolation; needs -sweep and -o/-journal)")
+	fs.DurationVar(&o.shardTimeout, "shard-timeout", 30*time.Second, "kill and relaunch a shard worker whose heartbeat is silent this long")
+	fs.IntVar(&o.shardRetries, "shard-retries", 2, "relaunches per lost shard before bisecting to the poison cell (negative: none)")
+	fs.IntVar(&o.shardWorker, "shard-worker", 0, "internal: shard index when running as a supervised worker")
+	fs.StringVar(&o.shardAxis, "shard-axis", "", "internal: comma-separated process counts this worker owns (enables worker mode)")
+	fs.BoolVar(&o.shardTrace, "shard-trace", false, "internal: journal cell traces and metric ops in the worker")
+	fs.DurationVar(&o.shardTick, "shard-tick", time.Second, "internal: worker heartbeat interval")
+	fs.StringVar(&o.daemon, "daemon", "", "run as a multi-tenant campaign server on this address (e.g. :8080; POST /jobs)")
+	fs.StringVar(&o.daemonDir, "daemon-dir", "greenbench-jobs", "campaign server: directory for per-job journals and artefacts")
+	fs.IntVar(&o.maxJobs, "max-jobs", 2, "campaign server: jobs running concurrently (others queue)")
+	fs.BoolVar(&o.pprof, "pprof", false, "campaign server: mount net/http/pprof under /debug/pprof")
+	fs.StringVar(&o.opsTracePath, "ops-trace", "", "write the sharded sweep's wall-clock supervisor timeline (Chrome trace) to this path")
+	fs.BoolVar(&o.noOps, "no-ops", false, "campaign server: disable the wall-clock operational telemetry plane")
+	fs.DurationVar(&o.opsSample, "ops-sample", 10*time.Second, "campaign server: runtime self-sample interval (goroutines, heap, GC, fds)")
+	return o
 }
 
 // validateCLI rejects nonsensical flag combinations up front with
@@ -260,10 +234,10 @@ type options struct {
 	shardAxis    string
 	shardTrace   bool
 	shardTick    time.Duration
-	// workerCommand overrides how the supervisor builds a shard worker
-	// process — a test hook so e2e tests can re-enter the test binary
-	// instead of exec'ing a real greenbench.
-	workerCommand func(t shard.Task, segment string) (*exec.Cmd, error)
+	// worker overrides the shard-worker factory of both a sharded sweep
+	// and the daemon — a test hook so e2e tests can re-enter the test
+	// binary instead of exec'ing a real greenbench.
+	worker campaign.WorkerFactory
 	// interruptAfter aborts a sweep after N checkpointed cells — a test
 	// hook simulating a killed process (the journal stays behind).
 	interruptAfter int
@@ -274,9 +248,6 @@ type options struct {
 	// daemonStop, when set, shuts the daemon down when closed — a test
 	// hook standing in for SIGINT/SIGTERM.
 	daemonStop chan struct{}
-	// daemonWorker overrides the daemon's shard-worker factory — a test
-	// hook so e2e tests can re-enter the test binary.
-	daemonWorker campaign.WorkerFactory
 }
 
 // traced reports whether any observability output was requested. The
@@ -427,46 +398,41 @@ func (ls *liveState) shutdown() {
 	}
 }
 
-// retryPolicy translates the CLI knobs into a suite.RetryPolicy. Retries
-// wait through a 30-virtual-second backoff (doubling per retry), the
-// reboot/drain delay of a real campaign.
-func (o options) retryPolicy() suite.RetryPolicy {
-	return suite.RetryPolicy{
-		MaxAttempts: o.retries + 1,
-		Backoff:     units.Seconds(30),
-		Timeout:     units.Seconds(o.timeout),
+// resolve settles the campaign the flags describe. The flags become a
+// campaign.JobSpec — the body a POST /jobs would carry, with -spec and
+// -faults loaded inline — and resolve through the daemon's path, so the
+// CLI and the server validate, default and expand a campaign alike. Only
+// -cellpause bypasses the spec, to keep its full duration precision.
+func (o options) resolve() (*campaign.Resolved, error) {
+	js := campaign.JobSpec{
+		System: o.system, Sweep: o.sweep, Procs: o.procs, Placement: o.placement,
+		Workers: o.workers, Shards: o.shards, Retries: o.retries, TimeoutSeconds: o.timeout,
 	}
-}
-
-// benchNames resolves -bench / -extended into the canonical ordered
-// benchmark list ("paper" and nil both mean the paper's three).
-func benchNames(o options) ([]string, error) {
-	if o.bench != "" && o.extended {
+	switch {
+	case o.bench != "" && o.extended:
 		return nil, fmt.Errorf("-bench and -extended are mutually exclusive (use -bench extended)")
+	case o.extended:
+		js.Benchmarks = []string{"extended"}
+	case o.bench != "":
+		js.Benchmarks = strings.Split(o.bench, ",")
 	}
-	raw := o.bench
-	switch strings.ToLower(raw) {
-	case "":
-		if o.extended {
-			return suite.ExtendedOrder, nil
-		}
-		return suite.PaperOrder(), nil
-	case "paper":
-		return suite.PaperOrder(), nil
-	case "extended":
-		return suite.ExtendedOrder, nil
-	}
-	var names []string
-	for _, part := range strings.Split(raw, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			names = append(names, part)
+	var err error
+	if o.specPath != "" {
+		if js.Spec, err = cluster.LoadSpec(o.specPath); err != nil {
+			return nil, err
 		}
 	}
-	resolved, err := bench.Resolve(names)
+	if o.faultsPath != "" {
+		if js.Faults, err = faults.Load(o.faultsPath); err != nil {
+			return nil, err
+		}
+	}
+	job, err := js.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	return resolved, nil
+	job.CellPause = o.cellPause
+	return job, nil
 }
 
 // listWorkloads prints the registry: every benchmark -bench accepts.
@@ -501,8 +467,6 @@ func listWorkloads() error {
 }
 
 func run(o options) error {
-	system, procs, sweep, out, placement :=
-		o.system, o.procs, o.sweep, o.out, o.placement
 	if o.list {
 		return listWorkloads()
 	}
@@ -512,40 +476,15 @@ func run(o options) error {
 	if o.daemon != "" {
 		return runDaemon(o)
 	}
-	benches, err := benchNames(o)
+	job, err := o.resolve()
 	if err != nil {
 		return err
 	}
-	var spec *cluster.Spec
-	if o.specPath != "" {
-		if spec, err = cluster.LoadSpec(o.specPath); err != nil {
-			return err
-		}
-	} else if spec, err = specByName(system); err != nil {
-		return err
-	}
-	var pl cluster.Placement
-	switch strings.ToLower(placement) {
-	case "cyclic":
-		pl = cluster.Cyclic
-	case "block":
-		pl = cluster.Block
-	default:
-		return fmt.Errorf("unknown placement %q", placement)
-	}
-
-	var plan *faults.Plan
-	if o.faultsPath != "" {
-		if plan, err = faults.Load(o.faultsPath); err != nil {
-			return err
-		}
-	}
-
 	// Worker mode: this process is one shard of a supervised sweep. It
 	// runs its axis slice against its own journal segment, heartbeats on
 	// stdout, and never writes user-facing output — the parent does.
 	if o.shardAxis != "" {
-		return runShardWorker(o, spec, pl, benches, plan)
+		return runShardWorker(o, job)
 	}
 
 	var tracer *obs.Tracer
@@ -569,43 +508,30 @@ func run(o options) error {
 			panic(p)
 		}
 	}()
-	cs := suite.CampaignSpec{
-		Spec:        spec,
-		Placement:   pl,
-		Benchmarks:  benches,
-		Faults:      plan,
-		Retry:       o.retryPolicy(),
-		Sweep:       sweep,
-		Procs:       procs,
-		Workers:     o.workers,
-		JournalPath: o.journalFile(),
-		Resume:      o.resume,
-		Trace:       tracer,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-		Render: func(results []*suite.Result) error {
-			printResults(os.Stdout, results)
-			// campaign.Artifacts is the single results-to-disk code path,
-			// shared with the daemon: that is what makes a job submitted
-			// over HTTP byte-identical to the same campaign run here.
-			return campaign.Artifacts{
-				Results:   out,
-				Trace:     o.tracePath,
-				Metrics:   o.metricsPath,
-				Report:    o.reportPath,
-				ReportOut: os.Stdout,
-				Logf: func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, format+"\n", args...)
-				},
-			}.Write(tracer, results)
-		},
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+	}
+	cs := job.CampaignSpec()
+	cs.JournalPath = o.journalFile()
+	cs.Resume = o.resume
+	cs.Trace = tracer
+	cs.Logf = logf
+	cs.Render = func(results []*suite.Result) error {
+		printResults(os.Stdout, results)
+		// campaign.Artifacts is the single results-to-disk code path,
+		// shared with the daemon: that is what makes a job submitted
+		// over HTTP byte-identical to the same campaign run here.
+		return campaign.Artifacts{
+			Results:   o.out,
+			Trace:     o.tracePath,
+			Metrics:   o.metricsPath,
+			Report:    o.reportPath,
+			ReportOut: os.Stdout,
+			Logf:      logf,
+		}.Write(tracer, results)
 	}
 	if hub := ls.Hub(); hub != nil {
 		cs.Live = hub
-	}
-	if o.cellPause > 0 {
-		cs.PauseCell = func() { time.Sleep(o.cellPause) }
 	}
 	if o.interruptAfter > 0 {
 		cs.AfterCell = func(done int64) error {
@@ -615,9 +541,9 @@ func run(o options) error {
 			return nil
 		}
 	}
-	if sweep && o.shards > 1 {
+	if o.shards > 1 {
 		cs.Supervise = func(axis []int) error {
-			return superviseShards(&o, spec, pl, benches, axis, ls)
+			return superviseShards(o, job, axis, ls)
 		}
 	}
 	outcome, err := suite.RunCampaign(cs)

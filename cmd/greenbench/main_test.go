@@ -12,18 +12,6 @@ import (
 	"repro/internal/suite"
 )
 
-func TestSpecByName(t *testing.T) {
-	for _, name := range []string{"fire", "Fire", "systemg", "greengpu", "gpu", "sicortex", "testbed"} {
-		spec, err := specByName(name)
-		if err != nil || spec == nil {
-			t.Errorf("specByName(%q) = %v, %v", name, spec, err)
-		}
-	}
-	if _, err := specByName("cray"); err == nil {
-		t.Error("unknown system accepted")
-	}
-}
-
 func TestRunOnePoint(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "one.json")
 	if err := run(options{system: "testbed", procs: 4, out: out, placement: "cyclic"}); err != nil {
@@ -92,6 +80,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if err := run(options{system: "testbed", procs: 1, placement: "diagonal"}); err == nil {
 		t.Error("bad placement accepted")
+	}
+	// The CLI resolves through the daemon's JobSpec path, so a single
+	// point above the machine's cores is refused before anything runs.
+	if err := run(options{system: "testbed", procs: 9, placement: "cyclic"}); err == nil ||
+		!strings.Contains(err.Error(), "exceeds the 8 cores") {
+		t.Errorf("procs above the cores: %v", err)
 	}
 }
 

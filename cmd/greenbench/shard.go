@@ -1,21 +1,15 @@
 package main
 
-// Sharded sweeps: -shards N partitions the process axis across N
-// supervised greenbench worker processes (crash isolation), then renders
-// the campaign from the merged journal. The split of responsibilities:
-//
-//   - internal/shard owns supervision mechanics: launching, heartbeat
-//     watchdog, retry with backoff, bisection, quarantine decisions.
-//   - internal/suite owns the deterministic half: journal segments,
-//     their axis-order merge, and the resume machinery that turns the
-//     merged journal into results/trace/metrics byte-identical to a
-//     single-process run.
-//   - internal/campaign glues them (SuperviseShards): seeds segments on
-//     resume, merges worker segments, records quarantined cells. It is
-//     shared with the daemon, so CLI and server shard jobs behave
-//     identically.
-//   - This file keeps what only the CLI knows: worker argv construction
-//     and the bridge from shard lifecycle events onto the live plane.
+// Shard workers, the CLI's half of sharded sweeps (-shards N). What the
+// cells compute and how workers are supervised live in internal/campaign
+// and are shared with daemon shard jobs: the campaign resolves through
+// campaign.JobSpec, and campaign.SuperviseShards partitions the axis,
+// describes each worker as a campaign.WorkerSpec, watches heartbeats,
+// merges segments and writes the -ops-trace timeline. This file keeps
+// what only the binary knows: the one argv a WorkerSpec becomes
+// (workerArgs), the factory that execs it for both the CLI and the
+// daemon, the hidden worker mode that argv selects, and the bridge from
+// shard lifecycle events onto the live plane.
 
 import (
 	"fmt"
@@ -23,14 +17,11 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
-	"repro/internal/obs/ops"
 	"repro/internal/shard"
 	"repro/internal/suite"
 )
@@ -59,106 +50,86 @@ func (m shardMonitor) ShardQuarantined(shard, procs int, reason string) {
 }
 
 // superviseShards runs the sweep's axis as o.shards supervised worker
-// processes and leaves the canonical journal holding every cell: the
-// workers' merged segments plus StatusQuarantined records for cells lost
-// to a poison shard. The caller then renders the campaign through the
-// ordinary resume path.
-func superviseShards(o *options, spec *cluster.Spec, pl cluster.Placement, benches []string, axis []int, ls *liveState) error {
-	path := o.journalFile()
-	if path == "" {
-		return fmt.Errorf("-shards needs a checkpoint journal: pass -o or -journal")
+// processes and leaves the canonical journal holding every cell. The
+// caller then renders the campaign through the ordinary resume path.
+func superviseShards(o options, job *campaign.Resolved, axis []int, ls *liveState) error {
+	worker, err := o.workerFactory()
+	if err != nil {
+		return err
 	}
-	start := o.workerCommand
-	if start == nil {
-		exe, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("resolving worker executable: %w", err)
-		}
-		start = func(t shard.Task, segment string) (*exec.Cmd, error) {
-			cmd := exec.Command(exe, workerArgs(*o, benches, t, segment)...)
-			cmd.Stderr = os.Stderr
-			return cmd, nil
-		}
-	}
-	// The supervisor timeline rides along as a second monitor: lifecycle
-	// events fan out to both the live plane and the wall-clock trace, and
-	// neither can perturb the deterministic artefacts (the journal merge
-	// never sees them).
-	mon := shard.Monitor(shardMonitor{hub: ls.Hub(), ls: ls})
-	var tl *ops.Timeline
-	if o.opsTracePath != "" {
-		tl = ops.NewTimeline()
-		mon = shard.Monitors(mon, tl)
-	}
-	err := campaign.SuperviseShards(campaign.ShardPlan{
-		JournalPath:      path,
-		Spec:             spec,
-		Placement:        pl,
-		Benchmarks:       benches,
+	return campaign.SuperviseShards(campaign.ShardPlan{
+		JournalPath:      o.journalFile(),
+		Campaign:         job,
 		Axis:             axis,
-		Shards:           o.shards,
 		Resume:           o.resume,
-		Start:            start,
+		Worker:           worker,
+		Traced:           o.traced(),
 		HeartbeatTimeout: o.shardTimeout,
 		MaxRetries:       o.shardRetries,
 		Log:              os.Stderr,
-		Monitor:          mon,
+		Monitor:          shardMonitor{hub: ls.Hub(), ls: ls},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
+		Timeline: o.opsTracePath,
 	})
-	if tl != nil {
-		if werr := tl.WriteFile(o.opsTracePath); werr != nil {
-			fmt.Fprintf(os.Stderr, "greenbench: ops timeline write failed: %v\n", werr)
-		} else {
-			fmt.Fprintf(os.Stderr, "wrote %s (supervisor timeline, wall-clock)\n", o.opsTracePath)
-		}
+}
+
+// workerFactory is how both a sharded sweep and the daemon start shard
+// workers: this binary, re-executed with workerArgs.
+func (o options) workerFactory() (campaign.WorkerFactory, error) {
+	if o.worker != nil {
+		return o.worker, nil
 	}
-	return err
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("resolving worker executable: %w", err)
+	}
+	return func(w campaign.WorkerSpec) (*exec.Cmd, error) {
+		cmd := exec.Command(exe, workerArgs(w)...)
+		cmd.Stderr = os.Stderr
+		return cmd, nil
+	}, nil
 }
 
 // workerArgs builds the argv of one shard worker: the hidden worker-mode
-// flags plus the subset of the parent's flags that decide what the cells
-// compute. Flags that only shape parent-side output (-o, -trace, -serve,
-// …) are deliberately absent — a worker's sole artifact is its segment.
-func workerArgs(o options, benches []string, t shard.Task, segment string) []string {
-	procs := make([]string, len(t.Procs))
-	for i, p := range t.Procs {
+// flags plus the flags that decide what the cells compute. Flags that
+// only shape parent-side output (-o, -trace, -serve, …) are deliberately
+// absent — a worker's sole artifact is its segment.
+func workerArgs(w campaign.WorkerSpec) []string {
+	procs := make([]string, len(w.Task.Procs))
+	for i, p := range w.Task.Procs {
 		procs[i] = strconv.Itoa(p)
 	}
-	tick := o.shardTimeout / 5
-	if tick <= 0 {
-		tick = time.Second
-	}
 	args := []string{
-		"-shard-worker", strconv.Itoa(t.Shard),
+		"-shard-worker", strconv.Itoa(w.Task.Shard),
 		"-shard-axis", strings.Join(procs, ","),
-		"-journal", segment,
-		"-shard-tick", tick.String(),
-		"-placement", o.placement,
-		"-bench", strings.Join(benches, ","),
+		"-journal", w.Segment,
+		"-shard-tick", w.Tick.String(),
+		"-placement", w.Placement,
+		"-bench", strings.Join(w.Benchmarks, ","),
 	}
-	if o.specPath != "" {
-		args = append(args, "-spec", o.specPath)
+	if w.SpecFile != "" {
+		args = append(args, "-spec", w.SpecFile)
 	} else {
-		args = append(args, "-system", o.system)
+		args = append(args, "-system", w.System)
 	}
-	if o.traced() {
+	if w.Traced {
 		// The parent will replay cell traces and metric ops out of the
 		// merged journal; the workers must record them.
 		args = append(args, "-shard-trace")
 	}
-	if o.faultsPath != "" {
-		args = append(args, "-faults", o.faultsPath)
+	if w.FaultsFile != "" {
+		args = append(args, "-faults", w.FaultsFile)
 	}
-	if o.retries > 0 {
-		args = append(args, "-retries", strconv.Itoa(o.retries))
+	if w.Retries > 0 {
+		args = append(args, "-retries", strconv.Itoa(w.Retries))
 	}
-	if o.timeout > 0 {
-		args = append(args, "-timeout", strconv.FormatFloat(o.timeout, 'g', -1, 64))
+	if w.TimeoutSeconds > 0 {
+		args = append(args, "-timeout", strconv.FormatFloat(w.TimeoutSeconds, 'g', -1, 64))
 	}
-	if o.cellPause > 0 {
-		args = append(args, "-cellpause", o.cellPause.String())
+	if w.CellPause > 0 {
+		args = append(args, "-cellpause", w.CellPause.String())
 	}
 	return args
 }
@@ -184,13 +155,14 @@ func parseAxis(s string) ([]int, error) {
 }
 
 // runShardWorker is greenbench's hidden worker mode: run the assigned
-// axis slice on one worker, checkpoint every cell (with its cell-relative
-// trace and metric ops when the parent asked for observability) into the
-// private journal segment, and heartbeat on stdout. Stdout belongs to
-// the supervisor's watchdog — no results are printed. The segment is
-// opened in resume mode unconditionally, so a relaunched worker skips
-// everything its predecessor checkpointed.
-func runShardWorker(o options, spec *cluster.Spec, pl cluster.Placement, benches []string, plan *faults.Plan) error {
+// axis slice of the resolved campaign on one worker, checkpoint every
+// cell (with its cell-relative trace and metric ops when the parent
+// asked for observability) into the private journal segment, and
+// heartbeat on stdout. Stdout belongs to the supervisor's watchdog — no
+// results are printed. The segment is opened in resume mode
+// unconditionally, so a relaunched worker skips everything its
+// predecessor checkpointed.
+func runShardWorker(o options, job *campaign.Resolved) error {
 	axis, err := parseAxis(o.shardAxis)
 	if err != nil {
 		return err
@@ -206,7 +178,7 @@ func runShardWorker(o options, spec *cluster.Spec, pl cluster.Placement, benches
 	if err != nil {
 		return err
 	}
-	if err := journal.Bind(benches); err != nil {
+	if err := journal.Bind(job.Benchmarks); err != nil {
 		return err
 	}
 	var tracer *obs.Tracer
@@ -215,7 +187,7 @@ func runShardWorker(o options, spec *cluster.Spec, pl cluster.Placement, benches
 	}
 
 	beats := shard.NewBeatWriter(os.Stdout, o.shardWorker)
-	total := len(axis) * len(benches)
+	total := len(axis) * len(job.Benchmarks)
 	beats.Hello(total)
 	stop := shard.StartTicks(beats, o.shardTick)
 	defer stop()
@@ -227,6 +199,7 @@ func runShardWorker(o options, spec *cluster.Spec, pl cluster.Placement, benches
 	}
 	fire(0)
 
+	cs := job.CampaignSpec()
 	_, err = suite.RunSweepPlan(suite.SweepPlan{
 		Axis:    axis,
 		Trace:   tracer,
@@ -236,17 +209,7 @@ func runShardWorker(o options, spec *cluster.Spec, pl cluster.Placement, benches
 			fire(int(done))
 			return nil
 		},
-		Configure: func(procs int) (suite.Config, error) {
-			if o.cellPause > 0 {
-				time.Sleep(o.cellPause)
-			}
-			cfg := suite.DefaultConfig(spec, procs)
-			cfg.Placement = pl
-			cfg.Benchmarks = benches
-			cfg.Faults = plan
-			cfg.Retry = o.retryPolicy()
-			return cfg, nil
-		},
+		Configure: cs.Configure,
 	})
 	if err != nil {
 		return err

@@ -3,83 +3,65 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
+	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
 
-// workerEnv carries a shard worker's configuration to the helper process
-// through the environment — options has unexported fields, so the hook
-// serialises this exported mirror instead.
-type workerEnv struct {
-	Shard     int
-	Axis      string
-	Journal   string
-	System    string
-	Bench     string
-	Placement string
-	Trace     bool
-	Tick      time.Duration
-}
-
-const workerEnvVar = "GREENBENCH_SHARD_WORKER_ENV"
+// workerArgsEnv carries a shard worker's argv to the helper process:
+// exec'ing a real greenbench binary would exec the test binary, so the
+// worker re-enters through TestShardWorkerProcess, which parses the argv
+// with greenbench's own flag set.
+const workerArgsEnv = "GREENBENCH_SHARD_WORKER_ARGS"
 
 // TestShardWorkerProcess is not a test: it is the shard worker child the
-// supervisor e2e tests launch (exec'ing a real greenbench binary would
-// exec the test binary here, so the worker re-enters through this body).
+// supervisor e2e tests launch.
 func TestShardWorkerProcess(t *testing.T) {
-	raw := os.Getenv(workerEnvVar)
+	raw := os.Getenv(workerArgsEnv)
 	if raw == "" {
 		return
 	}
-	var w workerEnv
-	if err := json.Unmarshal([]byte(raw), &w); err != nil {
-		fmt.Fprintln(os.Stderr, "worker env:", err)
+	var args []string
+	if err := json.Unmarshal([]byte(raw), &args); err != nil {
+		fmt.Fprintln(os.Stderr, "worker args:", err)
 		os.Exit(99)
 	}
-	err := run(options{
-		system: w.System, bench: w.Bench, placement: w.Placement,
-		workers: 1, journalPath: w.Journal,
-		shardWorker: w.Shard, shardAxis: w.Axis,
-		shardTrace: w.Trace, shardTick: w.Tick,
-	})
-	if err != nil {
+	fs := flag.NewFlagSet("greenbench", flag.ContinueOnError)
+	o := defineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		os.Exit(2)
+	}
+	if err := run(*o); err != nil {
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// testWorkerCommand is the supervisor Start hook used by the e2e tests:
-// it launches this test binary as the worker process.
-func testWorkerCommand(o options, benches string) func(shard.Task, string) (*exec.Cmd, error) {
-	return func(task shard.Task, segment string) (*exec.Cmd, error) {
-		procs := make([]string, len(task.Procs))
-		for i, p := range task.Procs {
-			procs[i] = strconv.Itoa(p)
-		}
-		env, err := json.Marshal(workerEnv{
-			Shard: task.Shard, Axis: strings.Join(procs, ","), Journal: segment,
-			System: o.system, Bench: benches, Placement: "cyclic",
-			Trace: o.traced(), Tick: 50 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cmd := exec.Command(os.Args[0], "-test.run=TestShardWorkerProcess$")
-		cmd.Env = append(os.Environ(), workerEnvVar+"="+string(env))
-		cmd.Stderr = os.Stderr
-		return cmd, nil
+// testWorker is the shard-worker factory of the e2e tests, for sharded
+// sweeps and daemon jobs alike: it launches this test binary as the
+// worker, with the argv workerArgs builds and a fast heartbeat.
+func testWorker(w campaign.WorkerSpec) (*exec.Cmd, error) {
+	w.Tick = 50 * time.Millisecond
+	args, err := json.Marshal(workerArgs(w))
+	if err != nil {
+		return nil, err
 	}
+	cmd := exec.Command(os.Args[0], "-test.run=TestShardWorkerProcess$")
+	cmd.Env = append(os.Environ(), workerArgsEnv+"="+string(args))
+	cmd.Stderr = os.Stderr
+	return cmd, nil
 }
 
 // sequentialBaseline runs the unfaulted single-process sequential sweep
@@ -116,14 +98,13 @@ func mustEqualFiles(t *testing.T, what, a, b string) {
 }
 
 func shardedOptions(dir, tag string, shards int) options {
-	o := options{
+	return options{
 		system: "testbed", sweep: true, workers: 1, placement: "cyclic", shards: shards,
 		out:         filepath.Join(dir, tag+".json"),
 		tracePath:   filepath.Join(dir, tag+".trace.json"),
 		metricsPath: filepath.Join(dir, tag+".metrics.json"),
+		worker:      testWorker,
 	}
-	o.workerCommand = testWorkerCommand(o, "paper")
-	return o
 }
 
 func TestShardedSweepMatchesSequential(t *testing.T) {
@@ -143,6 +124,40 @@ func TestShardedSweepMatchesSequential(t *testing.T) {
 		if _, err := os.Stat(o.out + ".journal"); !os.IsNotExist(err) {
 			t.Errorf("%d-shard sweep left its journal behind", shards)
 		}
+	}
+}
+
+// TestShardedSweepCarriesSpecAndFaults: a machine-spec file and a fault
+// plan reach the shard workers as files next to the journal, and the
+// sharded artefacts match the single-process run byte for byte; the
+// hand-off files are gone afterwards.
+func TestShardedSweepCarriesSpecAndFaults(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "machine.json")
+	if err := cluster.SaveSpec(specPath, cluster.Testbed()); err != nil {
+		t.Fatal(err)
+	}
+	planPath := filepath.Join(dir, "plan.json")
+	plan := &faults.Plan{Seed: 7, Crashes: []faults.Crash{{Benchmark: "HPL", Node: 1, At: 100}},
+		Meter: &faults.Meter{DropRate: 0.05}}
+	if err := faults.Save(planPath, plan); err != nil {
+		t.Fatal(err)
+	}
+	seq := shardedOptions(dir, "seq", 0)
+	seq.system, seq.specPath, seq.faultsPath, seq.retries = "", specPath, planPath, 1
+	if err := run(seq); err != nil {
+		t.Fatal(err)
+	}
+	sh := shardedOptions(dir, "sh", 2)
+	sh.system, sh.specPath, sh.faultsPath, sh.retries = "", specPath, planPath, 1
+	if err := run(sh); err != nil {
+		t.Fatal(err)
+	}
+	mustEqualFiles(t, "results", seq.out, sh.out)
+	mustEqualFiles(t, "trace", seq.tracePath, sh.tracePath)
+	mustEqualFiles(t, "metrics", seq.metricsPath, sh.metricsPath)
+	if left, _ := filepath.Glob(sh.out + ".journal*"); len(left) != 0 {
+		t.Errorf("sharded sweep left %v behind", left)
 	}
 }
 
@@ -276,5 +291,35 @@ func TestValidateCLI(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestWorkerArgs pins the one shard-worker argv, which sharded sweeps
+// and daemon shard jobs both start workers with, and checks that it
+// parses back through greenbench's flag set into the same campaign.
+func TestWorkerArgs(t *testing.T) {
+	w := campaign.WorkerSpec{
+		Task: shard.Task{Shard: 1, Procs: []int{4, 8}}, Segment: "seg.journal",
+		SpecFile: "machine.json", System: "ignored", Placement: "block",
+		Benchmarks: []string{"HPL", "STREAM"}, Traced: true, Retries: 3, TimeoutSeconds: 9.5,
+		CellPause: 1500 * time.Microsecond, FaultsFile: "plan.json", Tick: 2 * time.Second,
+	}
+	args := workerArgs(w)
+	want := "-shard-worker 1 -shard-axis 4,8 -journal seg.journal -shard-tick 2s" +
+		" -placement block -bench HPL,STREAM -spec machine.json -shard-trace" +
+		" -faults plan.json -retries 3 -timeout 9.5 -cellpause 1.5ms"
+	if got := strings.Join(args, " "); got != want {
+		t.Fatalf("worker argv:\n got  %s\n want %s", got, want)
+	}
+	fs := flag.NewFlagSet("greenbench", flag.ContinueOnError)
+	o := defineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	if o.shardWorker != 1 || o.shardAxis != "4,8" || o.journalPath != "seg.journal" ||
+		o.shardTick != 2*time.Second || !o.shardTrace || o.specPath != "machine.json" ||
+		o.faultsPath != "plan.json" || o.retries != 3 || o.timeout != 9.5 ||
+		o.cellPause != 1500*time.Microsecond || o.placement != "block" || o.bench != "HPL,STREAM" {
+		t.Errorf("argv parsed back to %+v", *o)
 	}
 }

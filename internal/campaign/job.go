@@ -64,19 +64,13 @@ const (
 // artefacts), and its lifecycle state.
 type Job struct {
 	id     string
-	spec   JobSpec
-	res    *resolved
+	res    *Resolved
 	dir    string
 	hub    *live.Hub
 	tracer *obs.Tracer
 
 	cancel chan struct{} // closed once to request cancellation
 	done   chan struct{} // closed when the job reaches a terminal state
-
-	// specFile and faultsFile are the on-disk forms of an inline machine
-	// spec / fault plan, written at submission for shard workers.
-	specFile   string
-	faultsFile string
 
 	mu              sync.Mutex
 	state           State
@@ -147,7 +141,7 @@ func (j *Job) Status() Status {
 	j.mu.Lock()
 	st := Status{
 		ID:              j.id,
-		Name:            j.spec.Name,
+		Name:            j.res.Job.Name,
 		State:           j.state,
 		SubmittedAt:     j.submitted,
 		CancelRequested: j.cancelRequested,

@@ -6,56 +6,19 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/obs/ops"
-	"repro/internal/shard"
 	"repro/internal/suite"
 )
 
 // ErrCancelled is the campaign Check hook's abort error when a job's
 // cancellation was requested; the runner maps it to StateCancelled.
 var ErrCancelled = errors.New("campaign: job cancelled")
-
-// WorkerSpec is everything a front end needs to build one shard-worker
-// process for a daemon job. The manager fills it from the job spec; the
-// factory (which knows its own binary and argv conventions) turns it
-// into an exec.Cmd. See cmd/greenbench's daemon wiring.
-type WorkerSpec struct {
-	// JobID identifies the owning job (for logging).
-	JobID string
-	// Task is the shard's axis slice; Segment its private journal.
-	Task    shard.Task
-	Segment string
-	// SpecFile is a machine-spec JSON path; when empty, System names a
-	// built-in model.
-	SpecFile string
-	System   string
-	// Placement, Benchmarks, Retries, TimeoutSeconds and CellPause mirror
-	// the job spec; Traced asks the worker to journal cell traces.
-	Placement      string
-	Benchmarks     []string
-	Traced         bool
-	Retries        int
-	TimeoutSeconds float64
-	CellPause      time.Duration
-	// FaultsFile is a fault-plan JSON path ("" for none).
-	FaultsFile string
-	// Tick is the worker's heartbeat interval.
-	Tick time.Duration
-}
-
-// WorkerFactory builds (without starting) a shard-worker process. The
-// supervisor owns the command's stdout, so the factory must leave
-// cmd.Stdout nil.
-type WorkerFactory func(w WorkerSpec) (*exec.Cmd, error)
 
 // ManagerConfig configures a Manager. The zero value works: jobs land
 // under "greenbench-jobs", two run concurrently, logs are discarded.
@@ -143,7 +106,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 // already visible to Jobs/Get and its hub is live — /events can attach
 // while the job is still queued.
 func (m *Manager) Submit(js JobSpec) (*Job, error) {
-	res, err := js.resolve()
+	res, err := js.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -167,26 +130,8 @@ func (m *Manager) Submit(js JobSpec) (*Job, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: creating %s: %w", dir, err)
 	}
-	// Sharded jobs hand their machine spec and fault plan to worker
-	// processes as files — inline JSON has no argv form.
-	specFile, faultsFile := "", ""
-	if js.Shards > 1 {
-		if js.Spec != nil {
-			specFile = filepath.Join(dir, "spec.json")
-			if err := cluster.SaveSpec(specFile, js.Spec); err != nil {
-				return nil, err
-			}
-		}
-		if js.Faults != nil {
-			faultsFile = filepath.Join(dir, "faults.json")
-			if err := faults.Save(faultsFile, js.Faults); err != nil {
-				return nil, err
-			}
-		}
-	}
 	j := &Job{
 		id:        id,
-		spec:      js,
 		res:       res,
 		dir:       dir,
 		hub:       live.NewHub(live.WithFlightCapacity(m.cfg.FlightCapacity)),
@@ -196,12 +141,11 @@ func (m *Manager) Submit(js JobSpec) (*Job, error) {
 		state:     StateQueued,
 		submitted: time.Now(),
 	}
-	j.specFile, j.faultsFile = specFile, faultsFile
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	m.queue = append(m.queue, j)
 	m.log.Info("job submitted", "job", id, "name", js.Name,
-		"system", j.res.spec.Name, "sweep", js.Sweep, "shards", js.Shards, "queued", len(m.queue))
+		"system", j.res.Spec.Name, "sweep", js.Sweep, "shards", js.Shards, "queued", len(m.queue))
 	j.hub.JobQueued(len(m.queue))
 	m.cfg.Ops.Queue().JobQueued()
 	m.startLocked()
@@ -328,49 +272,51 @@ func (m *Manager) runJob(j *Job) {
 	log.Info("job started", "dir", j.dir)
 
 	resultsPath := filepath.Join(j.dir, ResultsFile)
-	cs := suite.CampaignSpec{
-		Spec:        j.res.spec,
-		Placement:   j.res.placement,
-		Benchmarks:  j.res.benchmarks,
-		Faults:      j.spec.Faults,
-		Retry:       j.res.retry,
-		Sweep:       j.spec.Sweep,
-		Procs:       j.spec.Procs,
-		Workers:     j.spec.Workers,
-		JournalPath: resultsPath + ".journal",
-		Resume:      false,
-		Trace:       j.tracer,
-		Live:        j.hub,
-		Check: func() error {
-			select {
-			case <-j.cancel:
-				return ErrCancelled
-			default:
-				return nil
-			}
-		},
-		Logf: func(format string, args ...any) {
-			log.Info(fmt.Sprintf(format, args...))
-		},
-		Render: func(results []*suite.Result) error {
-			return Artifacts{
-				Results: resultsPath,
-				Trace:   filepath.Join(j.dir, TraceFile),
-				Metrics: filepath.Join(j.dir, MetricsFile),
-				Report:  filepath.Join(j.dir, ReportFile),
-				Logf: func(format string, args ...any) {
-					log.Info(fmt.Sprintf(format, args...))
-				},
-			}.Write(j.tracer, results)
-		},
+	journalPath := resultsPath + ".journal"
+	logf := func(format string, args ...any) { log.Info(fmt.Sprintf(format, args...)) }
+	cs := j.res.CampaignSpec()
+	cs.JournalPath = journalPath
+	cs.Trace = j.tracer
+	cs.Live = j.hub
+	cs.Logf = logf
+	cs.Check = func() error {
+		select {
+		case <-j.cancel:
+			return ErrCancelled
+		default:
+			return nil
+		}
 	}
-	if j.res.cellPause > 0 {
-		pause := j.res.cellPause
-		cs.PauseCell = func() { time.Sleep(pause) }
+	cs.Render = func(results []*suite.Result) error {
+		return Artifacts{
+			Results: resultsPath,
+			Trace:   filepath.Join(j.dir, TraceFile),
+			Metrics: filepath.Join(j.dir, MetricsFile),
+			Report:  filepath.Join(j.dir, ReportFile),
+			Logf:    logf,
+		}.Write(j.tracer, results)
 	}
-	if j.spec.Sweep && j.spec.Shards > 1 {
+	if j.res.Job.Shards > 1 {
+		// The ops plane adds a wall-clock supervision timeline next to
+		// the job's deterministic artefacts.
+		timeline := ""
+		if m.cfg.Ops != nil {
+			timeline = filepath.Join(j.dir, OpsTraceFile)
+		}
 		cs.Supervise = func(axis []int) error {
-			return m.superviseJob(j, axis, resultsPath+".journal", log)
+			return SuperviseShards(ShardPlan{
+				JournalPath:      journalPath,
+				Campaign:         j.res,
+				Axis:             axis,
+				Worker:           m.cfg.Worker,
+				Traced:           true,
+				HeartbeatTimeout: m.cfg.HeartbeatTimeout,
+				MaxRetries:       m.cfg.ShardRetries,
+				Logger:           log,
+				Monitor:          jobMonitor{j: j},
+				Logf:             logf,
+				Timeline:         timeline,
+			})
 		}
 	}
 
@@ -406,61 +352,4 @@ func (m *Manager) runJob(j *Job) {
 	m.startLocked()
 	m.cfg.Ops.Queue().Sample(len(m.queue), m.running)
 	m.mu.Unlock()
-}
-
-// superviseJob runs a sharded job's out-of-process pass via the
-// manager's worker factory.
-func (m *Manager) superviseJob(j *Job, axis []int, journalPath string, log *slog.Logger) error {
-	tick := m.cfg.HeartbeatTimeout / 5
-	if tick <= 0 {
-		tick = time.Second
-	}
-	// The ops plane adds a wall-clock supervision timeline next to the
-	// job's deterministic artefacts; it observes the same Monitor stream
-	// the hub does, so it cannot touch the campaign's bytes.
-	mon := shard.Monitor(jobMonitor{j: j})
-	var tl *ops.Timeline
-	if m.cfg.Ops != nil {
-		tl = ops.NewTimeline()
-		mon = shard.Monitors(mon, tl)
-	}
-	err := SuperviseShards(ShardPlan{
-		JournalPath:      journalPath,
-		Spec:             j.res.spec,
-		Placement:        j.res.placement,
-		Benchmarks:       j.res.benchmarks,
-		Axis:             axis,
-		Shards:           j.spec.Shards,
-		Resume:           false,
-		HeartbeatTimeout: m.cfg.HeartbeatTimeout,
-		MaxRetries:       m.cfg.ShardRetries,
-		Logger:           log,
-		Monitor:          mon,
-		Start: func(t shard.Task, segment string) (*exec.Cmd, error) {
-			return m.cfg.Worker(WorkerSpec{
-				JobID:          j.id,
-				Task:           t,
-				Segment:        segment,
-				SpecFile:       j.specFile,
-				System:         j.res.systemName,
-				Placement:      j.res.placement.String(),
-				Benchmarks:     j.res.benchmarks,
-				Traced:         true,
-				Retries:        j.spec.Retries,
-				TimeoutSeconds: j.spec.TimeoutSeconds,
-				CellPause:      j.res.cellPause,
-				FaultsFile:     j.faultsFile,
-				Tick:           tick,
-			})
-		},
-		Logf: func(format string, args ...any) {
-			log.Info(fmt.Sprintf(format, args...))
-		},
-	})
-	if tl != nil {
-		if werr := tl.WriteFile(filepath.Join(j.dir, OpsTraceFile)); werr != nil {
-			log.Error("ops timeline write failed", "error", werr.Error())
-		}
-	}
-	return err
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -14,8 +16,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // TestServerMetricsJobTableGolden pins the daemon's /metrics job table
 // byte for byte, empty and with two finished jobs: states in lifecycle
 // order, jobs in submission order, every # TYPE line present even for
-// an empty family. With the ops plane off the table is the whole
-// document.
+// an empty family, each family's samples grouped under its # TYPE line.
+// With the ops plane off the table is the whole document.
 func TestServerMetricsJobTableGolden(t *testing.T) {
 	srv, m := startTestServer(t, ManagerConfig{})
 	checkMetricsGolden(t, "http://"+srv.Addr()+"/metrics", "metrics_empty.prom")
@@ -34,6 +36,9 @@ func checkMetricsGolden(t *testing.T, url, name string) {
 	code, body := httpJSON(t, http.MethodGet, url, nil)
 	if code != http.StatusOK {
 		t.Fatalf("GET /metrics: %d", code)
+	}
+	if err := obs.CheckExposition(body); err != nil {
+		t.Errorf("/metrics breaks the text format: %v", err)
 	}
 	path := filepath.Join("testdata", name)
 	if *update {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/obs/ops"
 )
@@ -143,6 +144,9 @@ func TestServerMetricsIncludeOpsPlane(t *testing.T) {
 	code, body := httpJSON(t, http.MethodGet, base+"/metrics", nil)
 	if code != http.StatusOK {
 		t.Fatalf("GET /metrics: %d", code)
+	}
+	if err := obs.CheckExposition(body); err != nil {
+		t.Errorf("/metrics breaks the text format: %v", err)
 	}
 	text := string(body)
 	for _, want := range []string{

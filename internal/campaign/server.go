@@ -362,19 +362,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Uint("campaign_queue_depth", uint64(s.m.QueueDepth()))
 	p.Type("campaign_jobs_total", "counter")
 	p.Uint("campaign_jobs_total", uint64(len(jobs)))
-	for _, name := range []string{"campaign_job_cells_total", "campaign_job_cells_done",
-		"campaign_job_events_published", "campaign_job_events_dropped"} {
-		p.Type(name, "gauge")
-	}
+	// One progress snapshot per job serves all four per-job families,
+	// each rendered as its # TYPE line followed by its own samples.
+	progs := make([]live.ProgressSnapshot, len(jobs))
 	var dropped uint64
-	for _, j := range jobs {
-		prog, id := j.Hub().Progress(), j.ID()
-		p.Uint("campaign_job_cells_total", uint64(prog.CellsTotal), "job", id)
-		p.Uint("campaign_job_cells_done", uint64(prog.CellsDone), "job", id)
-		p.Uint("campaign_job_events_published", prog.EventsPublished, "job", id)
-		p.Uint("campaign_job_events_dropped", prog.EventsDropped, "job", id)
-		dropped += prog.EventsDropped
+	for i, j := range jobs {
+		progs[i] = j.Hub().Progress()
+		dropped += progs[i].EventsDropped
 	}
+	perJob := func(name string, value func(live.ProgressSnapshot) uint64) {
+		p.Type(name, "gauge")
+		for i, j := range jobs {
+			p.Uint(name, value(progs[i]), "job", j.ID())
+		}
+	}
+	perJob("campaign_job_cells_total", func(s live.ProgressSnapshot) uint64 { return uint64(s.CellsTotal) })
+	perJob("campaign_job_cells_done", func(s live.ProgressSnapshot) uint64 { return uint64(s.CellsDone) })
+	perJob("campaign_job_events_published", func(s live.ProgressSnapshot) uint64 { return s.EventsPublished })
+	perJob("campaign_job_events_dropped", func(s live.ProgressSnapshot) uint64 { return s.EventsDropped })
 	p.Type("campaign_events_dropped_total", "counter")
 	p.Uint("campaign_events_dropped_total", dropped)
 	p.WriteTo(w)

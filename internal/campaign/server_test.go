@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -80,22 +82,31 @@ func decodeReason(t *testing.T, body []byte) string {
 
 func TestServerRejectsBadSubmissions(t *testing.T) {
 	srv, _ := startTestServer(t, ManagerConfig{})
-	base := "http://" + srv.Addr()
+	// A server that can shard: its factory must never be reached, because
+	// every sharded submission below is rejected before it is queued.
+	sharding, _ := startTestServer(t, ManagerConfig{Worker: func(WorkerSpec) (*exec.Cmd, error) {
+		t.Error("worker factory called for a rejected job")
+		return nil, errors.New("unreachable")
+	}})
 	for _, tc := range []struct {
 		name   string
+		srv    *Server
 		body   string
 		code   int
 		reason string
 	}{
-		{"malformed JSON", `{"system": "testbed`, http.StatusBadRequest, ReasonBadJSON},
-		{"not an object", `[1,2,3]`, http.StatusBadRequest, ReasonBadJSON},
-		{"unknown system", `{"system":"cray"}`, http.StatusBadRequest, ReasonUnknownSystem},
-		{"unknown benchmark", `{"system":"testbed","benchmarks":["linpack9000"]}`, http.StatusBadRequest, ReasonUnknownBenchmark},
-		{"negative shards", `{"system":"testbed","shards":-4}`, http.StatusBadRequest, ReasonBadSpec},
-		{"negative workers", `{"system":"testbed","workers":-1}`, http.StatusBadRequest, ReasonBadSpec},
-		{"sharded without factory", `{"system":"testbed","sweep":true,"shards":2}`, http.StatusBadRequest, ReasonNoWorkerFactory},
+		{"malformed JSON", srv, `{"system": "testbed`, http.StatusBadRequest, ReasonBadJSON},
+		{"not an object", srv, `[1,2,3]`, http.StatusBadRequest, ReasonBadJSON},
+		{"unknown system", srv, `{"system":"cray"}`, http.StatusBadRequest, ReasonUnknownSystem},
+		{"unknown benchmark", srv, `{"system":"testbed","benchmarks":["linpack9000"]}`, http.StatusBadRequest, ReasonUnknownBenchmark},
+		{"negative shards", srv, `{"system":"testbed","shards":-4}`, http.StatusBadRequest, ReasonBadSpec},
+		{"negative workers", srv, `{"system":"testbed","workers":-1}`, http.StatusBadRequest, ReasonBadSpec},
+		{"sharded without factory", srv, `{"system":"testbed","sweep":true,"shards":2}`, http.StatusBadRequest, ReasonNoWorkerFactory},
+		{"out-of-range fault plan", srv, `{"system":"testbed","faults":{"crash_prob":5}}`, http.StatusBadRequest, ReasonBadSpec},
+		{"procs above cores", srv, `{"system":"testbed","procs":9}`, http.StatusBadRequest, ReasonBadSpec},
+		{"sharded out-of-range fault plan", sharding, `{"system":"testbed","sweep":true,"shards":2,"faults":{"crash_prob":5}}`, http.StatusBadRequest, ReasonBadSpec},
 	} {
-		code, body := postRaw(t, base+"/jobs", tc.body)
+		code, body := postRaw(t, "http://"+tc.srv.Addr()+"/jobs", tc.body)
 		if code != tc.code {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, code, tc.code, body)
 			continue
@@ -105,9 +116,11 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		}
 	}
 	// Nothing above may have created a job.
-	code, body := httpJSON(t, http.MethodGet, base+"/jobs", nil)
-	if code != http.StatusOK || !strings.Contains(string(body), `"jobs": []`) {
-		t.Fatalf("job list after rejections: %d %s", code, body)
+	for _, s := range []*Server{srv, sharding} {
+		code, body := httpJSON(t, http.MethodGet, "http://"+s.Addr()+"/jobs", nil)
+		if code != http.StatusOK || !strings.Contains(string(body), `"jobs": []`) {
+			t.Fatalf("job list after rejections: %d %s", code, body)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 package campaign
 
-// Sharded campaign supervision, shared by the greenbench CLI (-shards)
-// and daemon shard jobs. The split of responsibilities:
+// Sharded campaign supervision, the one implementation behind the
+// greenbench CLI's -shards and daemon shard jobs. The split of
+// responsibilities:
 //
 //   - internal/shard owns supervision mechanics: launching, heartbeat
 //     watchdog, retry with backoff, bisection, quarantine decisions.
@@ -9,10 +10,12 @@ package campaign
 //     their axis-order merge, and the resume machinery that turns the
 //     merged journal into results/trace/metrics byte-identical to a
 //     single-process run.
-//   - SuperviseShards glues them: seeds segments on resume, records
-//     quarantined cells, and merges worker segments into the canonical
-//     journal. How a worker process is built stays with the caller
-//     (Start), because only the front end knows its own argv.
+//   - SuperviseShards glues them: describes each worker (WorkerSpec,
+//     heartbeat tick, on-disk spec and fault plan), seeds segments on
+//     resume, records quarantined cells, merges worker segments into the
+//     canonical journal, and writes the optional wall-clock supervisor
+//     timeline. A front end supplies only a WorkerFactory (which knows
+//     its own binary and argv) and a Monitor.
 
 import (
 	"fmt"
@@ -27,6 +30,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/obs/ops"
 	"repro/internal/shard"
 	"repro/internal/suite"
 )
@@ -37,25 +42,56 @@ func SegmentPath(journal string, i int) string {
 	return fmt.Sprintf("%s.shard-%d", journal, i)
 }
 
+// WorkerSpec is everything a front end needs to build one shard-worker
+// process. SuperviseShards fills it from the resolved campaign; the
+// factory turns it into an exec.Cmd.
+type WorkerSpec struct {
+	// Task is the shard's axis slice; Segment its private journal.
+	Task    shard.Task
+	Segment string
+	// SpecFile is a machine-spec JSON path; when empty, System names a
+	// built-in model.
+	SpecFile string
+	System   string
+	// Placement, Benchmarks, Retries, TimeoutSeconds and CellPause mirror
+	// the campaign; Traced asks the worker to journal cell traces.
+	Placement      string
+	Benchmarks     []string
+	Traced         bool
+	Retries        int
+	TimeoutSeconds float64
+	CellPause      time.Duration
+	// FaultsFile is a fault-plan JSON path ("" for none).
+	FaultsFile string
+	// Tick is the worker's heartbeat interval.
+	Tick time.Duration
+}
+
+// WorkerFactory builds (without starting) a shard-worker process. The
+// supervisor owns the command's stdout, so the factory must leave
+// cmd.Stdout nil.
+type WorkerFactory func(w WorkerSpec) (*exec.Cmd, error)
+
 // ShardPlan configures one sharded-sweep supervision pass.
 type ShardPlan struct {
 	// JournalPath is the canonical journal the worker segments merge into
 	// (required).
 	JournalPath string
-	// Spec, Placement and Benchmarks identify the campaign's cells.
-	Spec       *cluster.Spec
-	Placement  cluster.Placement
-	Benchmarks []string
-	// Axis is the sweep's process axis, partitioned across Shards workers.
-	Axis   []int
-	Shards int
+	// Campaign identifies the cells, the shard count and what each
+	// worker computes.
+	Campaign *Resolved
+	// Axis is the sweep's process axis, partitioned across the shards.
+	Axis []int
 	// Resume seeds each segment with the canonical journal's completed
 	// cells, so relaunched workers skip them.
 	Resume bool
-	// Start builds (without starting) the worker process for a task,
-	// checkpointing into segment (required). See shard.Spec.Start.
-	Start func(t shard.Task, segment string) (*exec.Cmd, error)
-	// HeartbeatTimeout and MaxRetries tune the supervisor (see shard.Spec).
+	// Worker builds the worker process for each task (required).
+	Worker WorkerFactory
+	// Traced asks the workers to journal cell traces and metric ops,
+	// which the render pass replays into the campaign's tracer.
+	Traced bool
+	// HeartbeatTimeout and MaxRetries tune the supervisor (see
+	// shard.Spec); the workers heartbeat five times per timeout.
 	HeartbeatTimeout time.Duration
 	MaxRetries       int
 	// Log, when non-nil, receives the supervisor's per-event lines.
@@ -67,6 +103,11 @@ type ShardPlan struct {
 	Monitor shard.Monitor
 	// Logf, when non-nil, receives the end-of-pass summary lines.
 	Logf func(format string, args ...any)
+	// Timeline, when non-empty, is where the wall-clock supervisor
+	// timeline (a Chrome trace of the same lifecycle events) is written.
+	// It observes the Monitor stream only, so it cannot touch the
+	// campaign's bytes.
+	Timeline string
 }
 
 func (p *ShardPlan) logf(format string, args ...any) {
@@ -85,18 +126,28 @@ func SuperviseShards(p ShardPlan) error {
 	if p.JournalPath == "" {
 		return fmt.Errorf("campaign: sharded sweep needs a checkpoint journal path")
 	}
-	if p.Start == nil {
+	if p.Worker == nil {
 		return fmt.Errorf("campaign: sharded sweep needs a worker factory")
 	}
+	c := p.Campaign
 	journal, err := suite.OpenJournal(p.JournalPath)
 	if err != nil {
 		return err
 	}
-	if err := journal.Bind(p.Benchmarks); err != nil {
+	if err := journal.Bind(c.Benchmarks); err != nil {
+		return err
+	}
+	worker, err := p.workerSpec()
+	for _, f := range []string{worker.SpecFile, worker.FaultsFile} {
+		if f != "" {
+			defer os.Remove(f)
+		}
+	}
+	if err != nil {
 		return err
 	}
 
-	tasks := shard.Partition(p.Axis, p.Shards)
+	tasks := shard.Partition(p.Axis, c.Job.Shards)
 	segments := make([]string, len(tasks))
 	for i, t := range tasks {
 		segments[i] = SegmentPath(p.JournalPath, t.Shard)
@@ -115,12 +166,12 @@ func SuperviseShards(p ShardPlan) error {
 		if err != nil {
 			return err
 		}
-		if err := seg.Bind(p.Benchmarks); err != nil {
+		if err := seg.Bind(c.Benchmarks); err != nil {
 			return err
 		}
 		for _, procs := range t.Procs {
-			for _, b := range p.Benchmarks {
-				key := suite.CellKey(p.Spec.Name, procs, p.Placement.String(), b)
+			for _, b := range c.Benchmarks {
+				key := suite.CellKey(c.Spec.Name, procs, c.Placement.String(), b)
 				if _, ok := seg.Lookup(key); ok {
 					continue
 				}
@@ -135,17 +186,32 @@ func SuperviseShards(p ShardPlan) error {
 		}
 	}
 
+	mon := p.Monitor
+	var tl *ops.Timeline
+	if p.Timeline != "" {
+		tl = ops.NewTimeline()
+		mon = shard.Monitors(mon, tl)
+	}
 	rep, err := shard.Run(shard.Spec{
 		Tasks: tasks,
 		Start: func(t shard.Task) (*exec.Cmd, error) {
-			return p.Start(t, segments[t.Shard])
+			w := worker
+			w.Task, w.Segment = t, segments[t.Shard]
+			return p.Worker(w)
 		},
 		HeartbeatTimeout: p.HeartbeatTimeout,
 		MaxRetries:       p.MaxRetries,
 		Log:              p.Log,
 		Logger:           p.Logger,
-		Monitor:          p.Monitor,
+		Monitor:          mon,
 	})
+	if tl != nil {
+		if werr := tl.WriteFile(p.Timeline); werr != nil {
+			p.logf("ops timeline write failed: %v", werr)
+		} else {
+			p.logf("wrote %s (supervisor timeline, wall-clock)", p.Timeline)
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -163,7 +229,7 @@ func SuperviseShards(p ShardPlan) error {
 		}
 		segs = append(segs, seg)
 	}
-	missing, err := suite.MergeShardJournals(journal, segs, p.Spec.Name, p.Placement.String(), p.Axis, p.Benchmarks)
+	missing, err := suite.MergeShardJournals(journal, segs, c.Spec.Name, c.Placement.String(), p.Axis, c.Benchmarks)
 	if err != nil {
 		return err
 	}
@@ -185,8 +251,8 @@ func SuperviseShards(p ShardPlan) error {
 		if !ok {
 			continue
 		}
-		for _, b := range p.Benchmarks {
-			key := suite.CellKey(p.Spec.Name, procs, p.Placement.String(), b)
+		for _, b := range c.Benchmarks {
+			key := suite.CellKey(c.Spec.Name, procs, c.Placement.String(), b)
 			if !missingSet[key] {
 				continue // the worker checkpointed it before dying
 			}
@@ -216,6 +282,40 @@ func SuperviseShards(p ShardPlan) error {
 		p.logf("sharded sweep: %d cell(s) quarantined after retries and bisection", quarantined)
 	}
 	return nil
+}
+
+// workerSpec describes the plan's workers, minus the per-task Task and
+// Segment. A machine spec without a built-in name and a fault plan reach
+// the workers as files next to the journal, because inline JSON has no
+// argv form; SuperviseShards removes them when the pass ends.
+func (p *ShardPlan) workerSpec() (WorkerSpec, error) {
+	c := p.Campaign
+	w := WorkerSpec{
+		System:         c.System,
+		Placement:      c.Placement.String(),
+		Benchmarks:     c.Benchmarks,
+		Traced:         p.Traced,
+		Retries:        c.Job.Retries,
+		TimeoutSeconds: c.Job.TimeoutSeconds,
+		CellPause:      c.CellPause,
+		Tick:           p.HeartbeatTimeout / 5,
+	}
+	if w.Tick <= 0 {
+		w.Tick = time.Second
+	}
+	if c.System == "" {
+		w.SpecFile = p.JournalPath + ".spec.json"
+		if err := cluster.SaveSpec(w.SpecFile, c.Spec); err != nil {
+			return w, err
+		}
+	}
+	if c.Job.Faults != nil {
+		w.FaultsFile = p.JournalPath + ".faults.json"
+		if err := faults.Save(w.FaultsFile, c.Job.Faults); err != nil {
+			return w, err
+		}
+	}
+	return w, nil
 }
 
 // QuarantinedRun is the journal record for a cell lost to a poison

@@ -94,20 +94,28 @@ func SystemByName(name string) (*cluster.Spec, error) {
 	}
 }
 
-// resolved is a JobSpec after validation: everything the runner needs,
-// in the deterministic core's terms.
-type resolved struct {
-	spec       *cluster.Spec
-	systemName string // built-in model name ("" when spec was inline)
-	placement  cluster.Placement
-	benchmarks []string
-	retry      suite.RetryPolicy
-	cellPause  time.Duration
+// Resolved is a JobSpec after validation, in the deterministic core's
+// terms. It is the one place a campaign is settled: the greenbench CLI
+// builds a JobSpec from its flags and the daemon decodes one from
+// POST /jobs, and both resolve it here and run it through CampaignSpec.
+type Resolved struct {
+	// Job is the spec as given.
+	Job JobSpec
+	// Spec is the cluster under test: the inline spec or the named model.
+	Spec *cluster.Spec
+	// System is the built-in model's name ("" when Spec was inline).
+	System     string
+	Placement  cluster.Placement
+	Benchmarks []string
+	// CellPause is the wall-clock pause before each cell. Resolve sets it
+	// from CellPauseMS; the CLI's -cellpause overrides it at full
+	// time.Duration precision.
+	CellPause time.Duration
 }
 
-// resolve validates the spec and resolves names against the registries.
+// Resolve validates the spec and resolves names against the registries.
 // Every failure is a *SpecError so the server can answer with a reason.
-func (js *JobSpec) resolve() (*resolved, error) {
+func (js JobSpec) Resolve() (*Resolved, error) {
 	if js.Procs < 0 {
 		return nil, specErrf(ReasonBadSpec, "procs must be non-negative, got %d (0 means all cores)", js.Procs)
 	}
@@ -129,12 +137,15 @@ func (js *JobSpec) resolve() (*resolved, error) {
 	if js.CellPauseMS < 0 {
 		return nil, specErrf(ReasonBadSpec, "cell_pause_ms must be non-negative, got %d", js.CellPauseMS)
 	}
-	r := &resolved{cellPause: time.Duration(js.CellPauseMS) * time.Millisecond}
+	if err := js.Faults.Validate(); err != nil {
+		return nil, &SpecError{Reason: ReasonBadSpec, Err: err}
+	}
+	r := &Resolved{Job: js, CellPause: time.Duration(js.CellPauseMS) * time.Millisecond}
 	if js.Spec != nil {
 		if err := js.Spec.Validate(); err != nil {
 			return nil, &SpecError{Reason: ReasonBadSpec, Err: err}
 		}
-		r.spec = js.Spec
+		r.Spec = js.Spec
 	} else {
 		system := js.System
 		if system == "" {
@@ -144,14 +155,17 @@ func (js *JobSpec) resolve() (*resolved, error) {
 		if err != nil {
 			return nil, &SpecError{Reason: ReasonUnknownSystem, Err: err}
 		}
-		r.spec = spec
-		r.systemName = strings.ToLower(system)
+		r.Spec = spec
+		r.System = strings.ToLower(system)
+	}
+	if cores := r.Spec.TotalCores(); !js.Sweep && js.Procs > cores {
+		return nil, specErrf(ReasonBadSpec, "procs=%d exceeds the %d cores of %s (0 means all cores)", js.Procs, cores, r.Spec.Name)
 	}
 	switch strings.ToLower(js.Placement) {
 	case "", "cyclic":
-		r.placement = cluster.Cyclic
+		r.Placement = cluster.Cyclic
 	case "block":
-		r.placement = cluster.Block
+		r.Placement = cluster.Block
 	default:
 		return nil, specErrf(ReasonBadSpec, "unknown placement %q (want cyclic or block)", js.Placement)
 	}
@@ -159,13 +173,34 @@ func (js *JobSpec) resolve() (*resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.benchmarks = benches
-	r.retry = suite.RetryPolicy{
-		MaxAttempts: js.Retries + 1,
-		Backoff:     units.Seconds(30),
-		Timeout:     units.Seconds(js.TimeoutSeconds),
-	}
+	r.Benchmarks = benches
 	return r, nil
+}
+
+// CampaignSpec is the one translation of a resolved campaign into a
+// suite.CampaignSpec, shared by the CLI and Manager.runJob. Retries wait
+// through a 30-virtual-second backoff (doubling per retry), the
+// reboot/drain delay of a real campaign. The front end adds where the
+// campaign journals and renders, and its own hooks.
+func (r *Resolved) CampaignSpec() suite.CampaignSpec {
+	cs := suite.CampaignSpec{
+		Spec:       r.Spec,
+		Placement:  r.Placement,
+		Benchmarks: r.Benchmarks,
+		Faults:     r.Job.Faults,
+		Retry: suite.RetryPolicy{
+			MaxAttempts: r.Job.Retries + 1,
+			Backoff:     units.Seconds(30),
+			Timeout:     units.Seconds(r.Job.TimeoutSeconds),
+		},
+		Sweep:   r.Job.Sweep,
+		Procs:   r.Job.Procs,
+		Workers: r.Job.Workers,
+	}
+	if pause := r.CellPause; pause > 0 {
+		cs.PauseCell = func() { time.Sleep(pause) }
+	}
+	return cs
 }
 
 // resolveBenchmarks expands "paper"/"extended" entries and resolves the
@@ -183,7 +218,7 @@ func resolveBenchmarks(names []string) ([]string, error) {
 		case "extended":
 			expanded = append(expanded, suite.ExtendedOrder...)
 		default:
-			expanded = append(expanded, n)
+			expanded = append(expanded, strings.TrimSpace(n))
 		}
 	}
 	if len(expanded) == 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/suite"
 )
 
@@ -27,9 +28,11 @@ func TestResolveRejectsBadSpecs(t *testing.T) {
 		{"unknown placement", JobSpec{Placement: "random"}, ReasonBadSpec},
 		{"unknown benchmark", JobSpec{Benchmarks: []string{"linpack9000"}}, ReasonUnknownBenchmark},
 		{"bad inline spec", JobSpec{Spec: &cluster.Spec{Name: "broken"}}, ReasonBadSpec},
+		{"out-of-range fault plan", JobSpec{Faults: &faults.Plan{CrashProb: 5}}, ReasonBadSpec},
+		{"procs above cores", JobSpec{System: "testbed", Procs: 9}, ReasonBadSpec},
 	} {
 		js := tc.spec
-		_, err := js.resolve()
+		_, err := js.Resolve()
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -43,53 +46,69 @@ func TestResolveRejectsBadSpecs(t *testing.T) {
 			t.Errorf("%s: reason %q, want %q", tc.name, se.Reason, tc.reason)
 		}
 	}
+	// A sweep runs its own axis, so procs does not bound it.
+	if _, err := (JobSpec{System: "testbed", Sweep: true, Procs: 9}).Resolve(); err != nil {
+		t.Errorf("sweep with procs above the cores rejected: %v", err)
+	}
+}
+
+func TestSystemByName(t *testing.T) {
+	for _, name := range []string{"fire", "Fire", "systemg", "greengpu", "gpu", "sicortex", "testbed"} {
+		spec, err := SystemByName(name)
+		if err != nil || spec == nil {
+			t.Errorf("SystemByName(%q) = %v, %v", name, spec, err)
+		}
+	}
+	if _, err := SystemByName("cray"); err == nil {
+		t.Error("unknown system accepted")
+	}
 }
 
 func TestResolveDefaults(t *testing.T) {
 	js := JobSpec{}
-	r, err := js.resolve()
+	r, err := js.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.spec.Name != cluster.Fire().Name {
-		t.Errorf("default system = %q, want fire", r.spec.Name)
+	if r.Spec.Name != cluster.Fire().Name {
+		t.Errorf("default system = %q, want fire", r.Spec.Name)
 	}
-	if r.systemName != "fire" {
-		t.Errorf("systemName = %q, want fire", r.systemName)
+	if r.System != "fire" {
+		t.Errorf("System = %q, want fire", r.System)
 	}
-	if r.placement != cluster.Cyclic {
-		t.Errorf("default placement = %v, want cyclic", r.placement)
+	if r.Placement != cluster.Cyclic {
+		t.Errorf("default placement = %v, want cyclic", r.Placement)
 	}
-	if !reflect.DeepEqual(r.benchmarks, suite.PaperOrder()) {
-		t.Errorf("default benchmarks = %v, want the paper's", r.benchmarks)
+	if !reflect.DeepEqual(r.Benchmarks, suite.PaperOrder()) {
+		t.Errorf("default benchmarks = %v, want the paper's", r.Benchmarks)
 	}
-	if r.retry.MaxAttempts != 1 {
-		t.Errorf("default retry attempts = %d, want 1", r.retry.MaxAttempts)
+	if cs := r.CampaignSpec(); cs.Retry.MaxAttempts != 1 || cs.PauseCell != nil {
+		t.Errorf("default retry attempts = %d (want 1), cell pause set = %v", cs.Retry.MaxAttempts, cs.PauseCell != nil)
 	}
 }
 
 func TestResolveExpandsBenchmarkKeywords(t *testing.T) {
 	js := JobSpec{Benchmarks: []string{"extended"}}
-	r, err := js.resolve()
+	r, err := js.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r.benchmarks, suite.ExtendedOrder) {
-		t.Errorf("extended benchmarks = %v, want %v", r.benchmarks, suite.ExtendedOrder)
+	if !reflect.DeepEqual(r.Benchmarks, suite.ExtendedOrder) {
+		t.Errorf("extended benchmarks = %v, want %v", r.Benchmarks, suite.ExtendedOrder)
 	}
 	js = JobSpec{Benchmarks: []string{"paper"}}
-	r, err = js.resolve()
+	r, err = js.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r.benchmarks, suite.PaperOrder()) {
-		t.Errorf("paper benchmarks = %v, want %v", r.benchmarks, suite.PaperOrder())
+	if !reflect.DeepEqual(r.Benchmarks, suite.PaperOrder()) {
+		t.Errorf("paper benchmarks = %v, want %v", r.Benchmarks, suite.PaperOrder())
 	}
 }
 
 func TestResolveError(t *testing.T) {
 	js := JobSpec{System: "cray"}
-	_, err := js.resolve()
+	_, err := js.Resolve()
 	if err == nil {
 		t.Fatal("unknown system accepted")
 	}

@@ -68,6 +68,9 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /metrics: %d", code)
 	}
+	if err := obs.CheckExposition([]byte(body)); err != nil {
+		t.Errorf("/metrics breaks the text format: %v", err)
+	}
 	for _, want := range []string{"suite_runs 2", "suite_attempt_seconds_count 1", "live_cells_total 4"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)

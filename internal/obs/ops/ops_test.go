@@ -5,12 +5,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/obs"
 )
@@ -294,13 +292,6 @@ func TestTimelineTrace(t *testing.T) {
 	}
 }
 
-// promSample is the text exposition grammar for one sample line: a
-// metric name, optional labels whose values use only the \\, \" and \n
-// escapes, and a float value.
-var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
-	`(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})?` +
-	` [-+]?(?:[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|Inf|NaN)$`)
-
 func TestWritePrometheusRendersEverySeries(t *testing.T) {
 	tel := New()
 	h := tel.HTTP().Handler("GET /jobs", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
@@ -348,13 +339,8 @@ func TestWritePrometheusRendersEverySeries(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			continue
-		}
-		if !utf8.ValidString(line) || !promSample.MatchString(line) {
-			t.Errorf("sample line breaks the exposition grammar: %q", line)
-		}
+	if err := obs.CheckExposition([]byte(out)); err != nil {
+		t.Errorf("exposition breaks the text format: %v", err)
 	}
 	// Stable: a second render of the same state is byte-identical (sorted
 	// iteration everywhere; no hidden wall-clock reads besides runtime

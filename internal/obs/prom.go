@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"errors"
+	"fmt"
 	"io"
+	"regexp"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -126,4 +130,64 @@ func appendPromLabelValue(b []byte, v string) []byte {
 		}
 	}
 	return b
+}
+
+// promSampleLine is the text format's grammar for one sample line: a
+// metric name, optional labels whose values use only the \\, \" and \n
+// escapes, and a float value.
+var promSampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)` +
+	`(?:\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})?` +
+	` [-+]?(?:[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|Inf|NaN)$`)
+
+// CheckExposition reports the first way text breaks the Prometheus
+// text format: bytes that are not UTF-8, a sample line outside the
+// sample grammar, or a family whose lines do not form one group — its
+// # TYPE line, then every one of its samples, with _bucket, _sum and
+// _count belonging to their histogram. Tests and CI hold every
+// exposition the wall-clock planes serve to it.
+func CheckExposition(text []byte) error {
+	if !utf8.Valid(text) {
+		return errors.New("exposition is not UTF-8")
+	}
+	kinds := map[string]string{} // family -> kind, from its # TYPE line
+	seen := map[string]bool{}    // families whose group has begun
+	current := ""
+	for i, line := range strings.Split(string(text), "\n") {
+		if line == "" {
+			continue
+		}
+		family := ""
+		if strings.HasPrefix(line, "#") {
+			f := strings.Fields(line)
+			if len(f) < 2 || f[1] != "TYPE" {
+				continue // HELP or a comment
+			}
+			if len(f) != 4 {
+				return fmt.Errorf("line %d: malformed TYPE line %q", i+1, line)
+			}
+			family, kinds[f[2]] = f[2], f[3]
+			if seen[family] {
+				return fmt.Errorf("line %d: # TYPE %s after the family's first line", i+1, family)
+			}
+		} else {
+			m := promSampleLine.FindStringSubmatch(line)
+			if m == nil {
+				return fmt.Errorf("line %d: malformed sample line %q", i+1, line)
+			}
+			family = m[1]
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base := strings.TrimSuffix(family, suffix); base != family && kinds[base] == "histogram" {
+					family = base
+				}
+			}
+			if family == current {
+				continue
+			}
+			if seen[family] {
+				return fmt.Errorf("line %d: %s sample outside its family's group", i+1, m[1])
+			}
+		}
+		seen[family], current = true, family
+	}
+	return nil
 }

@@ -69,3 +69,35 @@ func FuzzPromLabel(f *testing.F) {
 		}
 	})
 }
+
+func TestCheckExposition(t *testing.T) {
+	for _, tc := range []struct {
+		name, text, want string // want: "" or a fragment of the error
+	}{
+		{"grouped families", "# TYPE a gauge\na{job=\"1\"} 1\na{job=\"2\"} 2\n# TYPE b gauge\nb{job=\"1\"} 3\n", ""},
+		{"empty family keeps its type line", "# TYPE a gauge\n# TYPE b counter\nb 1\n", ""},
+		{"histogram series belong to the histogram",
+			"# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 3\nh_count 2\n# TYPE c counter\nc 1\n", ""},
+		{"help and comments are skipped", "# HELP a help\n# TYPE a gauge\n# a comment\na 1\n", ""},
+		{"type lines ahead of interleaved samples",
+			"# TYPE a gauge\n# TYPE b gauge\na{job=\"1\"} 1\nb{job=\"1\"} 1\na{job=\"2\"} 1\nb{job=\"2\"} 1\n", "a sample outside"},
+		{"histogram split by another family",
+			"# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\n# TYPE c counter\nc 1\nh_count 2\n", "h_count sample outside"},
+		{"a _count that is not a histogram's is its own family",
+			"# TYPE g gauge\ng 1\ng_count 2\ng 3\n", "g sample outside"},
+		{"type line twice", "# TYPE a gauge\na 1\n# TYPE a gauge\n", "# TYPE a"},
+		{"malformed type line", "# TYPE a\n", "malformed TYPE"},
+		{"malformed sample", "# TYPE a gauge\na{job=1} 1\n", "malformed sample"},
+		{"not UTF-8", "# TYPE a gauge\na{t=\"\xff\"} 1\n", "UTF-8"},
+	} {
+		err := CheckExposition([]byte(tc.text))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}

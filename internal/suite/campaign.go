@@ -131,10 +131,11 @@ func (cs *CampaignSpec) logf(format string, args ...any) {
 	}
 }
 
-// configure builds the Config for one process count — the campaign's
-// SweepPlan.Configure. The cancellation check and the wall-clock pause
-// run first; neither can touch the virtual results.
-func (cs *CampaignSpec) configure(procs int) (Config, error) {
+// Configure builds the Config for one process count — the campaign's
+// SweepPlan.Configure, which a shard worker also uses for its axis
+// slice. The cancellation check and the wall-clock pause run first;
+// neither can touch the virtual results.
+func (cs *CampaignSpec) Configure(procs int) (Config, error) {
 	if cs.Check != nil {
 		if err := cs.Check(); err != nil {
 			return Config{}, err
@@ -201,7 +202,7 @@ func (cs *CampaignSpec) plan() (SweepPlan, error) {
 		Workers:   cs.Workers,
 		Trace:     cs.Trace,
 		Live:      cs.Live,
-		Configure: cs.configure,
+		Configure: cs.Configure,
 	}
 	if !cs.Sweep {
 		procs := cs.Procs
