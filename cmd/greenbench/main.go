@@ -156,7 +156,7 @@ func validateCLI(o options) error {
 	if o.shardAxis != "" && o.journalPath == "" {
 		return fmt.Errorf("-shard-axis is internal to sharded sweeps and needs -journal (run greenbench -sweep -shards N instead)")
 	}
-	if o.flightrecSize != 0 && o.flightrecSize != live.DefaultFlightCapacity {
+	if o.flightrecSize != 0 {
 		if err := live.CheckFlightCapacity(o.flightrecSize); err != nil {
 			return fmt.Errorf("-flightrec-size: %v", err)
 		}

@@ -10,7 +10,6 @@
 //	greenvet -list                      # print analyzers and the rule table
 //	greenvet -json ./...                # NDJSON findings, one object per line
 //	greenvet -github ./...              # GitHub Actions ::error annotations
-//	greenvet -alloc                     # run only the allocation-budget gate
 //
 // Findings print as `file:line: analyzer: message` and make the exit
 // status nonzero, so `make lint` and CI fail on drift. -json emits one
@@ -20,10 +19,6 @@
 // <reason>` comment on or directly above the flagged line (or above the
 // statement containing it). The same suite runs inside `go test
 // ./internal/analysis`, so there is no CI-only enforcement gap.
-//
-// -alloc runs the allocation-budget gate instead of the analyzers: it
-// rebuilds the budgeted packages with -gcflags=-m and fails when a
-// package's heap-escape count exceeds its pinned ceiling.
 package main
 
 import (
@@ -42,9 +37,8 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzer registry and per-package rule config, then exit")
 	asJSON := flag.Bool("json", false, "emit findings as NDJSON (one object per line) on stdout")
 	github := flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
-	alloc := flag.Bool("alloc", false, "run only the allocation-budget gate (go build -gcflags=-m)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: greenvet [-list] [-json] [-github] [-alloc] [packages]\n\n"+
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: greenvet [-list] [-json] [-github] [packages]\n\n"+
 			"Packages are ./-relative patterns (default ./...). Flags:\n")
 		flag.PrintDefaults()
 	}
@@ -56,14 +50,7 @@ func main() {
 		return
 	}
 
-	var findings []analysis.Finding
-	var root string
-	var err error
-	if *alloc {
-		findings, root, err = runAlloc()
-	} else {
-		findings, root, err = run(cfg, flag.Args())
-	}
+	findings, root, err := run(cfg, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "greenvet:", err)
 		os.Exit(2)
@@ -172,16 +159,6 @@ func run(cfg analysis.Config, args []string) ([]analysis.Finding, string, error)
 	return findings, root, err
 }
 
-// runAlloc runs the allocation-budget gate against the default budgets.
-func runAlloc() ([]analysis.Finding, string, error) {
-	root, err := moduleRoot()
-	if err != nil {
-		return nil, "", err
-	}
-	findings, err := analysis.RunAllocBudget(root, analysis.DefaultAllocBudgets())
-	return findings, root, err
-}
-
 // resolvePatterns maps go-tool-style package patterns (./..., ./cmd/...,
 // ./internal/sim) to loaded import paths. nil means "all packages".
 func resolvePatterns(mod *analysis.Module, args []string) ([]string, error) {
@@ -227,10 +204,6 @@ func printList(w io.Writer, cfg analysis.Config) {
 	fmt.Fprintln(w, "Analyzers:")
 	for _, a := range analysis.Registry() {
 		fmt.Fprintf(w, "  %-10s %s\n", a.Name, a.Doc)
-	}
-	fmt.Fprintln(w, "\nAllocation budgets (-alloc):")
-	for _, b := range analysis.DefaultAllocBudgets() {
-		fmt.Fprintf(w, "  %-20s %d heap-escape sites\n", b.Pkg, b.Budget)
 	}
 	fmt.Fprintln(w, "\nPackage rules (first match wins):")
 	for _, r := range cfg.Packages {

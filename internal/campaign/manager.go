@@ -81,7 +81,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.FlightCapacity == 0 {
 		cfg.FlightCapacity = live.DefaultFlightCapacity
 	}
-	if err := live.CheckFlightCapacity(cfg.FlightCapacity); err != nil && cfg.FlightCapacity != live.DefaultFlightCapacity {
+	if err := live.CheckFlightCapacity(cfg.FlightCapacity); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	if cfg.HeartbeatTimeout <= 0 {

@@ -25,7 +25,6 @@ type Hub struct {
 type HubOption func(*hubConfig)
 
 type hubConfig struct {
-	now       func() time.Time
 	flightCap int
 }
 
@@ -34,12 +33,6 @@ type hubConfig struct {
 // user-supplied sizes first.
 func WithFlightCapacity(n int) HubOption {
 	return func(c *hubConfig) { c.flightCap = n }
-}
-
-// WithClock pins the hub's wall clock — tests use it to make snapshots
-// deterministic.
-func WithClock(now func() time.Time) HubOption {
-	return func(c *hubConfig) { c.now = now }
 }
 
 // Flight-recorder capacity bounds: below the floor a dump is too thin to
@@ -59,19 +52,17 @@ func CheckFlightCapacity(n int) error {
 	return nil
 }
 
-// NewHub returns a hub on the wall clock. Options override the clock and
-// the flight-recorder capacity (default DefaultFlightCapacity).
+// NewHub returns a hub on the wall clock. Options override the
+// flight-recorder capacity (default DefaultFlightCapacity).
 func NewHub(opts ...HubOption) *Hub {
-	c := hubConfig{now: time.Now, flightCap: DefaultFlightCapacity}
+	c := hubConfig{flightCap: DefaultFlightCapacity}
 	for _, opt := range opts {
 		opt(&c)
 	}
-	if c.flightCap != DefaultFlightCapacity {
-		if err := CheckFlightCapacity(c.flightCap); err != nil {
-			panic("live: " + err.Error())
-		}
+	if err := CheckFlightCapacity(c.flightCap); err != nil {
+		panic("live: " + err.Error())
 	}
-	return NewHubAt(c.now, c.flightCap)
+	return NewHubAt(time.Now, c.flightCap)
 }
 
 // NewHubAt builds a hub with an injectable clock and flight capacity —

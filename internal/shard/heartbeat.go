@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"sync"
 	"time"
 )
@@ -44,6 +47,55 @@ func ParseBeat(line []byte) (Beat, bool) {
 		return Beat{}, false
 	}
 	return b, true
+}
+
+// maxBeatLine caps one heartbeat line. Beats are a few dozen bytes;
+// anything longer is a worker's stray output, and is skipped whole.
+const maxBeatLine = 1 << 20
+
+// readBeats reads the heartbeat stream until r ends or fails, calling
+// beat for every line ParseBeat accepts, in order. missed is how many
+// sequenced lines were lost just before this one: a beat arriving with
+// seq > last+1 means the lines in between never came (unsequenced
+// beats, seq 0, are exempt from the accounting; a jump too large for an
+// int reports math.MaxInt). Lines longer than maxLine bytes are skipped
+// without being buffered whole, so no stray output can stop the reader
+// from seeing the beats after it. A trailing CR is dropped, as
+// bufio.ScanLines does.
+func readBeats(r io.Reader, maxLine int, beat func(b Beat, missed int)) {
+	br := bufio.NewReaderSize(r, 64*1024)
+	var line []byte
+	long := false
+	var lastSeq uint64
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if !long {
+			line = append(line, chunk...)
+			if len(bytes.TrimSuffix(line, []byte("\n"))) > maxLine {
+				long, line = true, line[:0]
+			}
+		}
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		if !long {
+			body := bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
+			if b, ok := ParseBeat(body); ok {
+				missed := 0
+				if b.Seq > 0 {
+					if lastSeq > 0 && b.Seq > lastSeq+1 {
+						missed = int(min(b.Seq-lastSeq-1, math.MaxInt))
+					}
+					lastSeq = max(lastSeq, b.Seq)
+				}
+				beat(b, missed)
+			}
+		}
+		line, long = line[:0], false
+		if err != nil {
+			return
+		}
+	}
 }
 
 // BeatWriter emits heartbeat lines for one shard worker. Safe for

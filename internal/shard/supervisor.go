@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -366,33 +365,17 @@ func (s *supervisor) runOnce(t Task) (loss string, err error) {
 
 	// Drain the heartbeat stream until the worker closes its stdout.
 	// Reading must finish before Wait — Wait tears the pipe down.
-	// Sequence numbers make dropped lines visible: a beat arriving with
-	// seq > last+1 means the lines in between were lost in transit
-	// (unsequenced beats, seq 0, are exempt from the accounting).
-	sc := bufio.NewScanner(out)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var lastSeq uint64
 	gaps := 0
-	for sc.Scan() {
-		b, ok := ParseBeat(sc.Bytes())
-		if !ok {
-			continue
-		}
+	readBeats(out, maxBeatLine, func(b Beat, missed int) {
 		lastBeat.Store(time.Now().UnixNano())
-		if b.Seq > 0 {
-			if lastSeq > 0 && b.Seq > lastSeq+1 {
-				missed := int(b.Seq - lastSeq - 1)
-				gaps += missed
-				s.logf("shard %d: heartbeat gap: %d line(s) missing before seq %d",
-					t.Shard, missed, b.Seq)
-				s.slog(slog.LevelWarn, "heartbeat gap",
-					"shard", t.Shard, "missed", missed, "seq", b.Seq)
-				if g, ok := s.spec.Monitor.(BeatGapMonitor); ok {
-					g.ShardBeatGap(t.Shard, missed)
-				}
-			}
-			if b.Seq > lastSeq {
-				lastSeq = b.Seq
+		if missed > 0 {
+			gaps += missed
+			s.logf("shard %d: heartbeat gap: %d line(s) missing before seq %d",
+				t.Shard, missed, b.Seq)
+			s.slog(slog.LevelWarn, "heartbeat gap",
+				"shard", t.Shard, "missed", missed, "seq", b.Seq)
+			if g, ok := s.spec.Monitor.(BeatGapMonitor); ok {
+				g.ShardBeatGap(t.Shard, missed)
 			}
 		}
 		if b.Ev == BeatCell && b.Key != "" {
@@ -400,7 +383,7 @@ func (s *supervisor) runOnce(t Task) (loss string, err error) {
 			s.cells[b.Key] = true
 			s.mu.Unlock()
 		}
-	}
+	})
 	if gaps > 0 {
 		s.mu.Lock()
 		s.beatGaps += gaps

@@ -77,6 +77,7 @@ func TestBeatWriterMute(t *testing.T) {
 //	MARKER  — die (once) with SIGKILL unless this file exists, creating it
 //	EXIT    — exit with this status before doing anything
 //	SLEEP   — sleep this many seconds emitting nothing (heartbeat death)
+//	JUNK    — first print one stray line of this many bytes
 func fakeWorker(t *testing.T, env ...string) func(task Task) (*exec.Cmd, error) {
 	t.Helper()
 	script := filepath.Join(t.TempDir(), "worker.sh")
@@ -85,6 +86,7 @@ shard=$1; shift
 if [ -n "$EXIT" ]; then exit "$EXIT"; fi
 if [ -n "$SLEEP" ]; then sleep "$SLEEP"; exit 0; fi
 if [ -n "$MARKER" ] && [ ! -f "$MARKER" ]; then : > "$MARKER"; kill -9 $$; fi
+if [ -n "$JUNK" ]; then head -c "$JUNK" /dev/zero | tr '\0' x; echo; fi
 printf '{"ev":"hello","shard":%d,"total":%d}\n' "$shard" "$#"
 done=0
 for p in "$@"; do
@@ -234,6 +236,28 @@ func TestSupervisorKillsSilentWorker(t *testing.T) {
 	}
 	if r := rep.Quarantined[0].Reason; !strings.Contains(r, "heartbeat") {
 		t.Fatalf("loss reason %q does not mention the heartbeat", r)
+	}
+}
+
+func TestSupervisorReadsBeatsAfterOverlongLine(t *testing.T) {
+	// A stray line past the 1 MiB cap must be skipped, not end the
+	// heartbeat stream: the beats after it still count, and the worker
+	// is not mistaken for a silent one.
+	rep, err := Run(Spec{
+		Tasks:            []Task{{Shard: 0, Procs: []int{1, 2, 3}}},
+		Start:            fakeWorker(t, fmt.Sprintf("JUNK=%d", 2*maxBeatLine)),
+		HeartbeatTimeout: 5 * time.Second,
+		MaxRetries:       -1,
+		Backoff:          time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Losses != 0 || len(rep.Quarantined) != 0 {
+		t.Fatalf("worker with a stray long line was lost: %+v", rep)
+	}
+	if rep.CellsSeen != 3 {
+		t.Fatalf("CellsSeen = %d, want 3: beats after the long line went unread", rep.CellsSeen)
 	}
 }
 

@@ -357,10 +357,10 @@ func TestSweepParallelErrorNoLeak(t *testing.T) {
 	}
 }
 
-// BenchmarkSweepAxisSequential runs the paper's full Fire campaign on
-// one worker — the baseline the parallel scheduler is compared against
-// (make bench graphs the two side by side in BENCH_sweep.json).
-func BenchmarkSweepAxisSequential(b *testing.B) {
+// BenchmarkSweepAxisOneWorker runs the paper's full Fire campaign on
+// the one-worker pool — the baseline the parallel scheduler is compared
+// against.
+func BenchmarkSweepAxisOneWorker(b *testing.B) {
 	benchmarkSweepAxis(b, FireSweep(), 1)
 }
 
