@@ -84,13 +84,12 @@ func main() {
 // through the same set.
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
-	fs.StringVar(&o.system, "system", "fire", "cluster model: fire, systemg, greengpu, testbed")
+	fs.StringVar(&o.system, "system", "fire", "cluster model: "+strings.Join(cluster.Names(), ", "))
 	fs.StringVar(&o.specPath, "spec", "", "JSON machine-spec file (overrides -system)")
 	fs.BoolVar(&o.native, "native", false, "run the real benchmark suite on this host")
 	fs.Float64Var(&o.watts, "watts", 0, "host wall power for -native (from your meter)")
 	fs.IntVar(&o.procs, "procs", 0, "MPI process count (default: all cores)")
 	fs.BoolVar(&o.sweep, "sweep", false, "run the paper's process sweep instead of one point")
-	fs.BoolVar(&o.extended, "extended", false, "run the seven-benchmark extended suite")
 	fs.StringVar(&o.bench, "bench", "", "ordered comma-separated benchmark list, or 'paper'/'extended' (default: paper; see -list)")
 	fs.IntVar(&o.workers, "workers", 1, "concurrent sweep cells (output is byte-identical whatever the count; 1 runs one worker)")
 	fs.BoolVar(&o.list, "list", false, "list the registered benchmark workloads and exit")
@@ -188,7 +187,6 @@ type options struct {
 	watts       float64
 	procs       int
 	sweep       bool
-	extended    bool
 	bench       string
 	workers     int
 	list        bool
@@ -408,12 +406,7 @@ func (o options) resolve() (*campaign.Resolved, error) {
 		System: o.system, Sweep: o.sweep, Procs: o.procs, Placement: o.placement,
 		Workers: o.workers, Shards: o.shards, Retries: o.retries, TimeoutSeconds: o.timeout,
 	}
-	switch {
-	case o.bench != "" && o.extended:
-		return nil, fmt.Errorf("-bench and -extended are mutually exclusive (use -bench extended)")
-	case o.extended:
-		js.Benchmarks = []string{"extended"}
-	case o.bench != "":
+	if o.bench != "" {
 		js.Benchmarks = strings.Split(o.bench, ",")
 	}
 	var err error

@@ -28,7 +28,7 @@ func TestRunOnePoint(t *testing.T) {
 
 func TestRunExtendedFlag(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "ext.json")
-	if err := run(options{system: "testbed", procs: 8, extended: true, out: out, placement: "block"}); err != nil {
+	if err := run(options{system: "testbed", procs: 8, bench: "extended", out: out, placement: "block"}); err != nil {
 		t.Fatal(err)
 	}
 	rs, err := suite.LoadJSON(out)
@@ -425,14 +425,10 @@ func TestRunBenchFlagComposesSuite(t *testing.T) {
 	if len(rs[0].Runs) != 7 {
 		t.Errorf("-bench extended ran %d benchmarks, want 7", len(rs[0].Runs))
 	}
-	// Unknown names and conflicting flags fail loudly.
+	// Unknown names fail loudly.
 	if err := run(options{system: "testbed", procs: 4, placement: "cyclic",
 		bench: "hpl,linpack"}); err == nil {
 		t.Error("unknown benchmark accepted")
-	}
-	if err := run(options{system: "testbed", procs: 4, placement: "cyclic",
-		bench: "hpl", extended: true}); err == nil {
-		t.Error("-bench together with -extended accepted")
 	}
 }
 

@@ -2,10 +2,18 @@
 // benchmark run as CSV (seconds, watts) — the raw signal the rest of the
 // pipeline integrates, in the same form a Watts Up? PRO logger would emit.
 //
+// -system takes any built-in machine name (cluster.Names) and -bench any
+// registered workload (bench.Names), resolved exactly as greenbench and
+// the daemon resolve them. The metered load profile is the one the suite
+// meters for that benchmark at -procs, so with -seed set to the suite's
+// meter seed for that process count (procs*7919+17) the summary's seconds
+// and energy equal the suite's measurement of the benchmark.
+//
 // Usage:
 //
 //	powersim -system fire -procs 128 -bench hpl
 //	powersim -system fire -procs 64 -bench stream -interval 1 > trace.csv
+//	powersim -system sicortex -bench randomaccess > ra.csv
 //	powersim -system fire -bench hpl -quiet -trace run.trace.json
 package main
 
@@ -17,20 +25,19 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/hpl"
-	"repro/internal/iozone"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/report"
-	"repro/internal/stream"
+	"repro/internal/series"
 	"repro/internal/units"
 )
 
 func main() {
-	system := flag.String("system", "fire", "cluster model: fire, systemg, greengpu, testbed")
+	system := flag.String("system", "fire", "cluster model: "+strings.Join(cluster.Names(), ", "))
 	procs := flag.Int("procs", 0, "MPI process count (default: all cores)")
-	bench := flag.String("bench", "hpl", "benchmark: hpl, stream, iozone")
+	benchName := flag.String("bench", "hpl", "registered workload: "+strings.Join(bench.Names(), ", "))
 	interval := flag.Float64("interval", 1, "meter sampling interval, seconds")
 	seed := flag.Uint64("seed", 42, "meter noise seed")
 	quiet := flag.Bool("quiet", false, "suppress the run summary on stderr")
@@ -40,7 +47,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(options{
-		system: *system, procs: *procs, bench: *bench,
+		system: *system, procs: *procs, bench: *benchName,
 		interval: *interval, seed: *seed, quiet: *quiet,
 		tracePath: *tracePath, metricsPath: *metricsPath, reportPath: *reportPath,
 	}, os.Stdout, os.Stderr); err != nil {
@@ -68,98 +75,99 @@ func (o options) traced() bool { return o.tracePath != "" || o.metricsPath != ""
 // run emits the sampled trace as CSV on out and the run summary on errw
 // (or the -report file), honouring the observability flags.
 func run(o options, out, errw io.Writer) error {
-	var spec *cluster.Spec
-	switch strings.ToLower(o.system) {
-	case "fire":
-		spec = cluster.Fire()
-	case "systemg":
-		spec = cluster.SystemG()
-	case "greengpu", "gpu":
-		spec = cluster.GreenGPU()
-	case "testbed":
-		spec = cluster.Testbed()
-	default:
-		return fmt.Errorf("unknown system %q", o.system)
-	}
-	procs := o.procs
-	if procs == 0 {
-		procs = spec.TotalCores()
-	}
-
-	var profile *cluster.LoadProfile
-	switch strings.ToLower(o.bench) {
-	case "hpl":
-		res, err := hpl.Simulate(hpl.DefaultModelConfig(spec, procs))
-		if err != nil {
-			return err
-		}
-		profile = res.Profile
-	case "stream":
-		res, err := stream.Simulate(stream.DefaultModelConfig(spec, procs))
-		if err != nil {
-			return err
-		}
-		profile = res.Profile
-	case "iozone":
-		nodes := (procs + spec.Node.Cores() - 1) / spec.Node.Cores()
-		if nodes > spec.Nodes {
-			nodes = spec.Nodes
-		}
-		res, err := iozone.Simulate(iozone.DefaultModelConfig(spec, nodes))
-		if err != nil {
-			return err
-		}
-		profile = res.Profile
-	default:
-		return fmt.Errorf("unknown benchmark %q (want hpl, stream or iozone)", o.bench)
-	}
-
-	model, err := power.NewModel(spec)
-	if err != nil {
-		return err
-	}
-	cfg := power.WattsUpPRO(o.seed)
-	cfg.Interval = units.Seconds(o.interval)
-	meter, err := power.NewMeter(cfg)
-	if err != nil {
-		return err
-	}
-	var tracer *obs.Tracer
-	if o.traced() {
-		tracer = obs.NewTracer()
-		meter.Instrument(tracer)
-	}
-	trace, err := meter.Measure(model, profile)
+	m, err := measure(o)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriter(out)
 	defer w.Flush()
 	fmt.Fprintln(w, "seconds,watts")
-	for _, s := range trace.Samples() {
+	for _, s := range m.trace.Samples() {
 		fmt.Fprintf(w, "%.3f,%.1f\n", float64(s.At), float64(s.Power))
 	}
-	energy, err := trace.Energy()
-	if err != nil {
-		return err
-	}
-	mean, _ := trace.MeanPower()
-	peak, _ := trace.PeakPower()
-
 	if o.tracePath != "" {
-		if err := obs.WriteChromeTraceFile(o.tracePath, tracer.Spans(), tracer.Events()); err != nil {
+		if err := obs.WriteChromeTraceFile(o.tracePath, m.tracer.Spans(), m.tracer.Events()); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
 	}
 	if o.metricsPath != "" {
-		if err := tracer.Registry().Snapshot().WriteFile(o.metricsPath); err != nil {
+		if err := m.tracer.Registry().Snapshot().WriteFile(o.metricsPath); err != nil {
 			return fmt.Errorf("writing metrics: %w", err)
 		}
 	}
+	if o.reportPath != "" {
+		f, err := os.Create(o.reportPath)
+		if err != nil {
+			return err
+		}
+		if err := m.report.Render(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
+	if !o.quiet {
+		return m.report.Render(errw)
+	}
+	return nil
+}
+
+// metered is one metered run: the sampled meter trace, its summary, and
+// the tracer that recorded it (nil unless observability was requested).
+type metered struct {
+	trace  *series.Trace
+	report *report.RunReport
+	tracer *obs.Tracer
+}
+
+// measure meters one run. The system and benchmark resolve through the
+// registries greenbench and the daemon use, and the load profile is the
+// one the suite meters for that benchmark at this process count.
+func measure(o options) (*metered, error) {
+	spec, err := cluster.ByName(o.system)
+	if err != nil {
+		return nil, err
+	}
+	procs := o.procs
+	if procs == 0 {
+		procs = spec.TotalCores()
+	}
+	wl, ok := bench.Lookup(o.bench)
+	if !ok {
+		return nil, fmt.Errorf("unknown benchmark %q (want one of %s)", o.bench, strings.Join(bench.Names(), ", "))
+	}
+	sm, err := wl.Simulate(spec, bench.Env{Procs: procs, Placement: cluster.Cyclic})
+	if err != nil {
+		return nil, err
+	}
+	model, err := power.NewModel(spec)
+	if err != nil {
+		return nil, err
+	}
+	cfg := power.WattsUpPRO(o.seed)
+	cfg.Interval = units.Seconds(o.interval)
+	meter, err := power.NewMeter(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m := &metered{}
+	if o.traced() {
+		m.tracer = obs.NewTracer()
+		meter.Instrument(m.tracer)
+	}
+	if m.trace, err = meter.Measure(model, sm.Profile); err != nil {
+		return nil, err
+	}
+	energy, err := m.trace.Energy()
+	if err != nil {
+		return nil, err
+	}
+	mean, _ := m.trace.MeanPower()
+	peak, _ := m.trace.PeakPower()
 
 	var percentiles []report.PercentileRow
-	if tracer != nil {
-		for _, h := range tracer.Registry().Snapshot().Histograms {
+	if m.tracer != nil {
+		for _, h := range m.tracer.Registry().Snapshot().Histograms {
 			if h.Name != "meter.window_seconds" || h.Count == 0 {
 				continue
 			}
@@ -175,43 +183,26 @@ func run(o options, out, errw io.Writer) error {
 		}
 	}
 
-	rep := &report.RunReport{
-		Title: fmt.Sprintf("powersim: %s on %s", strings.ToUpper(o.bench), spec.Name),
+	m.report = &report.RunReport{
+		Title: fmt.Sprintf("powersim: %s on %s", wl.Name(), spec.Name),
 		Rows: []report.RunRow{{
 			System:    spec.Name,
 			Procs:     procs,
-			Bench:     strings.ToUpper(o.bench),
+			Bench:     wl.Name(),
 			Status:    "ok",
 			MeanWatts: float64(mean),
 			PeakWatts: float64(peak),
-			Seconds:   float64(profile.Duration()),
+			Seconds:   float64(sm.Profile.Duration()),
 			EnergyJ:   float64(energy),
 		}},
 		Percentiles:     percentiles,
 		PercentileTitle: "meter window seconds (virtual)",
 		Summary: []report.KV{
-			{Key: "samples", Value: fmt.Sprintf("%d", trace.Len())},
+			{Key: "samples", Value: fmt.Sprintf("%d", m.trace.Len())},
 			{Key: "interval", Value: fmt.Sprintf("%g s", o.interval)},
 			{Key: "mean power", Value: mean.String()},
 			{Key: "energy", Value: energy.String()},
 		},
 	}
-	if o.reportPath != "" {
-		f, err := os.Create(o.reportPath)
-		if err != nil {
-			return err
-		}
-		if err := rep.Render(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	} else if !o.quiet {
-		if err := rep.Render(errw); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m, nil
 }

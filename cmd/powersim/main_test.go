@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/suite"
 )
 
 // opts builds the default option set the old positional tests used.
@@ -31,6 +34,64 @@ func TestRunAllBenchmarks(t *testing.T) {
 		}
 		if !strings.Contains(errb.String(), "powersim:") {
 			t.Errorf("%s: summary missing from stderr", bench)
+		}
+	}
+}
+
+// TestRunEveryWorkloadOnEverySystem: every registered workload meters on
+// every built-in machine at its full core count, titled by the workload's
+// canonical name.
+func TestRunEveryWorkloadOnEverySystem(t *testing.T) {
+	for _, system := range cluster.Names() {
+		for _, name := range bench.Names() {
+			var sb, errb strings.Builder
+			if err := run(opts(system, 0, name, 60, 1), &sb, &errb); err != nil {
+				t.Errorf("%s on %s: %v", name, system, err)
+				continue
+			}
+			if !strings.HasPrefix(sb.String(), "seconds,watts\n") || strings.Count(sb.String(), "\n") < 3 {
+				t.Errorf("%s on %s: short CSV stream:\n%s", name, system, sb.String())
+			}
+			if !strings.Contains(errb.String(), "powersim: "+name+" on ") {
+				t.Errorf("%s on %s: summary not titled by the workload:\n%s", name, system, errb.String())
+			}
+		}
+	}
+}
+
+// TestIOzoneMatchesSuiteMeasurement: powersim meters the run the suite
+// meters. Under the suite's meter seed for the process count, the summary's
+// seconds and energy equal the suite's IOzone measurement exactly.
+func TestIOzoneMatchesSuiteMeasurement(t *testing.T) {
+	for _, c := range []struct {
+		system string
+		procs  int
+	}{{"testbed", 4}, {"fire", 128}} {
+		spec, err := cluster.ByName(c.system)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := suite.Run(suite.DefaultConfig(spec, c.procs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *suite.BenchmarkRun
+		for i := range res.Runs {
+			if res.Runs[i].Measurement.Benchmark == bench.IOzone {
+				want = &res.Runs[i]
+			}
+		}
+		if want == nil {
+			t.Fatalf("%s: the suite ran no IOzone", c.system)
+		}
+		m, err := measure(opts(c.system, c.procs, "iozone", 1, uint64(c.procs)*7919+17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := m.report.Rows[0]
+		if row.Seconds != float64(want.Measurement.Time) || row.EnergyJ != float64(want.Measurement.Energy) {
+			t.Errorf("%s@%d: powersim IOzone %.1f s / %.1f J, suite %.1f s / %.1f J", c.system, c.procs,
+				row.Seconds, row.EnergyJ, float64(want.Measurement.Time), float64(want.Measurement.Energy))
 		}
 	}
 }

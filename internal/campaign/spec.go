@@ -18,8 +18,8 @@ import (
 type JobSpec struct {
 	// Name is a free-form label echoed back in job listings.
 	Name string `json:"name,omitempty"`
-	// System names a built-in cluster model (fire, systemg, greengpu,
-	// sicortex, testbed). Default fire. Ignored when Spec is set.
+	// System names a built-in cluster model (see cluster.Names). Default
+	// fire. Ignored when Spec is set.
 	System string `json:"system,omitempty"`
 	// Spec is an inline machine spec, overriding System.
 	Spec *cluster.Spec `json:"spec,omitempty"`
@@ -74,24 +74,6 @@ func (e *SpecError) Unwrap() error { return e.Err }
 
 func specErrf(reason, format string, args ...any) *SpecError {
 	return &SpecError{Reason: reason, Err: fmt.Errorf(format, args...)}
-}
-
-// SystemByName resolves a built-in cluster model name.
-func SystemByName(name string) (*cluster.Spec, error) {
-	switch strings.ToLower(name) {
-	case "fire":
-		return cluster.Fire(), nil
-	case "systemg":
-		return cluster.SystemG(), nil
-	case "greengpu", "gpu":
-		return cluster.GreenGPU(), nil
-	case "sicortex":
-		return cluster.SiCortex(), nil
-	case "testbed":
-		return cluster.Testbed(), nil
-	default:
-		return nil, fmt.Errorf("unknown system %q (want fire, systemg, greengpu, sicortex or testbed)", name)
-	}
 }
 
 // Resolved is a JobSpec after validation, in the deterministic core's
@@ -151,7 +133,7 @@ func (js JobSpec) Resolve() (*Resolved, error) {
 		if system == "" {
 			system = "fire"
 		}
-		spec, err := SystemByName(system)
+		spec, err := cluster.ByName(system)
 		if err != nil {
 			return nil, &SpecError{Reason: ReasonUnknownSystem, Err: err}
 		}

@@ -52,18 +52,6 @@ func TestResolveRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestSystemByName(t *testing.T) {
-	for _, name := range []string{"fire", "Fire", "systemg", "greengpu", "gpu", "sicortex", "testbed"} {
-		spec, err := SystemByName(name)
-		if err != nil || spec == nil {
-			t.Errorf("SystemByName(%q) = %v, %v", name, spec, err)
-		}
-	}
-	if _, err := SystemByName("cray"); err == nil {
-		t.Error("unknown system accepted")
-	}
-}
-
 func TestResolveDefaults(t *testing.T) {
 	js := JobSpec{}
 	r, err := js.Resolve()

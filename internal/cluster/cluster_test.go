@@ -269,3 +269,31 @@ func TestWithFrequencyValidation(t *testing.T) {
 		t.Error("factor 2 accepted")
 	}
 }
+
+func TestByName(t *testing.T) {
+	for _, name := range []string{"fire", "Fire", "systemg", "greengpu", "gpu", "sicortex", "testbed"} {
+		spec, err := ByName(name)
+		if err != nil || spec == nil {
+			t.Errorf("ByName(%q) = %v, %v", name, spec, err)
+		}
+	}
+	for _, name := range Names() {
+		spec, err := ByName(name)
+		if err != nil {
+			t.Errorf("listed name %q does not resolve: %v", name, err)
+			continue
+		}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if _, err := ByName("cray"); err == nil {
+		t.Error("unknown system accepted")
+	}
+	// Each call builds a fresh spec, so callers may mutate theirs.
+	a, _ := ByName("fire")
+	b, _ := ByName("fire")
+	if a == b {
+		t.Error("ByName returned a shared spec")
+	}
+}

@@ -1,5 +1,10 @@
 package cluster
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Predefined machine specifications.
 //
 // Fire and SystemG are digital twins of the two clusters in the paper
@@ -282,4 +287,41 @@ func SiCortex() *Spec {
 		},
 		PSU: PSUSpec{EffAtIdle: 0.80, EffAtFull: 0.91, RatedDC: 400},
 	}
+}
+
+// systems is the one table of built-in machine names. The greenbench and
+// powersim -system flags and the daemon's JobSpec all resolve through it.
+var systems = []struct {
+	name  string
+	build func() *Spec
+}{
+	{"fire", Fire},
+	{"systemg", SystemG},
+	{"greengpu", GreenGPU},
+	{"sicortex", SiCortex},
+	{"testbed", Testbed},
+}
+
+// Names lists the built-in machine names ByName accepts, in table order.
+func Names() []string {
+	out := make([]string, len(systems))
+	for i, s := range systems {
+		out[i] = s.name
+	}
+	return out
+}
+
+// ByName returns a fresh built-in machine model by name, case-insensitively;
+// "gpu" is accepted for greengpu.
+func ByName(name string) (*Spec, error) {
+	key := strings.ToLower(name)
+	if key == "gpu" {
+		key = "greengpu"
+	}
+	for _, s := range systems {
+		if s.name == key {
+			return s.build(), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown system %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
