@@ -5,6 +5,7 @@
 //
 //	tgi -results fire.json -ref ref.json
 //	tgi -results fire.json -ref ref.json -scheme energy
+//	tgi -results fire.json -ref ref.json -scheme time-weighted
 //	tgi -results fire.json -ref ref.json -scheme custom -weights 0.5,0.3,0.2
 //	tgi -results fire.json -ref ref.json -mean harmonic
 //
@@ -22,36 +23,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/suite"
 )
-
-func schemeByName(name string) (core.Scheme, error) {
-	switch strings.ToLower(name) {
-	case "am", "arithmetic", "arithmetic-mean":
-		return core.ArithmeticMean, nil
-	case "time":
-		return core.TimeWeighted, nil
-	case "energy":
-		return core.EnergyWeighted, nil
-	case "power":
-		return core.PowerWeighted, nil
-	case "custom":
-		return core.Custom, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q (want am, time, energy, power or custom)", name)
-	}
-}
-
-func aggregatorByName(name string) (core.Aggregator, error) {
-	switch strings.ToLower(name) {
-	case "", "arithmetic", "am":
-		return core.Arithmetic, nil
-	case "harmonic", "hm":
-		return core.Harmonic, nil
-	case "geometric", "gm":
-		return core.Geometric, nil
-	default:
-		return 0, fmt.Errorf("unknown mean %q (want arithmetic, harmonic or geometric)", name)
-	}
-}
 
 func parseWeights(s string) ([]float64, error) {
 	if s == "" {
@@ -72,7 +43,7 @@ func parseWeights(s string) ([]float64, error) {
 func main() {
 	resultsPath := flag.String("results", "", "system-under-test results JSON (required)")
 	refPath := flag.String("ref", "", "reference-system results JSON (required)")
-	schemeName := flag.String("scheme", "am", "weighting: am, time, energy, power, custom")
+	schemeName := flag.String("scheme", "am", "weighting: am, time, energy, power, custom (or the printed name, e.g. time-weighted)")
 	meanName := flag.String("mean", "arithmetic", "aggregation mean: arithmetic, harmonic, geometric")
 	weightsArg := flag.String("weights", "", "comma-separated custom weights (scheme=custom)")
 	verbose := flag.Bool("v", false, "print the per-benchmark breakdown")
@@ -88,11 +59,11 @@ func run(resultsPath, refPath, schemeName, meanName, weightsArg string, verbose 
 	if resultsPath == "" || refPath == "" {
 		return fmt.Errorf("both -results and -ref are required")
 	}
-	scheme, err := schemeByName(schemeName)
+	scheme, err := core.ParseScheme(schemeName)
 	if err != nil {
 		return err
 	}
-	agg, err := aggregatorByName(meanName)
+	agg, err := core.ParseAggregator(meanName)
 	if err != nil {
 		return err
 	}

@@ -12,28 +12,6 @@ import (
 	"repro/internal/suite"
 )
 
-func TestSchemeByName(t *testing.T) {
-	cases := map[string]core.Scheme{
-		"am":              core.ArithmeticMean,
-		"AM":              core.ArithmeticMean,
-		"arithmetic":      core.ArithmeticMean,
-		"arithmetic-mean": core.ArithmeticMean,
-		"time":            core.TimeWeighted,
-		"energy":          core.EnergyWeighted,
-		"power":           core.PowerWeighted,
-		"custom":          core.Custom,
-	}
-	for in, want := range cases {
-		got, err := schemeByName(in)
-		if err != nil || got != want {
-			t.Errorf("schemeByName(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := schemeByName("bogus"); err == nil {
-		t.Error("bogus scheme accepted")
-	}
-}
-
 func TestParseWeights(t *testing.T) {
 	ws, err := parseWeights("0.5, 0.3,0.2")
 	if err != nil || len(ws) != 3 || ws[0] != 0.5 || ws[2] != 0.2 {
@@ -164,27 +142,41 @@ func TestRunCorruptResultsFile(t *testing.T) {
 	}
 }
 
-func TestAggregatorByName(t *testing.T) {
-	for in, want := range map[string]core.Aggregator{
-		"": core.Arithmetic, "arithmetic": core.Arithmetic, "am": core.Arithmetic,
-		"harmonic": core.Harmonic, "hm": core.Harmonic,
-		"geometric": core.Geometric, "GM": core.Geometric,
-	} {
-		got, err := aggregatorByName(in)
-		if err != nil || got != want {
-			t.Errorf("aggregatorByName(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := aggregatorByName("median"); err == nil {
-		t.Error("bogus mean accepted")
-	}
-}
-
 func TestRunHarmonicMean(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "r.json")
 	writeRun(t, cluster.Testbed(), 8, p)
 	if err := run(p, p, "am", "harmonic", "", false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunAcceptsPrintedNames: the names tgi prints in its table title
+// are names -scheme and -mean accept.
+func TestRunAcceptsPrintedNames(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "r.json")
+	writeRun(t, cluster.Testbed(), 8, p)
+	for _, s := range []core.Scheme{core.ArithmeticMean, core.TimeWeighted, core.EnergyWeighted, core.PowerWeighted} {
+		if err := run(p, p, s.String(), core.Geometric.String(), "", false); err != nil {
+			t.Errorf("-scheme %s: %v", s, err)
+		}
+	}
+}
+
+// TestRunRejectsNullEntries: a results or reference file holding a null
+// entry is an error naming the file, not a nil dereference.
+func TestRunRejectsNullEntries(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	writeRun(t, cluster.Testbed(), 4, good)
+	null := filepath.Join(dir, "null.json")
+	if err := os.WriteFile(null, []byte("[null]"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]string{{null, good}, {good, null}} {
+		err := run(c[0], c[1], "am", "arithmetic", "", false)
+		if err == nil || !strings.Contains(err.Error(), "null.json") {
+			t.Errorf("-results %s -ref %s: %v", filepath.Base(c[0]), filepath.Base(c[1]), err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/stats"
 )
@@ -41,6 +42,22 @@ func (a Aggregator) String() string {
 		return "geometric"
 	default:
 		return fmt.Sprintf("aggregator(%d)", int(a))
+	}
+}
+
+// ParseAggregator resolves a mean's name, case-insensitively: the String
+// form or its short alias (am, hm, gm). The empty name is the paper's
+// arithmetic mean.
+func ParseAggregator(name string) (Aggregator, error) {
+	switch strings.ToLower(name) {
+	case "", "arithmetic", "am":
+		return Arithmetic, nil
+	case "harmonic", "hm":
+		return Harmonic, nil
+	case "geometric", "gm":
+		return Geometric, nil
+	default:
+		return 0, fmt.Errorf("unknown mean %q (want arithmetic, harmonic or geometric)", name)
 	}
 }
 

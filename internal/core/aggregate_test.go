@@ -113,3 +113,24 @@ func TestAggregatorString(t *testing.T) {
 		t.Error("aggregator names wrong")
 	}
 }
+
+func TestParseAggregator(t *testing.T) {
+	// Every printed name parses back to its aggregator.
+	for a := Arithmetic; a <= Geometric; a++ {
+		if got, err := ParseAggregator(a.String()); err != nil || got != a {
+			t.Errorf("ParseAggregator(%q) = %v, %v; want %v", a.String(), got, err, a)
+		}
+	}
+	for in, want := range map[string]Aggregator{
+		"": Arithmetic, "am": Arithmetic, "hm": Harmonic, "GM": Geometric,
+	} {
+		if got, err := ParseAggregator(in); err != nil || got != want {
+			t.Errorf("ParseAggregator(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"median", Aggregator(7).String()} {
+		if _, err := ParseAggregator(bad); err == nil {
+			t.Errorf("ParseAggregator(%q) accepted", bad)
+		}
+	}
+}

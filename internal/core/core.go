@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -155,6 +156,26 @@ func (s Scheme) String() string {
 		return "custom"
 	default:
 		return fmt.Sprintf("scheme(%d)", int(s))
+	}
+}
+
+// ParseScheme resolves a scheme name, case-insensitively: the String form
+// ("time-weighted") or its short alias ("time"; "am" and "arithmetic" for
+// the arithmetic mean).
+func ParseScheme(name string) (Scheme, error) {
+	switch strings.ToLower(name) {
+	case "arithmetic-mean", "am", "arithmetic":
+		return ArithmeticMean, nil
+	case "time-weighted", "time":
+		return TimeWeighted, nil
+	case "energy-weighted", "energy":
+		return EnergyWeighted, nil
+	case "power-weighted", "power":
+		return PowerWeighted, nil
+	case "custom":
+		return Custom, nil
+	default:
+		return 0, fmt.Errorf("unknown scheme %q (want am, time, energy, power or custom)", name)
 	}
 }
 

@@ -376,3 +376,26 @@ func TestSchemeString(t *testing.T) {
 		t.Error("unknown scheme name empty")
 	}
 }
+
+func TestParseScheme(t *testing.T) {
+	// Every printed name parses back to its scheme.
+	for s := ArithmeticMean; s <= Custom; s++ {
+		if got, err := ParseScheme(s.String()); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for in, want := range map[string]Scheme{
+		"am": ArithmeticMean, "AM": ArithmeticMean, "arithmetic": ArithmeticMean,
+		"time": TimeWeighted, "Time-Weighted": TimeWeighted,
+		"energy": EnergyWeighted, "power": PowerWeighted,
+	} {
+		if got, err := ParseScheme(in); err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"bogus", "", Scheme(9).String()} {
+		if _, err := ParseScheme(bad); err == nil {
+			t.Errorf("ParseScheme(%q) accepted", bad)
+		}
+	}
+}

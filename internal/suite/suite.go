@@ -315,9 +315,20 @@ func LoadJSON(path string) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeResults(path, b)
+}
+
+// decodeResults parses a results file's bytes; path only names the file
+// in errors. A null entry is refused, so every returned result is usable.
+func decodeResults(path string, b []byte) ([]*Result, error) {
 	var out []*Result
 	if err := json.Unmarshal(b, &out); err != nil {
 		return nil, describeJSONError(path, err)
+	}
+	for i, r := range out {
+		if r == nil {
+			return nil, fmt.Errorf("suite: %s: entry %d is null, not a suite result", path, i)
+		}
 	}
 	return out, nil
 }
