@@ -21,7 +21,6 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
-	$(GO) run ./cmd/greenvet ./...
 
 # Determinism & layering analyzer suite (stdlib-only). Findings are
 # `file:line: analyzer: message`; exceptions need a

@@ -74,6 +74,43 @@ func TestManagerRunsJobToDone(t *testing.T) {
 	}
 }
 
+// TestManagerRestartContinuesJobIDs: a manager restarted over the same
+// directory numbers its jobs after the earlier ones, so the first job's
+// artefacts survive the second job.
+func TestManagerRestartContinuesJobIDs(t *testing.T) {
+	dir := t.TempDir()
+	first := newTestManager(t, ManagerConfig{Dir: dir})
+	j1, err := first.Submit(fastJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j1)
+	first.Close()
+	before, err := os.ReadFile(filepath.Join(dir, j1.ID(), ResultsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	second := newTestManager(t, ManagerConfig{Dir: dir})
+	spec := fastJob()
+	spec.Procs = 1
+	j2, err := second.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j2)
+	if j1.ID() != "job-0001" || j2.ID() != "job-0002" {
+		t.Fatalf("job IDs across a restart = %q, %q; want job-0001, job-0002", j1.ID(), j2.ID())
+	}
+	after, err := os.ReadFile(filepath.Join(dir, j1.ID(), ResultsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(before) != string(after) {
+		t.Error("the restarted manager overwrote the earlier job's results")
+	}
+}
+
 func TestManagerQueuesBeyondMaxConcurrent(t *testing.T) {
 	m := newTestManager(t, ManagerConfig{MaxConcurrent: 1})
 	first, err := m.Submit(slowJob())
