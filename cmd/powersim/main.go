@@ -19,6 +19,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -96,15 +97,11 @@ func run(o options, out, errw io.Writer) error {
 		}
 	}
 	if o.reportPath != "" {
-		f, err := os.Create(o.reportPath)
-		if err != nil {
+		var b bytes.Buffer
+		if err := m.report.Render(&b); err != nil {
 			return err
 		}
-		if err := m.report.Render(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return os.WriteFile(o.reportPath, b.Bytes(), 0o644)
 	}
 	if !o.quiet {
 		return m.report.Render(errw)

@@ -99,30 +99,21 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: creating job dir: %w", err)
 	}
-	seq, err := lastJobSeq(cfg.Dir)
+	// Number jobs after those already on disk, so a restarted daemon
+	// never reuses a job's directory and overwrites its artefacts.
+	entries, err := os.ReadDir(cfg.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: scanning job dir: %w", err)
-	}
-	cfg.Ops.Queue().Configure(cfg.MaxConcurrent, cfg.MaxQueued)
-	return &Manager{cfg: cfg, log: log, jobs: map[string]*Job{}, seq: seq}, nil
-}
-
-// lastJobSeq returns the highest N of the job-NNNN directories under dir,
-// so a manager restarted over the same directory numbers its jobs after
-// the earlier ones instead of overwriting their artefacts.
-func lastJobSeq(dir string) (int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
 	}
 	seq := 0
 	for _, e := range entries {
 		digits, ok := strings.CutPrefix(e.Name(), "job-")
-		if n, err := strconv.Atoi(digits); ok && e.IsDir() && err == nil && n > seq {
+		if n, err := strconv.Atoi(digits); ok && err == nil && n > seq {
 			seq = n
 		}
 	}
-	return seq, nil
+	cfg.Ops.Queue().Configure(cfg.MaxConcurrent, cfg.MaxQueued)
+	return &Manager{cfg: cfg, log: log, jobs: map[string]*Job{}, seq: seq}, nil
 }
 
 // Submit validates the spec, materialises the job's directory and

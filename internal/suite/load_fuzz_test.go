@@ -1,7 +1,6 @@
 package suite
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,8 +9,8 @@ import (
 
 // FuzzLoadJSON feeds arbitrary bytes to LoadJSON, the parser cmd/tgi runs
 // on its -results and -ref files. No input may panic, and every accepted
-// result must survive Measurements and Benchmarks and re-encode to a file
-// LoadJSON accepts again. The committed corpus (testdata/fuzz/FuzzLoadJSON)
+// result must survive Measurements and Benchmarks, and SaveJSON must
+// write it back as a file LoadJSON accepts again. The committed corpus (testdata/fuzz/FuzzLoadJSON)
 // holds a valid sweep, null entries, a bare null, truncated JSON, a
 // wrong-type field, an empty runs list and a failed run.
 func FuzzLoadJSON(f *testing.F) {
@@ -35,11 +34,10 @@ func FuzzLoadJSON(f *testing.F) {
 				t.Fatalf("entry %d: %d measurements for %d runs", i, n, len(r.Runs))
 			}
 		}
-		again, err := json.Marshal(rs)
-		if err != nil {
+		if err := SaveJSON(path, rs); err != nil {
 			t.Fatalf("accepted %q but cannot re-encode it: %v", b, err)
 		}
-		if back, err := decodeResults(path, again); err != nil || len(back) != len(rs) {
+		if back, err := LoadJSON(path); err != nil || len(back) != len(rs) {
 			t.Fatalf("re-encoded %q does not load back: %d entries, %v", b, len(back), err)
 		}
 	})

@@ -309,18 +309,13 @@ func SaveJSON(path string, results []*Result) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// LoadJSON reads results written by SaveJSON.
+// LoadJSON reads results written by SaveJSON. A null entry is an error,
+// so every returned result is usable.
 func LoadJSON(path string) ([]*Result, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return decodeResults(path, b)
-}
-
-// decodeResults parses a results file's bytes; path only names the file
-// in errors. A null entry is refused, so every returned result is usable.
-func decodeResults(path string, b []byte) ([]*Result, error) {
 	var out []*Result
 	if err := json.Unmarshal(b, &out); err != nil {
 		return nil, describeJSONError(path, err)
