@@ -6,6 +6,7 @@
 package greenindex_test
 
 import (
+	"io"
 	"math"
 	"testing"
 	"time"
@@ -46,7 +47,8 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "power.Meter.Measure reused buffer", runs: 100, ceiling: 0, setup: setupMeterMeasure},
 		{name: "live.Bus.Publish no subscriber", runs: 1000, ceiling: 0, setup: setupBusPublish},
 		{name: "live.Hub.Tap span", runs: 1000, ceiling: 0, setup: setupTapSpan},
-		{name: "series.Trace.Repair", runs: 50, ceiling: 23, setup: setupRepair},
+		{name: "series.Trace.Repair", runs: 50, ceiling: 7, setup: setupRepair},
+		{name: "obs.WriteChromeTrace", runs: 20, ceiling: 5, setup: setupChromeTrace},
 		{name: "suite.Run untraced", runs: 20, ceiling: 33, setup: setupSuiteRun(false)},
 		{name: "suite.Run traced", runs: 20, ceiling: 124, setup: setupSuiteRun(true)},
 	}
@@ -54,6 +56,7 @@ func TestAllocCeilings(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			f := c.setup(t)
 			got := testing.AllocsPerRun(c.runs, f)
+			t.Logf("%v allocs per call, ceiling %v", got, c.ceiling)
 			if got > c.ceiling {
 				t.Errorf("%v allocs per call, ceiling %v", got, c.ceiling)
 			}
@@ -62,6 +65,21 @@ func TestAllocCeilings(t *testing.T) {
 			}
 		})
 	}
+	// The trace writer appends every record into one reused buffer, so
+	// it must allocate as often for 10 000 records as for 100.
+	t.Run("obs.WriteChromeTrace flat in records", func(t *testing.T) {
+		allocs := func(n int) float64 {
+			spans, events := chromeTraceRecords(n)
+			return testing.AllocsPerRun(10, func() {
+				if err := obs.WriteChromeTrace(io.Discard, spans, events); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(100), allocs(10000); small != large {
+			t.Errorf("%v allocs for 100 records, %v for 10000: the writer allocates per record", small, large)
+		}
+	})
 }
 
 func setupAllocProbe(*testing.T) func() {
@@ -142,6 +160,39 @@ func setupRepair(t *testing.T) func() {
 	}
 	return func() {
 		if _, _, err := tr.Repair(1, 6); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// chromeTraceRecords builds n trace records, half spans and half
+// instant events, spread over three tracks with three attributes each
+// and the fractional timestamps of a campaign past its first benchmark.
+func chromeTraceRecords(n int) ([]obs.Span, []obs.Event) {
+	tracks := []string{"HPL", obs.TrackMeter, obs.TrackSuite}
+	attrs := func(i int) []obs.Attr {
+		return []obs.Attr{obs.Str("bench", "HPL"), obs.Int("from", i), obs.Int("filled", 1)}
+	}
+	spans := make([]obs.Span, n/2)
+	for i := range spans {
+		at := units.Seconds(654.219255828 + float64(i))
+		spans[i] = obs.Span{Track: tracks[i%3], Name: obs.NameMeterWindow, Start: at, End: at + 0.5, Attrs: attrs(i)}
+	}
+	events := make([]obs.Event, n-n/2)
+	for i := range events {
+		at := units.Seconds(654.219255828 + float64(i))
+		events[i] = obs.Event{Track: tracks[i%3], Name: "repair: gap filled", At: at, Attrs: attrs(i)}
+	}
+	return spans, events
+}
+
+// setupChromeTrace encodes a 1000-record trace to io.Discard: the
+// writer's fixed cost, which the flat-in-records subtest shows does not
+// grow with the trace.
+func setupChromeTrace(t *testing.T) func() {
+	spans, events := chromeTraceRecords(1000)
+	return func() {
+		if err := obs.WriteChromeTrace(io.Discard, spans, events); err != nil {
 			t.Fatal(err)
 		}
 	}

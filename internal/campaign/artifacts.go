@@ -66,14 +66,20 @@ func (a Artifacts) Write(tracer *obs.Tracer, results []*suite.Result) error {
 		return nil
 	}
 	if a.Trace != "" {
-		if err := obs.WriteChromeTraceFile(a.Trace, tracer.Spans(), tracer.Events()); err != nil {
+		spans, events := tracer.Spans(), tracer.Events()
+		if err := obs.WriteChromeTraceFile(a.Trace, spans, events); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
-		a.logf("wrote %s (%d span(s), %d event(s))",
-			a.Trace, len(tracer.Spans()), len(tracer.Events()))
+		a.logf("wrote %s (%d span(s), %d event(s))", a.Trace, len(spans), len(events))
+	}
+	// One registry snapshot feeds both the metrics file and the report's
+	// percentiles.
+	var snap obs.Snapshot
+	if a.Metrics != "" || a.Report != "" {
+		snap = tracer.Registry().Snapshot()
 	}
 	if a.Metrics != "" {
-		if err := tracer.Registry().Snapshot().WriteFile(a.Metrics); err != nil {
+		if err := snap.WriteFile(a.Metrics); err != nil {
 			return fmt.Errorf("writing metrics: %w", err)
 		}
 		a.logf("wrote %s", a.Metrics)
@@ -84,7 +90,7 @@ func (a Artifacts) Write(tracer *obs.Tracer, results []*suite.Result) error {
 			title = fmt.Sprintf("greenbench campaign: %s", results[0].System)
 		}
 		rep := suite.BuildReport(title, results)
-		suite.AttachPercentiles(rep, tracer.Registry().Snapshot())
+		suite.AttachPercentiles(rep, snap)
 		if a.Report == "-" {
 			out := a.ReportOut
 			if out == nil {

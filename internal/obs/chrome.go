@@ -1,12 +1,13 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
-	"strings"
 )
 
 // WriteChromeTrace encodes spans and events in the Chrome trace_event
@@ -15,76 +16,125 @@ import (
 // distinct track becomes one named thread under a single process, in
 // first-appearance order; attributes become event args. The encoding is
 // built by hand so identical inputs produce byte-identical files.
+//
+// Every span is checked before the first byte is written, so a span that
+// ends before it starts returns an error and leaves w untouched. Records
+// are then appended into one reused buffer and streamed through a
+// bufio.Writer, so the cost per record does not grow with the trace.
 func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
-	tids := map[string]int{}
+	const recordSep = ",\n  " // between records; the first follows the header
+	tids := map[string]int64{}
 	var tracks []string
-	tid := func(track string) int {
-		if id, ok := tids[track]; ok {
-			return id
+	register := func(track string) {
+		if _, ok := tids[track]; !ok {
+			tracks = append(tracks, track)
+			tids[track] = int64(len(tracks))
 		}
-		id := len(tracks) + 1
-		tids[track] = id
-		tracks = append(tracks, track)
-		return id
 	}
 	for _, s := range spans {
-		tid(s.Track)
+		if s.End < s.Start {
+			return fmt.Errorf("obs: span %q on %q ends %v before it starts %v", s.Name, s.Track, s.End, s.Start)
+		}
+		register(s.Track)
 	}
 	for _, e := range events {
-		tid(e.Track)
+		register(e.Track)
 	}
 
-	micros := func(sec float64) string {
-		return strconv.FormatFloat(sec*1e6, 'f', 3, 64)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	buf := make([]byte, 0, 512)
+	// flush hands one finished record to bw and recycles buf. bw keeps
+	// its first write error and returns it from the final Flush.
+	flush := func() {
+		_, _ = bw.Write(buf)
+		buf = buf[:0]
 	}
 	// Names, tracks and attributes are user-influenced strings (custom
 	// workload names, fault-plan errors): escape them with the JSON-safe
 	// escaper, not %q, so hostile names cannot corrupt the file.
-	args := func(attrs []Attr) string {
-		var b strings.Builder
-		b.WriteString("{")
+	appendArgs := func(attrs []Attr) {
+		buf = append(buf, `, "args": {`...)
 		for i, a := range attrs {
 			if i > 0 {
-				b.WriteString(", ")
+				buf = append(buf, ", "...)
 			}
-			appendJSONString(&b, a.Key)
-			b.WriteString(": ")
-			appendJSONString(&b, a.Value)
+			buf = appendJSONString(buf, a.Key)
+			buf = append(buf, ": "...)
+			buf = appendJSONString(buf, a.Value)
 		}
-		b.WriteString("}")
-		return b.String()
+		buf = append(buf, "}}"...)
 	}
 
-	var b strings.Builder
-	b.WriteString("{\"traceEvents\": [\n")
-	first := true
-	emit := func(line string) {
-		if !first {
-			b.WriteString(",\n")
-		}
-		first = false
-		b.WriteString("  " + line)
-	}
-	emit(`{"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "greenindex"}}`)
+	buf = append(buf, "{\"traceEvents\": [\n"...)
+	buf = append(buf, `  {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "greenindex"}}`...)
+	flush()
 	for i, track := range tracks {
-		emit(fmt.Sprintf(`{"name": "thread_name", "ph": "M", "pid": 1, "tid": %d, "args": {"name": %s}}`, i+1, JSONString(track)))
-		emit(fmt.Sprintf(`{"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": %d, "args": {"sort_index": %q}}`, i+1, strconv.Itoa(i+1)))
+		id := int64(i + 1)
+		buf = append(buf, recordSep+`{"name": "thread_name", "ph": "M", "pid": 1, "tid": `...)
+		buf = strconv.AppendInt(buf, id, 10)
+		buf = append(buf, `, "args": {"name": `...)
+		buf = appendJSONString(buf, track)
+		buf = append(buf, `}}`+recordSep+`{"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": `...)
+		buf = strconv.AppendInt(buf, id, 10)
+		buf = append(buf, `, "args": {"sort_index": "`...)
+		buf = strconv.AppendInt(buf, id, 10)
+		buf = append(buf, `"}}`...)
+		flush()
 	}
 	for _, s := range spans {
-		dur := float64(s.End - s.Start)
-		if dur < 0 {
-			return fmt.Errorf("obs: span %q on %q ends %v before it starts %v", s.Name, s.Track, s.End, s.Start)
-		}
-		emit(fmt.Sprintf(`{"name": %s, "ph": "X", "ts": %s, "dur": %s, "pid": 1, "tid": %d, "args": %s}`,
-			JSONString(s.Name), micros(float64(s.Start)), micros(dur), tids[s.Track], args(s.Attrs)))
+		buf = append(buf, recordSep+`{"name": `...)
+		buf = appendJSONString(buf, s.Name)
+		buf = append(buf, `, "ph": "X", "ts": `...)
+		buf = appendMicros(buf, float64(s.Start)*1e6)
+		buf = append(buf, `, "dur": `...)
+		buf = appendMicros(buf, float64(s.End-s.Start)*1e6)
+		buf = append(buf, `, "pid": 1, "tid": `...)
+		buf = strconv.AppendInt(buf, tids[s.Track], 10)
+		appendArgs(s.Attrs)
+		flush()
 	}
 	for _, e := range events {
-		emit(fmt.Sprintf(`{"name": %s, "ph": "i", "ts": %s, "pid": 1, "tid": %d, "s": "t", "args": %s}`,
-			JSONString(e.Name), micros(float64(e.At)), tids[e.Track], args(e.Attrs)))
+		buf = append(buf, recordSep+`{"name": `...)
+		buf = appendJSONString(buf, e.Name)
+		buf = append(buf, `, "ph": "i", "ts": `...)
+		buf = appendMicros(buf, float64(e.At)*1e6)
+		buf = append(buf, `, "pid": 1, "tid": `...)
+		buf = strconv.AppendInt(buf, tids[e.Track], 10)
+		buf = append(buf, `, "s": "t"`...)
+		appendArgs(e.Attrs)
+		flush()
 	}
-	b.WriteString("\n], \"displayTimeUnit\": \"ms\"}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	buf = append(buf, "\n], \"displayTimeUnit\": \"ms\"}\n"...)
+	flush()
+	return bw.Flush()
+}
+
+// appendMicros appends trace microseconds with three decimals: the
+// bytes of strconv.AppendFloat(dst, us, 'f', 3, 64). strconv formats any
+// fixed precision through an exact big-decimal expansion, which made it
+// the slowest part of the trace. A float with |us| in [2^-11, 2^52) is
+// ±m·2^-s with m < 2^53 and 0 < s < 64, so m·1000 fits in a uint64 and
+// one shift rounds it to exact thousandths, half to even as strconv
+// rounds. Other magnitudes are rare and go to strconv.
+func appendMicros(dst []byte, us float64) []byte {
+	bits := math.Float64bits(us)
+	biased := int(bits >> 52 & 0x7ff)
+	shift := 1075 - biased // us = mant·2^-shift for a normal float
+	if biased == 0 || shift <= 0 || shift >= 64 {
+		return strconv.AppendFloat(dst, us, 'f', 3, 64)
+	}
+	if bits>>63 != 0 {
+		dst = append(dst, '-')
+	}
+	scaled := (bits&(1<<52-1) | 1<<52) * 1000
+	q := scaled >> shift
+	rem, half := scaled&(1<<shift-1), uint64(1)<<(shift-1)
+	if rem > half || rem == half && q&1 == 1 {
+		q++
+	}
+	dst = strconv.AppendUint(dst, q/1000, 10)
+	frac := q % 1000
+	return append(dst, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // WriteChromeTraceFile writes the trace to path.

@@ -3,12 +3,13 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
 // FuzzWriteChromeTrace feeds hostile span/event/attr strings through the
 // exporter and requires the output to stay valid JSON that passes the
-// schema checker. This is the regression net for the %q bug: Go quoting
+// schema checker and decodes back to the input. This is the regression net for the %q bug: Go quoting
 // emits \x00-style escapes that are not JSON, so a crafted benchmark
 // name could corrupt the trace file.
 func FuzzWriteChromeTrace(f *testing.F) {
@@ -47,5 +48,65 @@ func FuzzWriteChromeTrace(f *testing.F) {
 		if chk.Spans != 1 || chk.Instants != 1 {
 			t.Fatalf("check = %+v, want 1 span and 1 instant", chk)
 		}
+
+		// Validity alone does not catch a wrong escape: the trace must
+		// decode back to its input, each invalid UTF-8 byte read as one
+		// U+FFFD.
+		var file struct {
+			TraceEvents []struct {
+				Name string            `json:"name"`
+				Ph   string            `json:"ph"`
+				Args map[string]string `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+			t.Fatalf("trace does not decode: %v\n%s", err, buf.Bytes())
+		}
+		dec := func(s string) string { return string([]rune(s)) }
+		var gotTrack string
+		var gotSpan, gotEvent []string
+		for _, ev := range file.TraceEvents {
+			switch {
+			case ev.Ph == "M" && ev.Name == "thread_name":
+				gotTrack = ev.Args["name"]
+			case ev.Ph == "X":
+				gotSpan = append(gotSpan, ev.Name, argPair(ev.Args))
+			case ev.Ph == "i":
+				gotEvent = append(gotEvent, ev.Name, argPair(ev.Args))
+			}
+		}
+		if want := dec(track); gotTrack != want {
+			t.Errorf("track decodes to %q, want %q", gotTrack, want)
+		}
+		if want := []string{dec(name), dec(key) + "=" + dec(value)}; !equalStrings(gotSpan, want) {
+			t.Errorf("span decodes to %q, want %q", gotSpan, want)
+		}
+		if want := []string{dec(name), dec(value) + "=" + dec(key)}; !equalStrings(gotEvent, want) {
+			t.Errorf("event decodes to %q, want %q", gotEvent, want)
+		}
 	})
+}
+
+// argPair renders a one-attribute args object as key=value; any other
+// size renders as a marker that matches no expectation.
+func argPair(args map[string]string) string {
+	if len(args) != 1 {
+		return fmt.Sprintf("<%d args>", len(args))
+	}
+	for k, v := range args {
+		return k + "=" + v
+	}
+	return ""
+}
+
+func equalStrings(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -55,26 +59,79 @@ func TestWriteChromeTraceDeterministic(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTraceRejectsNegativeSpan pins the all-or-nothing
+// contract: a span that ends before it starts fails the whole trace
+// before a byte reaches the writer, wherever it sits in the input.
 func TestWriteChromeTraceRejectsNegativeSpan(t *testing.T) {
-	var b bytes.Buffer
-	err := WriteChromeTrace(&b, []Span{{Track: "t", Name: "bad", Start: 5, End: 1}}, nil)
-	if err == nil {
-		t.Error("span ending before its start accepted")
+	spans, events := sampleTrace()
+	bad := Span{Track: "t", Name: "bad", Start: 5, End: 1}
+	for name, spans := range map[string][]Span{
+		"alone": {bad},
+		"first": append([]Span{bad}, spans...),
+		"last":  append(spans[:len(spans):len(spans)], bad),
+	} {
+		var b bytes.Buffer
+		err := WriteChromeTrace(&b, spans, events)
+		if err == nil {
+			t.Errorf("%s: span ending before its start accepted", name)
+			continue
+		}
+		if want := `obs: span "bad" on "t" ends 1 s before it starts 5 s`; err.Error() != want {
+			t.Errorf("%s: error %q, want %q", name, err, want)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%s: %d bytes written before the error:\n%s", name, b.Len(), b.String())
+		}
 	}
 }
 
-func TestValidateChromeTraceRejectsDamage(t *testing.T) {
-	for name, data := range map[string]string{
-		"not json":    `{"traceEvents": [`,
-		"empty":       `{"traceEvents": []}`,
-		"no name":     `{"traceEvents": [{"ph": "X", "ts": 0, "dur": 1, "pid": 1, "tid": 1}]}`,
-		"bad phase":   `{"traceEvents": [{"name": "x", "ph": "Q", "ts": 0, "pid": 1, "tid": 1}]}`,
-		"no dur":      `{"traceEvents": [{"name": "x", "ph": "X", "ts": 0, "pid": 1, "tid": 1}]}`,
-		"negative ts": `{"traceEvents": [{"name": "x", "ph": "i", "ts": -1, "pid": 1, "tid": 1}]}`,
-		"no tid":      `{"traceEvents": [{"name": "x", "ph": "i", "ts": 0, "pid": 1}]}`,
+var errWrite = errors.New("disk full")
+
+// failWriter rejects every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
+
+// TestWriteChromeTraceReportsWriteError covers a trace that fits the
+// write buffer, whose error surfaces at the final flush, and one that
+// spills it mid-stream.
+func TestWriteChromeTraceReportsWriteError(t *testing.T) {
+	small, smallEvents := sampleTrace()
+	large, largeEvents := faultyShape()
+	for name, err := range map[string]error{
+		"small": WriteChromeTrace(failWriter{}, small, smallEvents),
+		"large": WriteChromeTrace(failWriter{}, large, largeEvents),
 	} {
-		if _, err := ValidateChromeTrace([]byte(data)); err == nil {
-			t.Errorf("%s: accepted", name)
+		if !errors.Is(err, errWrite) {
+			t.Errorf("%s: error %v, want %v", name, err, errWrite)
+		}
+	}
+}
+
+// TestAppendMicrosMatchesStrconv pins appendMicros to the bytes of
+// strconv's fixed three-decimal formatting: exact ties, negative zero,
+// the edges of its integer path and random bit patterns included.
+func TestAppendMicrosMatchesStrconv(t *testing.T) {
+	us := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 0.0005, 0.0015, 1e-9, 120.5e6,
+		654219255.828, 1560934573.872, 123456789.012345, 1 << 52, 1<<52 - 0.5,
+		1<<52 + 2, 1e15, 1e300, math.Ldexp(1, -11), math.Ldexp(1, -12),
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	// k/16 is an exact binary fraction, so the odd k/16 that fall on a
+	// half thousandth are ties, which strconv rounds to even.
+	for k := -64; k < 64; k++ {
+		us = append(us, float64(k)/16, 1e6+float64(k)/16)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		us = append(us, float64(rng.Int63n(1<<40)), rng.Float64()*1e10, -rng.Float64()*1e10,
+			math.Float64frombits(rng.Uint64()), math.Ldexp(rng.Float64(), rng.Intn(80)-20))
+	}
+	for _, v := range us {
+		got := string(appendMicros(nil, v))
+		if want := strconv.FormatFloat(v, 'f', 3, 64); got != want {
+			t.Errorf("appendMicros(%v) = %s, want %s", v, got, want)
 		}
 	}
 }

@@ -33,8 +33,11 @@ func TestJSONStringRoundTrips(t *testing.T) {
 			t.Errorf("JSONString(%q) does not decode: %v", in, err)
 			continue
 		}
-		// Invalid UTF-8 bytes are replaced (the only lossy case); every
-		// valid string must round-trip exactly.
+		// Each invalid UTF-8 byte becomes one U+FFFD (the only lossy
+		// case); every valid string must round-trip exactly.
+		if want := string([]rune(in)); out != want {
+			t.Errorf("JSONString(%q) round-tripped to %q, want %q", in, out, want)
+		}
 		if utf8.ValidString(in) && out != in {
 			t.Errorf("JSONString(%q) round-tripped to %q", in, out)
 		}

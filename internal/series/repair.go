@@ -87,7 +87,11 @@ func (t *Trace) Repair(interval units.Seconds, sigma float64) (*Trace, RepairRep
 		spread := math.Abs(float64(t.samples[i+1].Power - t.samples[i-1].Power))
 		if math.Abs(d) > sigma*noise && spread < math.Abs(d) {
 			glitch[i] = true
+			rep.OutliersRejected++
 		}
+	}
+	if rep.OutliersRejected > 0 {
+		rep.OutlierTimes = make([]units.Seconds, 0, rep.OutliersRejected)
 	}
 	for i := 1; i < n-1; i++ {
 		if !glitch[i] {
@@ -108,13 +112,27 @@ func (t *Trace) Repair(interval units.Seconds, sigma float64) (*Trace, RepairRep
 			frac := float64(t.samples[i].At-a.At) / float64(b.At-a.At)
 			powers[i] = powers[lo] + units.Watts(frac)*(powers[hi]-powers[lo])
 		}
-		rep.OutliersRejected++
 		rep.OutlierTimes = append(rep.OutlierTimes, t.samples[i].At)
 	}
 
 	// Pass 2: fill cadence gaps by linear interpolation between the
-	// (already de-glitched) neighbours of each hole.
-	out := New(n + 8)
+	// (already de-glitched) neighbours of each hole. Counting the holes
+	// and fills first, with the same loop, sizes the outputs exactly.
+	fills, gaps := 0, 0
+	for i := 1; i < n; i++ {
+		a, b := t.samples[i-1], t.samples[i]
+		before := fills
+		for at := a.At + interval; at < b.At-interval/2; at += interval {
+			fills++
+		}
+		if fills > before {
+			gaps++
+		}
+	}
+	if gaps > 0 {
+		rep.Gaps = make([]Gap, 0, gaps)
+	}
+	out := New(n + fills)
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			a, b := t.samples[i-1], t.samples[i]
