@@ -85,6 +85,22 @@ func TestWriteChromeTraceRejectsNegativeSpan(t *testing.T) {
 	}
 }
 
+func TestValidateChromeTraceRejectsDamage(t *testing.T) {
+	for name, data := range map[string]string{
+		"not json":    `{"traceEvents": [`,
+		"empty":       `{"traceEvents": []}`,
+		"no name":     `{"traceEvents": [{"ph": "X", "ts": 0, "dur": 1, "pid": 1, "tid": 1}]}`,
+		"bad phase":   `{"traceEvents": [{"name": "x", "ph": "Q", "ts": 0, "pid": 1, "tid": 1}]}`,
+		"no dur":      `{"traceEvents": [{"name": "x", "ph": "X", "ts": 0, "pid": 1, "tid": 1}]}`,
+		"negative ts": `{"traceEvents": [{"name": "x", "ph": "i", "ts": -1, "pid": 1, "tid": 1}]}`,
+		"no tid":      `{"traceEvents": [{"name": "x", "ph": "i", "ts": 0, "pid": 1}]}`,
+	} {
+		if _, err := ValidateChromeTrace([]byte(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 var errWrite = errors.New("disk full")
 
 // failWriter rejects every write.
