@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 )
@@ -85,9 +84,9 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
 		buf = append(buf, recordSep+`{"name": `...)
 		buf = appendJSONString(buf, s.Name)
 		buf = append(buf, `, "ph": "X", "ts": `...)
-		buf = appendMicros(buf, float64(s.Start)*1e6)
+		buf = strconv.AppendFloat(buf, float64(s.Start)*1e6, 'f', 3, 64)
 		buf = append(buf, `, "dur": `...)
-		buf = appendMicros(buf, float64(s.End-s.Start)*1e6)
+		buf = strconv.AppendFloat(buf, float64(s.End-s.Start)*1e6, 'f', 3, 64)
 		buf = append(buf, `, "pid": 1, "tid": `...)
 		buf = strconv.AppendInt(buf, tids[s.Track], 10)
 		appendArgs(s.Attrs)
@@ -97,7 +96,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
 		buf = append(buf, recordSep+`{"name": `...)
 		buf = appendJSONString(buf, e.Name)
 		buf = append(buf, `, "ph": "i", "ts": `...)
-		buf = appendMicros(buf, float64(e.At)*1e6)
+		buf = strconv.AppendFloat(buf, float64(e.At)*1e6, 'f', 3, 64)
 		buf = append(buf, `, "pid": 1, "tid": `...)
 		buf = strconv.AppendInt(buf, tids[e.Track], 10)
 		buf = append(buf, `, "s": "t"`...)
@@ -107,34 +106,6 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
 	buf = append(buf, "\n], \"displayTimeUnit\": \"ms\"}\n"...)
 	flush()
 	return bw.Flush()
-}
-
-// appendMicros appends trace microseconds with three decimals: the
-// bytes of strconv.AppendFloat(dst, us, 'f', 3, 64). strconv formats any
-// fixed precision through an exact big-decimal expansion, which made it
-// the slowest part of the trace. A float with |us| in [2^-11, 2^52) is
-// ±m·2^-s with m < 2^53 and 0 < s < 64, so m·1000 fits in a uint64 and
-// one shift rounds it to exact thousandths, half to even as strconv
-// rounds. Other magnitudes are rare and go to strconv.
-func appendMicros(dst []byte, us float64) []byte {
-	bits := math.Float64bits(us)
-	biased := int(bits >> 52 & 0x7ff)
-	shift := 1075 - biased // us = mant·2^-shift for a normal float
-	if biased == 0 || shift <= 0 || shift >= 64 {
-		return strconv.AppendFloat(dst, us, 'f', 3, 64)
-	}
-	if bits>>63 != 0 {
-		dst = append(dst, '-')
-	}
-	scaled := (bits&(1<<52-1) | 1<<52) * 1000
-	q := scaled >> shift
-	rem, half := scaled&(1<<shift-1), uint64(1)<<(shift-1)
-	if rem > half || rem == half && q&1 == 1 {
-		q++
-	}
-	dst = strconv.AppendUint(dst, q/1000, 10)
-	frac := q % 1000
-	return append(dst, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // WriteChromeTraceFile writes the trace to path.

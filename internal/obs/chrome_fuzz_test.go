@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -78,10 +79,10 @@ func FuzzWriteChromeTrace(f *testing.F) {
 		if want := dec(track); gotTrack != want {
 			t.Errorf("track decodes to %q, want %q", gotTrack, want)
 		}
-		if want := []string{dec(name), dec(key) + "=" + dec(value)}; !equalStrings(gotSpan, want) {
+		if want := []string{dec(name), dec(key) + "=" + dec(value)}; !slices.Equal(gotSpan, want) {
 			t.Errorf("span decodes to %q, want %q", gotSpan, want)
 		}
-		if want := []string{dec(name), dec(value) + "=" + dec(key)}; !equalStrings(gotEvent, want) {
+		if want := []string{dec(name), dec(value) + "=" + dec(key)}; !slices.Equal(gotEvent, want) {
 			t.Errorf("event decodes to %q, want %q", gotEvent, want)
 		}
 	})
@@ -97,16 +98,4 @@ func argPair(args map[string]string) string {
 		return k + "=" + v
 	}
 	return ""
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,9 +3,6 @@ package obs
 import (
 	"bytes"
 	"errors"
-	"math"
-	"math/rand"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -120,34 +117,6 @@ func TestWriteChromeTraceReportsWriteError(t *testing.T) {
 	} {
 		if !errors.Is(err, errWrite) {
 			t.Errorf("%s: error %v, want %v", name, err, errWrite)
-		}
-	}
-}
-
-// TestAppendMicrosMatchesStrconv pins appendMicros to the bytes of
-// strconv's fixed three-decimal formatting: exact ties, negative zero,
-// the edges of its integer path and random bit patterns included.
-func TestAppendMicrosMatchesStrconv(t *testing.T) {
-	us := []float64{
-		0, math.Copysign(0, -1), 1, -1, 0.5, 0.0005, 0.0015, 1e-9, 120.5e6,
-		654219255.828, 1560934573.872, 123456789.012345, 1 << 52, 1<<52 - 0.5,
-		1<<52 + 2, 1e15, 1e300, math.Ldexp(1, -11), math.Ldexp(1, -12),
-		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
-	}
-	// k/16 is an exact binary fraction, so the odd k/16 that fall on a
-	// half thousandth are ties, which strconv rounds to even.
-	for k := -64; k < 64; k++ {
-		us = append(us, float64(k)/16, 1e6+float64(k)/16)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		us = append(us, float64(rng.Int63n(1<<40)), rng.Float64()*1e10, -rng.Float64()*1e10,
-			math.Float64frombits(rng.Uint64()), math.Ldexp(rng.Float64(), rng.Intn(80)-20))
-	}
-	for _, v := range us {
-		got := string(appendMicros(nil, v))
-		if want := strconv.FormatFloat(v, 'f', 3, 64); got != want {
-			t.Errorf("appendMicros(%v) = %s, want %s", v, got, want)
 		}
 	}
 }
