@@ -3,7 +3,8 @@ package series
 import (
 	"errors"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/units"
 )
@@ -157,16 +158,91 @@ func (t *Trace) Repair(interval units.Seconds, sigma float64) (*Trace, RepairRep
 	return out, rep, nil
 }
 
-// median returns the median of xs, mutating its order. Empty input
-// returns 0.
+// median returns the median of xs, reordering xs. Empty input returns 0.
+// It orders values as sort.Float64s does, NaN first, so the result is
+// the sorted slice's median; it finds it by selection in O(n) instead of
+// sorting.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sort.Float64s(xs)
+	// Move the NaNs to the front, where sorting would put them, so the
+	// selection below compares with < alone.
+	nan := 0
+	for i, x := range xs {
+		if math.IsNaN(x) {
+			xs[i], xs[nan] = xs[nan], x
+			nan++
+		}
+	}
 	mid := len(xs) / 2
+	if mid < nan {
+		return math.NaN()
+	}
+	selectNth(xs[nan:], mid-nan)
 	if len(xs)%2 == 1 {
 		return xs[mid]
 	}
-	return 0.5 * (xs[mid-1] + xs[mid])
+	if mid-1 < nan {
+		return math.NaN()
+	}
+	// Selection left xs[nan:mid] no greater than xs[mid]; its largest
+	// value is the sorted slice's xs[mid-1].
+	lo := xs[nan]
+	for _, x := range xs[nan+1 : mid] {
+		if x > lo {
+			lo = x
+		}
+	}
+	return 0.5 * (lo + xs[mid])
+}
+
+// selectNth reorders xs, which holds no NaN, so that xs[k] is the value
+// sorting would put there, nothing before it is greater and nothing
+// after it is smaller. It is quickselect with a median-of-three pivot
+// and a three-way partition, so runs of equal values end a round early.
+// A range that fails to shrink within its round budget is sorted, which
+// bounds the worst case at O(n log n).
+func selectNth(xs []float64, k int) {
+	lo, hi := 0, len(xs)
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 16 && budget > 0; budget-- {
+		p := medianOf3(xs[lo], xs[lo+(hi-lo)/2], xs[hi-1])
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case x < p:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				xs[gt], xs[i] = x, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+	slices.Sort(xs[lo:hi])
+}
+
+// medianOf3 returns the middle one of a, b and c.
+func medianOf3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }

@@ -2,6 +2,9 @@ package series
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/units"
@@ -148,5 +151,39 @@ func TestRepairEdgeCases(t *testing.T) {
 	}
 	if out.Len() != 2 || rep.GapsFilled != 0 || rep.OutliersRejected != 0 {
 		t.Errorf("tiny trace mangled: len %d, report %+v", out.Len(), rep)
+	}
+}
+
+// TestMedianMatchesSort checks the selection median against sorting a
+// copy and reading the middle, on random slices drawn from a small pool
+// so duplicates, ±0, ±Inf and NaN (which sorts first) all recur.
+func TestMedianMatchesSort(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1, 1, 2.5, -3}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.Intn(80)
+		if trial%10 == 0 {
+			n = rng.Intn(2000)
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			if rng.Intn(3) == 0 {
+				xs[i] = pool[rng.Intn(len(pool))]
+			} else {
+				xs[i] = math.Round(rng.NormFloat64()*8) / 4
+			}
+		}
+		sorted := slices.Clone(xs)
+		sort.Float64s(sorted)
+		want := 0.0
+		if mid := n / 2; n%2 == 1 {
+			want = sorted[mid]
+		} else if n > 0 {
+			want = 0.5 * (sorted[mid-1] + sorted[mid])
+		}
+		// ±0 compare equal, as sorting leaves their order unspecified.
+		if got := median(xs); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("trial %d: median of %v = %v, sorted median %v", trial, sorted, got, want)
+		}
 	}
 }
