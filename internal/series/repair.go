@@ -49,7 +49,27 @@ type RepairReport struct {
 // load steps (where the neighbours disagree) survive untouched. The first
 // and last samples are never modified — the trace must keep spanning the
 // benchmark window exactly.
+//
+// Repair returns a new trace on every call; a hot loop that folds each
+// repaired trace into scalars before the next one uses a Repairer.
 func (t *Trace) Repair(interval units.Seconds, sigma float64) (*Trace, RepairReport, error) {
+	return new(Repairer).Repair(t, interval, sigma)
+}
+
+// Repairer runs Trace.Repair with working buffers it keeps from one call
+// to the next, so repairing a stream of traces stops allocating once the
+// buffers have grown to the longest trace. The trace it returns is its
+// own and stays valid only until its next Repair call. The zero value is
+// ready to use; a Repairer is not safe for concurrent use.
+type Repairer struct {
+	devs   []float64
+	powers []units.Watts
+	glitch []bool
+	out    Trace
+}
+
+// Repair repairs t as Trace.Repair does, into the Repairer's buffers.
+func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Trace, RepairReport, error) {
 	var rep RepairReport
 	if interval <= 0 {
 		return nil, rep, errors.New("series: repair needs a positive meter interval")
@@ -58,9 +78,9 @@ func (t *Trace) Repair(interval units.Seconds, sigma float64) (*Trace, RepairRep
 		sigma = 6
 	}
 	n := len(t.samples)
+	out := &r.out
 	if n < 3 {
-		out := New(n)
-		out.samples = append(out.samples, t.samples...)
+		out.samples = append(resize(out.samples, 0), t.samples...)
 		return out, rep, nil
 	}
 
@@ -68,20 +88,23 @@ func (t *Trace) Repair(interval units.Seconds, sigma float64) (*Trace, RepairRep
 	// d_i = p_i - (p_{i-1}+p_{i+1})/2 is ~1.22×noise for white gauge noise
 	// and (step/2) only at load steps, which the neighbour-agreement test
 	// below excludes anyway.
-	devs := make([]float64, 0, n-2)
+	r.devs = resize(r.devs, n-2)
 	for i := 1; i < n-1; i++ {
 		d := float64(t.samples[i].Power) -
 			0.5*float64(t.samples[i-1].Power+t.samples[i+1].Power)
-		devs = append(devs, math.Abs(d))
+		r.devs[i-1] = math.Abs(d)
 	}
-	noise := 1.4826 * median(devs)
+	noise := 1.4826 * median(r.devs)
 
 	// Pass 1: replace glitches in place.
-	powers := make([]units.Watts, n)
+	powers := resize(r.powers, n)
+	r.powers = powers
 	for i, s := range t.samples {
 		powers[i] = s.Power
 	}
-	glitch := make([]bool, n)
+	glitch := resize(r.glitch, n)
+	r.glitch = glitch
+	clear(glitch)
 	for i := 1; i < n-1; i++ {
 		d := float64(t.samples[i].Power) -
 			0.5*float64(t.samples[i-1].Power+t.samples[i+1].Power)
@@ -133,7 +156,7 @@ func (t *Trace) Repair(interval units.Seconds, sigma float64) (*Trace, RepairRep
 	if gaps > 0 {
 		rep.Gaps = make([]Gap, 0, gaps)
 	}
-	out := New(n + fills)
+	out.samples = resize(out.samples, n+fills)[:0]
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			a, b := t.samples[i-1], t.samples[i]
@@ -156,6 +179,15 @@ func (t *Trace) Repair(interval units.Seconds, sigma float64) (*Trace, RepairRep
 		}
 	}
 	return out, rep, nil
+}
+
+// resize returns s at length n, reallocated at exactly n when its
+// capacity is short. Its contents are stale; the caller overwrites them.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
 }
 
 // median returns the median of xs, reordering xs. Empty input returns 0.

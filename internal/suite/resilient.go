@@ -399,7 +399,11 @@ func measureStep(cfg *Config, model *power.Model, meter *power.Meter,
 	}
 	var rep series.RepairReport
 	if cfg.Faults.MeterFaulty() {
-		if trace, rep, err = trace.Repair(meterCfg.Interval, 0); err != nil {
+		repairer := new(series.Repairer)
+		if sc := cfg.scratch; sc != nil {
+			repairer = &sc.repairer
+		}
+		if trace, rep, err = repairer.Repair(trace, meterCfg.Interval, 0); err != nil {
 			return BenchmarkRun{}, fmt.Errorf("suite: repairing %s trace: %w", st.name, err)
 		}
 		if rec := cfg.Trace; rec != nil {

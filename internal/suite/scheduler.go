@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/power"
+	"repro/internal/series"
 	"repro/internal/units"
 )
 
@@ -19,6 +20,10 @@ import (
 // results — it only recycles storage the runner has already drained.
 type cellScratch struct {
 	meter *power.Meter
+	// repairer repairs faulty meter traces into reused buffers; the
+	// runner folds each repaired trace into scalars before the next
+	// repair, as it does with the meter's traces.
+	repairer series.Repairer
 	// steps caches the assembled benchmark steps; stepNames records the
 	// list they were built from, so a plan whose Configure varies the
 	// benchmark list per cell still rebuilds.

@@ -133,9 +133,9 @@ type Config struct {
 	Trace obs.Recorder
 
 	// scratch, when the sweep scheduler sets it, carries per-worker
-	// reusable buffers (the meter and its sample storage) across the
-	// cells a worker runs. Strictly an allocation optimisation: results
-	// are byte-identical with or without it.
+	// reusable buffers (the meter, its sample storage and the trace
+	// repairer) across the cells a worker runs. Strictly an allocation
+	// optimisation: results are byte-identical with or without it.
 	scratch *cellScratch
 }
 
