@@ -240,8 +240,7 @@ func TestClassifySpanAndEvent(t *testing.T) {
 	}{
 		{obs.Event{Name: obs.EventNodeCrash}, KindCrash},
 		{obs.Event{Name: obs.EventStraggler}, KindStraggler},
-		{obs.Event{Name: obs.EventGapFilled}, KindRepair},
-		{obs.Event{Name: obs.EventOutlier}, KindRepair},
+		{obs.Event{Name: obs.EventRepair}, KindRepair},
 		{obs.Event{Name: obs.EventMPIAbort}, KindAbort},
 		{obs.Event{Name: "anything else"}, KindEvent},
 	}

@@ -107,7 +107,7 @@ func classifyEvent(e obs.Event) Kind {
 		return KindCrash
 	case obs.EventStraggler:
 		return KindStraggler
-	case obs.EventGapFilled, obs.EventOutlier:
+	case obs.EventRepair:
 		return KindRepair
 	case obs.EventMPIAbort:
 		return KindAbort

@@ -6,8 +6,8 @@ package obs
 // wall-clock planes agreeing on what a record means; the string values
 // are part of the golden trace format and must not change.
 const (
-	// TrackMeter carries the power meter's sampling windows and the
-	// gap/outlier repair events.
+	// TrackMeter carries the power meter's sampling windows and their
+	// repair events.
 	TrackMeter = "meter"
 	// TrackSuite carries one span per suite run ("run p=N").
 	TrackSuite = "suite"
@@ -25,10 +25,10 @@ const (
 	EventNodeCrash = "fault: node crash"
 	// EventStraggler marks an injected straggler slowdown.
 	EventStraggler = "fault: straggler"
-	// EventGapFilled marks a meter gap repaired by interpolation.
-	EventGapFilled = "repair: gap filled"
-	// EventOutlier marks a meter sample rejected as an outlier.
-	EventOutlier = "repair: outlier rejected"
+	// EventRepair marks a meter window whose trace the repair pass
+	// changed, with counts of the holes, filled samples and rejected
+	// outliers.
+	EventRepair = "repair: meter trace repaired"
 	// EventMPIAbort marks a rank death that poisoned its mpirt world.
 	EventMPIAbort = "mpirt: abort"
 )

@@ -9,29 +9,16 @@ import (
 	"repro/internal/units"
 )
 
-// Gap locates one contiguous hole in a meter's sampling cadence: the
-// surviving samples bracketing it and how many samples were synthesised
-// inside. The observability layer turns these into trace events so an
-// audited run shows *where* the measurement was reconstructed, not just
-// how often.
-type Gap struct {
-	From   units.Seconds // last real sample before the hole
-	To     units.Seconds // first real sample after the hole
-	Filled int           // samples synthesised in between
-}
-
 // RepairReport counts what the gap-tolerant repair pass did to a trace.
 type RepairReport struct {
 	// GapsFilled is the number of samples synthesised where the meter's
 	// fixed cadence had holes (dropped samples).
 	GapsFilled int
+	// Gaps is the number of contiguous holes those samples filled.
+	Gaps int
 	// OutliersRejected is the number of glitch samples replaced by the
 	// interpolation of their neighbours.
 	OutliersRejected int
-	// Gaps locates each contiguous hole that was filled.
-	Gaps []Gap
-	// OutlierTimes records when each rejected glitch sample occurred.
-	OutlierTimes []units.Seconds
 }
 
 // Repair makes a meter trace from a faulty measurement path usable: glitch
@@ -114,9 +101,6 @@ func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Tra
 			rep.OutliersRejected++
 		}
 	}
-	if rep.OutliersRejected > 0 {
-		rep.OutlierTimes = make([]units.Seconds, 0, rep.OutliersRejected)
-	}
 	for i := 1; i < n-1; i++ {
 		if !glitch[i] {
 			continue
@@ -136,42 +120,31 @@ func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Tra
 			frac := float64(t.samples[i].At-a.At) / float64(b.At-a.At)
 			powers[i] = powers[lo] + units.Watts(frac)*(powers[hi]-powers[lo])
 		}
-		rep.OutlierTimes = append(rep.OutlierTimes, t.samples[i].At)
 	}
 
 	// Pass 2: fill cadence gaps by linear interpolation between the
 	// (already de-glitched) neighbours of each hole. Counting the holes
-	// and fills first, with the same loop, sizes the outputs exactly.
-	fills, gaps := 0, 0
+	// and fills first, with the same loop, sizes the output exactly.
 	for i := 1; i < n; i++ {
 		a, b := t.samples[i-1], t.samples[i]
-		before := fills
+		before := rep.GapsFilled
 		for at := a.At + interval; at < b.At-interval/2; at += interval {
-			fills++
+			rep.GapsFilled++
 		}
-		if fills > before {
-			gaps++
+		if rep.GapsFilled > before {
+			rep.Gaps++
 		}
 	}
-	if gaps > 0 {
-		rep.Gaps = make([]Gap, 0, gaps)
-	}
-	out.samples = resize(out.samples, n+fills)[:0]
+	out.samples = resize(out.samples, n+rep.GapsFilled)[:0]
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			a, b := t.samples[i-1], t.samples[i]
-			filled := 0
 			for at := a.At + interval; at < b.At-interval/2; at += interval {
 				frac := float64(at-a.At) / float64(b.At-a.At)
 				p := powers[i-1] + units.Watts(frac)*(powers[i]-powers[i-1])
 				if err := out.Append(at, p); err != nil {
 					return nil, rep, err
 				}
-				rep.GapsFilled++
-				filled++
-			}
-			if filled > 0 {
-				rep.Gaps = append(rep.Gaps, Gap{From: a.At, To: b.At, Filled: filled})
 			}
 		}
 		if err := out.Append(t.samples[i].At, powers[i]); err != nil {

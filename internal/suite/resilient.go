@@ -407,25 +407,19 @@ func measureStep(cfg *Config, model *power.Model, meter *power.Meter,
 			return BenchmarkRun{}, fmt.Errorf("suite: repairing %s trace: %w", st.name, err)
 		}
 		if rec := cfg.Trace; rec != nil {
-			for _, g := range rep.Gaps {
+			if rep.GapsFilled > 0 || rep.OutliersRejected > 0 {
+				// One event per repaired window, at its start: repair
+				// never moves a trace's first sample.
 				rec.Event(obs.Event{
 					Track: obs.TrackMeter,
-					Name:  obs.EventGapFilled,
-					At:    origin + g.From,
+					Name:  obs.EventRepair,
+					At:    origin + trace.At(0).At,
 					Attrs: []obs.Attr{
 						obs.Str("bench", st.name),
-						obs.Secs("from", g.From),
-						obs.Secs("to", g.To),
-						obs.Int("filled", g.Filled),
+						obs.Int("gaps", rep.Gaps),
+						obs.Int("filled", rep.GapsFilled),
+						obs.Int("outliers", rep.OutliersRejected),
 					},
-				})
-			}
-			for _, at := range rep.OutlierTimes {
-				rec.Event(obs.Event{
-					Track: obs.TrackMeter,
-					Name:  obs.EventOutlier,
-					At:    origin + at,
-					Attrs: []obs.Attr{obs.Str("bench", st.name)},
 				})
 			}
 			rec.Count("repair.gaps_filled", float64(rep.GapsFilled))

@@ -123,7 +123,7 @@ type Config struct {
 
 	// Trace receives the run's observability stream: a span per
 	// benchmark, retry attempt, backoff wait and meter window, an event
-	// per injected fault and meter repair, and campaign metrics.
+	// per injected fault and repaired meter window, and campaign metrics.
 	// Recording is strictly passive — it reads values the pipeline has
 	// already computed and can never perturb results, RNG draws or retry
 	// decisions. nil (or a nil *obs.Tracer, or obs.Discard) disables

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -154,5 +155,62 @@ func TestTraceTimelineTiles(t *testing.T) {
 	}
 	if !found {
 		t.Error("no run-level span on the suite track")
+	}
+}
+
+// TestRepairEventPerWindow checks that a traced run marks each repaired
+// meter window with one event at the window's start, whose counts are
+// the ones the benchmark's result reports.
+func TestRepairEventPerWindow(t *testing.T) {
+	cfg := faultyConfig(4)
+	tracer := obs.NewTracer()
+	cfg.Trace = tracer
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := map[units.Seconds]bool{}
+	for _, s := range tracer.Spans() {
+		if s.Track == obs.TrackMeter && s.Name == obs.NameMeterWindow {
+			windows[s.Start] = true
+		}
+	}
+	events := map[string]map[string]string{}
+	for _, e := range tracer.Events() {
+		if e.Name != obs.EventRepair {
+			continue
+		}
+		attrs := map[string]string{}
+		for _, a := range e.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if events[attrs["bench"]] != nil {
+			t.Errorf("%s: more than one repair event", attrs["bench"])
+		}
+		events[attrs["bench"]] = attrs
+		if !windows[e.At] {
+			t.Errorf("%s: repair event at %v starts no meter window", attrs["bench"], e.At)
+		}
+	}
+	for _, b := range res.Runs {
+		name := b.Measurement.Benchmark
+		attrs, ok := events[name]
+		if b.GapsFilled == 0 && b.OutliersRejected == 0 {
+			if ok {
+				t.Errorf("%s: repair event for an unrepaired window", name)
+			}
+			continue
+		}
+		if !ok {
+			t.Errorf("%s: repaired window has no repair event", name)
+			continue
+		}
+		if attrs["filled"] != strconv.Itoa(b.GapsFilled) || attrs["outliers"] != strconv.Itoa(b.OutliersRejected) {
+			t.Errorf("%s: event says filled %s, outliers %s; result says %d, %d",
+				name, attrs["filled"], attrs["outliers"], b.GapsFilled, b.OutliersRejected)
+		}
+		if gaps, _ := strconv.Atoi(attrs["gaps"]); (gaps == 0) != (b.GapsFilled == 0) || gaps > b.GapsFilled {
+			t.Errorf("%s: %d gaps for %d filled samples", name, gaps, b.GapsFilled)
+		}
 	}
 }
