@@ -2,12 +2,19 @@ package series
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 
 	"repro/internal/units"
 )
+
+// maxFill bounds the samples one repair may synthesise. A hole that
+// needs more, such as a timestamp far past its neighbour or an interval
+// too small to advance a clock of that magnitude, is an error instead of
+// an unbounded fill.
+const maxFill = 1 << 20
 
 // RepairReport counts what the gap-tolerant repair pass did to a trace.
 type RepairReport struct {
@@ -58,7 +65,7 @@ type Repairer struct {
 // Repair repairs t as Trace.Repair does, into the Repairer's buffers.
 func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Trace, RepairReport, error) {
 	var rep RepairReport
-	if interval <= 0 {
+	if !(interval > 0) { // also refuses NaN
 		return nil, rep, errors.New("series: repair needs a positive meter interval")
 	}
 	if sigma <= 0 {
@@ -129,7 +136,10 @@ func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Tra
 		a, b := t.samples[i-1], t.samples[i]
 		before := rep.GapsFilled
 		for at := a.At + interval; at < b.At-interval/2; at += interval {
-			rep.GapsFilled++
+			if rep.GapsFilled++; rep.GapsFilled > maxFill {
+				return nil, RepairReport{}, fmt.Errorf("series: repair would synthesise more than %d samples "+
+					"(a hole from %v to %v at interval %v)", maxFill, a.At, b.At, interval)
+			}
 		}
 		if rep.GapsFilled > before {
 			rep.Gaps++

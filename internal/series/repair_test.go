@@ -143,6 +143,23 @@ func TestRepairEdgeCases(t *testing.T) {
 	if _, _, err := flatTrace(t, 10, 250).Repair(0, 6); err == nil {
 		t.Error("non-positive interval accepted")
 	}
+	if _, _, err := flatTrace(t, 10, 250).Repair(units.Seconds(math.NaN()), 6); err == nil {
+		t.Error("NaN interval accepted")
+	}
+	// A hole wider than maxFill intervals, or one the interval cannot
+	// step across at its timestamps' magnitude, is refused, not filled.
+	wide := flatTrace(t, 10, 250)
+	wide.samples[9].At = maxFill + 10
+	if _, _, err := wide.Repair(1, 6); err == nil {
+		t.Error("hole of more than maxFill samples accepted")
+	}
+	far, err := FromSamples([]Sample{{At: 1e17, Power: 250}, {At: 1e17 + 64, Power: 250}, {At: 1e17 + 128, Power: 250}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := far.Repair(1, 6); err == nil {
+		t.Error("hole the interval cannot step across accepted")
+	}
 	// Tiny traces come back unchanged.
 	tiny := flatTrace(t, 2, 250)
 	out, rep, err := tiny.Repair(1, 6)
