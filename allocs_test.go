@@ -47,7 +47,8 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "power.Meter.Measure reused buffer", runs: 100, ceiling: 0, setup: setupMeterMeasure},
 		{name: "live.Bus.Publish no subscriber", runs: 1000, ceiling: 0, setup: setupBusPublish},
 		{name: "live.Hub.Tap span", runs: 1000, ceiling: 0, setup: setupTapSpan},
-		{name: "series.Trace.Repair", runs: 50, ceiling: 7, setup: setupRepair},
+		{name: "series.Trace.Repair", runs: 50, ceiling: 4, setup: setupRepair},
+		{name: "series.Repairer.Repair warm", runs: 50, ceiling: 0, setup: setupRepairerWarm},
 		{name: "obs.WriteChromeTrace", runs: 20, ceiling: 5, setup: setupChromeTrace},
 		{name: "suite.Run untraced", runs: 20, ceiling: 33, setup: setupSuiteRun(false)},
 		{name: "suite.Run traced", runs: 20, ceiling: 124, setup: setupSuiteRun(true)},
@@ -141,6 +142,29 @@ func setupTapSpan(*testing.T) func() {
 // setupRepair repairs BenchmarkRepair's trace: a 1 Hz hour-long stream
 // with periodic glitch spikes and 3 s dropped stretches.
 func setupRepair(t *testing.T) func() {
+	tr := repairTrace(t)
+	return func() {
+		if _, _, err := tr.Repair(1, 6); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// setupRepairerWarm repairs the same trace with one Repairer, the way
+// the sweep scheduler's per-worker scratch does: once its buffers have
+// grown, a repair allocates nothing.
+func setupRepairerWarm(t *testing.T) func() {
+	tr := repairTrace(t)
+	var r series.Repairer
+	return func() {
+		if _, _, err := r.Repair(tr, 1, 6); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// repairTrace builds BenchmarkRepair's trace.
+func repairTrace(t *testing.T) *series.Trace {
 	const n = 3600
 	tr := series.New(n)
 	at := units.Seconds(0)
@@ -158,11 +182,7 @@ func setupRepair(t *testing.T) func() {
 			t.Fatal(err)
 		}
 	}
-	return func() {
-		if _, _, err := tr.Repair(1, 6); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return tr
 }
 
 // chromeTraceRecords builds n trace records, half spans and half
