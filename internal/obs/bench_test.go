@@ -8,11 +8,13 @@ import (
 )
 
 // faultyShape builds a trace the size and shape of one traced faulty
-// campaign (about 1310 spans and 17 923 events): attempt and meter-window
-// spans over five tracks, and instant events that are mostly meter
-// repair marks carrying three or four attributes. Timestamps carry the
-// fractional offset a campaign's first benchmark leaves on every later
-// record.
+// campaign when the repair pass still marked every hole and outlier
+// (about 1310 spans and 17 923 events; one event per repaired window
+// leaves about 500): attempt and meter-window spans over five tracks,
+// and instant events that are mostly repair marks carrying three or
+// four attributes. Timestamps carry the fractional offset a campaign's
+// first benchmark leaves on every later record. The size is kept so
+// writer timings stay comparable across changes.
 func faultyShape() ([]Span, []Event) {
 	const nSpans, nEvents = 1310, 17923
 	tracks := []string{"HPL", TrackMeter, "STREAM", "IOzone", TrackSuite}
@@ -41,8 +43,7 @@ func faultyShape() ([]Span, []Event) {
 	return spans, events
 }
 
-// BenchmarkWriteChromeTrace encodes one faulty campaign's trace, the
-// artefact render that dominates a traced campaign's wall time.
+// BenchmarkWriteChromeTrace encodes faultyShape's trace.
 func BenchmarkWriteChromeTrace(b *testing.B) {
 	spans, events := faultyShape()
 	b.ReportAllocs()

@@ -74,30 +74,27 @@ func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Tra
 	n := len(t.samples)
 	out := &r.out
 	if n < 3 {
-		out.samples = append(resize(out.samples, 0), t.samples...)
+		out.samples = append(out.samples[:0], t.samples...)
 		return out, rep, nil
 	}
+	r.devs, r.powers, r.glitch = resize(r.devs, n-2), resize(r.powers, n), resize(r.glitch, n)
+	devs, powers, glitch := r.devs, r.powers, r.glitch
 
 	// Robust local-noise scale from the median absolute second difference:
 	// d_i = p_i - (p_{i-1}+p_{i+1})/2 is ~1.22×noise for white gauge noise
 	// and (step/2) only at load steps, which the neighbour-agreement test
 	// below excludes anyway.
-	r.devs = resize(r.devs, n-2)
 	for i := 1; i < n-1; i++ {
 		d := float64(t.samples[i].Power) -
 			0.5*float64(t.samples[i-1].Power+t.samples[i+1].Power)
-		r.devs[i-1] = math.Abs(d)
+		devs[i-1] = math.Abs(d)
 	}
-	noise := 1.4826 * median(r.devs)
+	noise := 1.4826 * median(devs)
 
 	// Pass 1: replace glitches in place.
-	powers := resize(r.powers, n)
-	r.powers = powers
 	for i, s := range t.samples {
 		powers[i] = s.Power
 	}
-	glitch := resize(r.glitch, n)
-	r.glitch = glitch
 	clear(glitch)
 	for i := 1; i < n-1; i++ {
 		d := float64(t.samples[i].Power) -
