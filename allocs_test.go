@@ -50,8 +50,8 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "series.Trace.Repair", runs: 50, ceiling: 4, setup: setupRepair},
 		{name: "series.Repairer.Repair warm", runs: 50, ceiling: 0, setup: setupRepairerWarm},
 		{name: "obs.WriteChromeTrace", runs: 20, ceiling: 5, setup: setupChromeTrace},
-		{name: "suite.Run untraced", runs: 20, ceiling: 33, setup: setupSuiteRun(false)},
-		{name: "suite.Run traced", runs: 20, ceiling: 124, setup: setupSuiteRun(true)},
+		{name: "suite.Run untraced", runs: 20, ceiling: 30, setup: setupSuiteRun(false)},
+		{name: "suite.Run traced", runs: 20, ceiling: 122, setup: setupSuiteRun(true)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

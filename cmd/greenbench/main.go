@@ -48,6 +48,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -75,6 +76,12 @@ func main() {
 	}
 	if err := run(*o); err != nil {
 		fmt.Fprintln(os.Stderr, "greenbench:", err)
+		// The flags resolve as a job spec, so a refused spec is a usage
+		// error like a bad flag.
+		var se *campaign.SpecError
+		if errors.As(err, &se) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }

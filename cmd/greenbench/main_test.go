@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -86,6 +89,16 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run(options{system: "testbed", procs: 9, placement: "cyclic"}); err == nil ||
 		!strings.Contains(err.Error(), "exceeds the 8 cores") {
 		t.Errorf("procs above the cores: %v", err)
+	}
+	// A retry budget whose doubling backoff overflows, or whose attempt
+	// count does, is refused before any cell runs.
+	out := filepath.Join(t.TempDir(), "out.json")
+	for _, retries := range []int{1100, math.MaxInt} {
+		err := run(options{system: "testbed", procs: 1, placement: "cyclic", retries: retries, out: out})
+		var se *campaign.SpecError
+		if !errors.As(err, &se) || se.Reason != campaign.ReasonBadSpec {
+			t.Errorf("-retries %d: %v, want a bad_spec refusal", retries, err)
+		}
 	}
 }
 

@@ -37,14 +37,6 @@ type Env struct {
 	Procs int
 	// Placement maps processes onto nodes.
 	Placement cluster.Placement
-	// Override optionally replaces the workload's default model
-	// configuration; its concrete type is the workload package's
-	// *ModelConfig (see Workload.DefaultConfig). A wrong type is a
-	// configuration error, not a silent fallback.
-	Override any
-	// EventBudget caps the discrete-event engine of event-driven models
-	// (0 keeps the engine default).
-	EventBudget uint64
 }
 
 // Simulated is what a workload's performance model hands the measurement
@@ -59,20 +51,15 @@ type Simulated struct {
 }
 
 // Workload is one benchmark of a TGI suite: a name, the unit its
-// performance is reported in, a default model configuration, and the
-// simulation that turns a machine spec into a performance + load-profile
-// pair. Implementations must be stateless and safe for concurrent use —
-// the parallel sweep scheduler runs one workload at several process
-// counts at once.
+// performance is reported in, and the simulation that turns a machine
+// spec into a performance + load-profile pair. Implementations must be
+// stateless and safe for concurrent use — the parallel sweep scheduler
+// runs one workload at several process counts at once.
 type Workload interface {
 	// Name is the canonical benchmark name as reported in measurements.
 	Name() string
 	// Metric names the performance unit (GFLOPS, MBPS, GUPS, ...).
 	Metric() string
-	// DefaultConfig returns the workload's default model configuration
-	// for (spec, procs) — the value an Env.Override replaces. The
-	// concrete type is the workload package's *ModelConfig.
-	DefaultConfig(spec *cluster.Spec, procs int) any
 	// Simulate runs the performance model against the (possibly
 	// fault-degraded) spec under env.
 	Simulate(spec *cluster.Spec, env Env) (Simulated, error)
@@ -186,18 +173,4 @@ func PaperOrder() []string {
 // registered but joins a suite only by explicit request.
 func ExtendedOrder() []string {
 	return []string{HPL, DGEMM, STREAM, PTRANS, RandomAccess, FFT, IOzone}
-}
-
-// overrideAs asserts an Env.Override to the workload's config type; a
-// nil override reports ok=false and a wrong type is a descriptive error.
-func overrideAs[T any](bench string, o any) (T, bool, error) {
-	var zero T
-	if o == nil {
-		return zero, false, nil
-	}
-	c, ok := o.(T)
-	if !ok {
-		return zero, false, fmt.Errorf("bench: %s override is %T, want %T", bench, o, zero)
-	}
-	return c, true, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/hpl"
 	"repro/internal/suite"
 )
 
@@ -21,9 +20,6 @@ func TestEveryWorkloadRoundTripsOnFire(t *testing.T) {
 			w, ok := bench.Lookup(name)
 			if !ok {
 				t.Fatalf("Names lists %q but Lookup misses it", name)
-			}
-			if w.DefaultConfig(spec, 32) == nil {
-				t.Errorf("%s: nil default config", name)
 			}
 			cfg := suite.DefaultConfig(spec, 32)
 			cfg.Benchmarks = []string{name}
@@ -111,24 +107,5 @@ func TestOrders(t *testing.T) {
 		if _, ok := bench.Lookup(name); !ok {
 			t.Errorf("ExtendedOrder lists unregistered %q", name)
 		}
-	}
-}
-
-// TestWrongOverrideTypeFailsLoudly: a tunable override of the wrong
-// concrete type must fail the run with a descriptive error, not fall
-// back to defaults silently.
-func TestWrongOverrideTypeFailsLoudly(t *testing.T) {
-	w, _ := bench.Lookup(bench.STREAM)
-	hplCfg := hpl.DefaultModelConfig(cluster.Testbed(), 4)
-	_, err := w.Simulate(cluster.Testbed(), bench.Env{
-		Procs:     4,
-		Placement: cluster.Cyclic,
-		Override:  &hplCfg,
-	})
-	if err == nil {
-		t.Fatal("wrong override type accepted")
-	}
-	if !strings.Contains(err.Error(), "override") {
-		t.Errorf("unhelpful override-type error: %v", err)
 	}
 }

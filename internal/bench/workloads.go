@@ -12,11 +12,9 @@ import (
 	"repro/internal/stream"
 )
 
-// The built-in workloads: one adapter per benchmark package. Each follows
-// the same shape — default config from (spec, procs), whole-config
-// replacement by a typed override, then the environment fields (placement,
-// process count, event budget) re-applied so an override can never detach
-// a benchmark from the run it is part of.
+// The built-in workloads: one adapter per benchmark package. Each builds
+// its package's default model configuration from (spec, procs), applies
+// the run's placement, and simulates.
 func init() {
 	Register(hplWorkload{})
 	Register(dgemmWorkload{})
@@ -32,17 +30,8 @@ type hplWorkload struct{}
 
 func (hplWorkload) Name() string   { return HPL }
 func (hplWorkload) Metric() string { return "GFLOPS" }
-func (hplWorkload) DefaultConfig(spec *cluster.Spec, procs int) any {
-	cfg := hpl.DefaultModelConfig(spec, procs)
-	return &cfg
-}
 func (hplWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := hpl.DefaultModelConfig(spec, env.Procs)
-	if o, ok, err := overrideAs[*hpl.ModelConfig](HPL, env.Override); err != nil {
-		return Simulated{}, err
-	} else if ok {
-		cfg = *o
-	}
 	cfg.Placement = env.Placement
 	res, err := hpl.Simulate(cfg)
 	if err != nil {
@@ -55,17 +44,8 @@ type dgemmWorkload struct{}
 
 func (dgemmWorkload) Name() string   { return DGEMM }
 func (dgemmWorkload) Metric() string { return "GFLOPS" }
-func (dgemmWorkload) DefaultConfig(spec *cluster.Spec, procs int) any {
-	cfg := dgemm.DefaultModelConfig(spec, procs)
-	return &cfg
-}
 func (dgemmWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := dgemm.DefaultModelConfig(spec, env.Procs)
-	if o, ok, err := overrideAs[*dgemm.ModelConfig](DGEMM, env.Override); err != nil {
-		return Simulated{}, err
-	} else if ok {
-		cfg = *o
-	}
 	cfg.Placement = env.Placement
 	res, err := dgemm.Simulate(cfg)
 	if err != nil {
@@ -78,17 +58,8 @@ type streamWorkload struct{}
 
 func (streamWorkload) Name() string   { return STREAM }
 func (streamWorkload) Metric() string { return "MBPS" }
-func (streamWorkload) DefaultConfig(spec *cluster.Spec, procs int) any {
-	cfg := stream.DefaultModelConfig(spec, procs)
-	return &cfg
-}
 func (streamWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := stream.DefaultModelConfig(spec, env.Procs)
-	if o, ok, err := overrideAs[*stream.ModelConfig](STREAM, env.Override); err != nil {
-		return Simulated{}, err
-	} else if ok {
-		cfg = *o
-	}
 	cfg.Placement = env.Placement
 	res, err := stream.Simulate(cfg)
 	if err != nil {
@@ -101,17 +72,8 @@ type ptransWorkload struct{}
 
 func (ptransWorkload) Name() string   { return PTRANS }
 func (ptransWorkload) Metric() string { return "MBPS" }
-func (ptransWorkload) DefaultConfig(spec *cluster.Spec, procs int) any {
-	cfg := ptrans.DefaultModelConfig(spec, procs)
-	return &cfg
-}
 func (ptransWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := ptrans.DefaultModelConfig(spec, env.Procs)
-	if o, ok, err := overrideAs[*ptrans.ModelConfig](PTRANS, env.Override); err != nil {
-		return Simulated{}, err
-	} else if ok {
-		cfg = *o
-	}
 	cfg.Placement = env.Placement
 	res, err := ptrans.Simulate(cfg)
 	if err != nil {
@@ -124,17 +86,8 @@ type randomAccessWorkload struct{}
 
 func (randomAccessWorkload) Name() string   { return RandomAccess }
 func (randomAccessWorkload) Metric() string { return "GUPS" }
-func (randomAccessWorkload) DefaultConfig(spec *cluster.Spec, procs int) any {
-	cfg := randomaccess.DefaultModelConfig(spec, procs)
-	return &cfg
-}
 func (randomAccessWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := randomaccess.DefaultModelConfig(spec, env.Procs)
-	if o, ok, err := overrideAs[*randomaccess.ModelConfig](RandomAccess, env.Override); err != nil {
-		return Simulated{}, err
-	} else if ok {
-		cfg = *o
-	}
 	cfg.Placement = env.Placement
 	res, err := randomaccess.Simulate(cfg)
 	if err != nil {
@@ -147,17 +100,8 @@ type fftWorkload struct{}
 
 func (fftWorkload) Name() string   { return FFT }
 func (fftWorkload) Metric() string { return "GFLOPS" }
-func (fftWorkload) DefaultConfig(spec *cluster.Spec, procs int) any {
-	cfg := fft.DefaultModelConfig(spec, procs)
-	return &cfg
-}
 func (fftWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := fft.DefaultModelConfig(spec, env.Procs)
-	if o, ok, err := overrideAs[*fft.ModelConfig](FFT, env.Override); err != nil {
-		return Simulated{}, err
-	} else if ok {
-		cfg = *o
-	}
 	cfg.Placement = env.Placement
 	res, err := fft.Simulate(cfg)
 	if err != nil {
@@ -171,36 +115,21 @@ type iozoneWorkload struct{}
 func (iozoneWorkload) Name() string   { return IOzone }
 func (iozoneWorkload) Metric() string { return "MBPS" }
 
-// ioDefault builds the sweep's IOzone configuration: one I/O client per
+// Simulate runs the sweep's IOzone configuration: one I/O client per
 // socket's worth of cores (clamped to the node count) — at 32 of Fire's
 // 128 cores the write test runs 4 clients, so the I/O sweep covers the
 // same 1…8-client range as the node axis of the paper's Figure 4 — and
 // every process contributes a fixed I/O volume (4.5 GB), so the test's
 // duration scales with the sweep the way the compute benchmarks' do.
-func ioDefault(spec *cluster.Spec, procs int) iozone.ModelConfig {
+func (iozoneWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	perClient := spec.Node.CPU.CoresPerSocket
-	ioClients := (procs + perClient - 1) / perClient
+	ioClients := (env.Procs + perClient - 1) / perClient
 	if ioClients > spec.Nodes {
 		ioClients = spec.Nodes
 	}
 	cfg := iozone.DefaultModelConfig(spec, ioClients)
-	cfg.FileBytesPerNode = 4.5e9 * float64(procs) / float64(ioClients)
-	return cfg
-}
-
-func (iozoneWorkload) DefaultConfig(spec *cluster.Spec, procs int) any {
-	cfg := ioDefault(spec, procs)
-	return &cfg
-}
-func (iozoneWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
-	cfg := ioDefault(spec, env.Procs)
-	if o, ok, err := overrideAs[*iozone.ModelConfig](IOzone, env.Override); err != nil {
-		return Simulated{}, err
-	} else if ok {
-		cfg = *o
-	}
+	cfg.FileBytesPerNode = 4.5e9 * float64(env.Procs) / float64(ioClients)
 	cfg.Procs = env.Procs
-	cfg.EventLimit = env.EventBudget
 	res, err := iozone.Simulate(cfg)
 	if err != nil {
 		return Simulated{}, err
@@ -216,17 +145,8 @@ type beffWorkload struct{}
 
 func (beffWorkload) Name() string   { return Beff }
 func (beffWorkload) Metric() string { return "MBPS" }
-func (beffWorkload) DefaultConfig(spec *cluster.Spec, procs int) any {
-	cfg := beff.DefaultModelConfig(spec, procs)
-	return &cfg
-}
 func (beffWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := beff.DefaultModelConfig(spec, env.Procs)
-	if o, ok, err := overrideAs[*beff.ModelConfig](Beff, env.Override); err != nil {
-		return Simulated{}, err
-	} else if ok {
-		cfg = *o
-	}
 	cfg.Placement = env.Placement
 	res, err := beff.Simulate(cfg)
 	if err != nil {

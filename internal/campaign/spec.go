@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -113,8 +114,14 @@ func (js JobSpec) Resolve() (*Resolved, error) {
 	if js.Retries < 0 {
 		return nil, specErrf(ReasonBadSpec, "retries must be non-negative, got %d", js.Retries)
 	}
+	if js.Retries == math.MaxInt {
+		return nil, specErrf(ReasonBadSpec, "retries=%d is too large: the attempt budget, retries+1, overflows", js.Retries)
+	}
 	if js.TimeoutSeconds < 0 {
 		return nil, specErrf(ReasonBadSpec, "timeout_seconds must be non-negative, got %g", js.TimeoutSeconds)
+	}
+	if err := js.retryPolicy().Validate(); err != nil {
+		return nil, &SpecError{Reason: ReasonBadSpec, Err: err}
 	}
 	if js.CellPauseMS < 0 {
 		return nil, specErrf(ReasonBadSpec, "cell_pause_ms must be non-negative, got %d", js.CellPauseMS)
@@ -160,29 +167,34 @@ func (js JobSpec) Resolve() (*Resolved, error) {
 }
 
 // CampaignSpec is the one translation of a resolved campaign into a
-// suite.CampaignSpec, shared by the CLI and Manager.runJob. Retries wait
-// through a 30-virtual-second backoff (doubling per retry), the
-// reboot/drain delay of a real campaign. The front end adds where the
-// campaign journals and renders, and its own hooks.
+// suite.CampaignSpec, shared by the CLI and Manager.runJob. The front
+// end adds where the campaign journals and renders, and its own hooks.
 func (r *Resolved) CampaignSpec() suite.CampaignSpec {
 	cs := suite.CampaignSpec{
 		Spec:       r.Spec,
 		Placement:  r.Placement,
 		Benchmarks: r.Benchmarks,
 		Faults:     r.Job.Faults,
-		Retry: suite.RetryPolicy{
-			MaxAttempts: r.Job.Retries + 1,
-			Backoff:     units.Seconds(30),
-			Timeout:     units.Seconds(r.Job.TimeoutSeconds),
-		},
-		Sweep:   r.Job.Sweep,
-		Procs:   r.Job.Procs,
-		Workers: r.Job.Workers,
+		Retry:      r.Job.retryPolicy(),
+		Sweep:      r.Job.Sweep,
+		Procs:      r.Job.Procs,
+		Workers:    r.Job.Workers,
 	}
 	if pause := r.CellPause; pause > 0 {
 		cs.PauseCell = func() { time.Sleep(pause) }
 	}
 	return cs
+}
+
+// retryPolicy is the spec's retry budget as the suite runs it. Retries
+// wait through a 30-virtual-second backoff (doubling per retry), the
+// reboot/drain delay of a real campaign.
+func (js JobSpec) retryPolicy() suite.RetryPolicy {
+	return suite.RetryPolicy{
+		MaxAttempts: js.Retries + 1,
+		Backoff:     units.Seconds(30),
+		Timeout:     units.Seconds(js.TimeoutSeconds),
+	}
 }
 
 // resolveBenchmarks expands "paper"/"extended" entries and resolves the

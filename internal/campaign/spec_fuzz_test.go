@@ -9,11 +9,13 @@ import (
 
 // FuzzJobSpec decodes an arbitrary POST /jobs body and resolves it, the
 // way the server admits a job. Resolution must never panic; a resolved
-// campaign must name a machine and a benchmark list; and every rejection
-// must be a *SpecError that writeSpecError answers with a 4xx, never a
-// 500. The committed corpus (testdata/fuzz/FuzzJobSpec) holds the
-// out-of-range fault plans, the over-sized single point, an inline
-// machine spec, keyword benchmark lists and a huge worker count.
+// campaign must name a machine and a benchmark list and carry a retry
+// policy the suite accepts, with at least one attempt; and every
+// rejection must be a *SpecError that writeSpecError answers with a 4xx,
+// never a 500. The committed corpus (testdata/fuzz/FuzzJobSpec) holds
+// the out-of-range fault plans, the over-sized single point, an inline
+// machine spec, keyword benchmark lists, a huge worker count and a retry
+// budget whose attempt count overflows.
 func FuzzJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var js JobSpec
@@ -24,6 +26,9 @@ func FuzzJobSpec(f *testing.F) {
 		if err == nil {
 			if r.Spec == nil || len(r.Benchmarks) == 0 {
 				t.Fatalf("resolved %s to an unrunnable campaign: %+v", body, r)
+			}
+			if p := r.CampaignSpec().Retry; p.MaxAttempts < 1 || p.Validate() != nil {
+				t.Fatalf("resolved %s to retry policy %+v the suite cannot run", body, p)
 			}
 			return
 		}

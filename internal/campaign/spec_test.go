@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,6 +22,8 @@ func TestResolveRejectsBadSpecs(t *testing.T) {
 		{"negative workers", JobSpec{Workers: -2}, ReasonBadSpec},
 		{"negative shards", JobSpec{Shards: -1}, ReasonBadSpec},
 		{"negative retries", JobSpec{Retries: -3}, ReasonBadSpec},
+		{"retries whose backoff overflows", JobSpec{Retries: 1100}, ReasonBadSpec},
+		{"retries whose attempt count overflows", JobSpec{Retries: math.MaxInt}, ReasonBadSpec},
 		{"negative timeout", JobSpec{TimeoutSeconds: -1}, ReasonBadSpec},
 		{"negative cell pause", JobSpec{CellPauseMS: -10}, ReasonBadSpec},
 		{"shards without sweep", JobSpec{Shards: 2}, ReasonBadSpec},

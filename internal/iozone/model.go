@@ -39,14 +39,6 @@ type ModelConfig struct {
 	// ClientOverhead is the fraction of per-client protocol overhead
 	// (metadata round trips, commit barriers) reducing effective rate.
 	ClientOverhead float64
-	// EventLimit caps the discrete-event simulation's event budget (0 uses
-	// the engine default). The resilient suite runner sets it to bound a
-	// runaway benchmark; exceeding it surfaces as sim.ErrEventLimit.
-	EventLimit uint64
-	// Hooks, when set, is attached to the discrete-event engine so an
-	// observer can watch events dispatch and clients contend for the
-	// shared backend. Purely passive; nil costs nothing.
-	Hooks *sim.Hooks
 }
 
 // DefaultModelConfig returns the configuration used by the paper
@@ -112,20 +104,19 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 		sc := desPool.Get().(*desScratch)
 		defer desPool.Put(sc)
 		if sc.eng == nil {
-			freshEng := sim.NewEngine(cfg.EventLimit)
+			freshEng := sim.NewEngine(0)
 			be, err := storage.NewBackend(freshEng, cfg.Spec.Storage.AggregateBps, cfg.Spec.Storage.PerClientBps)
 			if err != nil {
 				return nil, err
 			}
 			sc.eng, sc.be = freshEng, be
 		} else {
-			sc.eng.Reset(cfg.EventLimit)
+			sc.eng.Reset(0)
 			if err := sc.be.Reconfigure(cfg.Spec.Storage.AggregateBps, cfg.Spec.Storage.PerClientBps); err != nil {
 				return nil, err
 			}
 		}
 		eng, be := sc.eng, sc.be
-		eng.SetHooks(cfg.Hooks)
 		for i := 0; i < cfg.Nodes; i++ {
 			if err := be.SubmitWrite(fileBytes, nil); err != nil {
 				return nil, err

@@ -26,25 +26,6 @@ type event struct {
 	pos int32 // index in Engine.heap; -1 when the slot is free
 }
 
-// Hooks receives engine lifecycle callbacks — the observability layer's
-// attachment points. Every field is optional; a nil Hooks (the default)
-// costs one pointer comparison per event. Hooks observe, they must not
-// schedule: the engine's determinism contract is that identical inputs
-// dispatch identical event sequences with or without hooks attached.
-type Hooks struct {
-	// EventDispatched fires before each event's callback runs, with the
-	// event's virtual time and the live queue depth behind it.
-	EventDispatched func(at units.Seconds, queueDepth int)
-	// ProcessBlocked fires when a job starts waiting on a shared
-	// resource; active is the job count now contending for it.
-	ProcessBlocked func(at units.Seconds, active int)
-	// ProcessResumed fires when a job's resource wait completes.
-	ProcessResumed func(at units.Seconds, active int)
-	// ResourceContended fires when a submission makes a shared resource
-	// multi-tenant (two or more jobs splitting its capacity).
-	ResourceContended func(at units.Seconds, active int)
-}
-
 // Engine drives the virtual clock. The event queue is an intrusive
 // min-heap of indices into a pooled event arena: scheduling an event
 // reuses a free arena slot instead of allocating, and heap operations
@@ -60,7 +41,6 @@ type Engine struct {
 	events    uint64
 	limit     uint64
 	peakDepth int
-	hooks     *Hooks
 }
 
 // NewEngine returns an engine with the clock at zero. The engine refuses to
@@ -95,18 +75,10 @@ func (e *Engine) Reset(limit uint64) {
 	}
 	e.now, e.seq, e.events, e.peakDepth = 0, 0, 0, 0
 	e.limit = limit
-	e.hooks = nil
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() units.Seconds { return e.now }
-
-// SetHooks attaches lifecycle callbacks (nil detaches them).
-func (e *Engine) SetHooks(h *Hooks) { e.hooks = h }
-
-// Hooks returns the attached lifecycle callbacks, if any. Resources
-// built on the engine use this to share its attachment point.
-func (e *Engine) Hooks() *Hooks { return e.hooks }
 
 // Stats is a point-in-time summary of the engine's work, exposed so
 // event-driven benchmark models can report how hard the kernel worked
@@ -157,9 +129,8 @@ func (h Handle) Cancel() {
 var ErrPast = errors.New("sim: event scheduled in the past")
 
 // ErrEventLimit is returned (wrapped) when the engine exhausts its event
-// budget. Callers that impose a deliberate budget — the suite runner's
-// per-benchmark timeout — detect it with errors.Is and treat the run as
-// timed out rather than broken.
+// budget. The suite runner detects it with errors.Is and treats the
+// attempt as timed out rather than broken.
 var ErrEventLimit = errors.New("sim: event limit exceeded")
 
 // less orders heap entries by (time, sequence): the engine's FIFO
@@ -281,9 +252,6 @@ func (e *Engine) Step() (bool, error) {
 	e.events++
 	e.now = at
 	e.removeAt(0)
-	if h := e.hooks; h != nil && h.EventDispatched != nil {
-		h.EventDispatched(at, len(e.heap))
-	}
 	fn()
 	return true, nil
 }

@@ -61,95 +61,6 @@ func TestEngineLimitErrorNamesVirtualTime(t *testing.T) {
 	}
 }
 
-func TestEngineDispatchHook(t *testing.T) {
-	e := NewEngine(0)
-	var times []units.Seconds
-	e.SetHooks(&Hooks{EventDispatched: func(at units.Seconds, depth int) {
-		times = append(times, at)
-		if depth < 0 {
-			t.Errorf("negative queue depth %d", depth)
-		}
-	}})
-	for _, at := range []units.Seconds{3, 1, 2} {
-		if _, err := e.At(at, func() {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != 3 || times[0] != 1 || times[2] != 3 {
-		t.Errorf("dispatch times = %v", times)
-	}
-}
-
-func TestResourceHooks(t *testing.T) {
-	e := NewEngine(0)
-	var blocked, resumed, contended int
-	e.SetHooks(&Hooks{
-		ProcessBlocked:    func(units.Seconds, int) { blocked++ },
-		ProcessResumed:    func(units.Seconds, int) { resumed++ },
-		ResourceContended: func(at units.Seconds, active int) { contended++ },
-	})
-	r, err := NewSharedResource(e, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := r.Submit(10, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if blocked != 3 || resumed != 3 {
-		t.Errorf("blocked=%d resumed=%d, want 3/3", blocked, resumed)
-	}
-	// The second and third submissions make the resource multi-tenant.
-	if contended != 2 {
-		t.Errorf("contended = %d, want 2", contended)
-	}
-}
-
-// TestHooksDoNotPerturbSchedule pins the determinism contract: the same
-// workload dispatches identically with and without hooks attached.
-func TestHooksDoNotPerturbSchedule(t *testing.T) {
-	runIt := func(h *Hooks) []units.Seconds {
-		e := NewEngine(0)
-		e.SetHooks(h)
-		r, err := NewSharedResource(e, 4, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var finish []units.Seconds
-		for i := 0; i < 4; i++ {
-			if err := r.Submit(float64(4+i), func() { finish = append(finish, e.Now()) }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := e.RunAll(); err != nil {
-			t.Fatal(err)
-		}
-		return finish
-	}
-	bare := runIt(nil)
-	hooked := runIt(&Hooks{
-		EventDispatched:   func(units.Seconds, int) {},
-		ProcessBlocked:    func(units.Seconds, int) {},
-		ProcessResumed:    func(units.Seconds, int) {},
-		ResourceContended: func(units.Seconds, int) {},
-	})
-	if len(bare) != len(hooked) {
-		t.Fatalf("completion counts differ: %v vs %v", bare, hooked)
-	}
-	for i := range bare {
-		if bare[i] != hooked[i] {
-			t.Errorf("completion %d drifted: %v vs %v", i, bare[i], hooked[i])
-		}
-	}
-}
-
 // BenchmarkEngineDispatch measures the hot path: scheduling plus
 // dispatching one event through the heap.
 func BenchmarkEngineDispatch(b *testing.B) {

@@ -183,9 +183,6 @@ func (r *SharedResource) complete() {
 	r.jobs = keep
 	r.reschedule()
 	for _, done := range r.finished {
-		if h := r.eng.hooks; h != nil && h.ProcessResumed != nil {
-			h.ProcessResumed(r.eng.Now(), len(r.jobs))
-		}
 		if done != nil {
 			done()
 		}
@@ -199,14 +196,6 @@ func (r *SharedResource) Submit(amount float64, done func()) error {
 	}
 	r.advance()
 	r.jobs = append(r.jobs, srJob{remaining: amount, done: done})
-	if h := r.eng.hooks; h != nil {
-		if h.ProcessBlocked != nil {
-			h.ProcessBlocked(r.eng.Now(), len(r.jobs))
-		}
-		if h.ResourceContended != nil && len(r.jobs) > 1 {
-			h.ResourceContended(r.eng.Now(), len(r.jobs))
-		}
-	}
 	r.reschedule()
 	return nil
 }

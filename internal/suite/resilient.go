@@ -31,14 +31,12 @@ type RetryPolicy struct {
 	// Timeout fails an attempt whose simulated runtime exceeds it (0: no
 	// limit) — the straggler guard of a real suite harness.
 	Timeout units.Seconds
-	// EventBudget caps the discrete-event engine's event count for
-	// event-driven benchmark models (IOzone's shared-storage simulation);
-	// exceeding it counts as a timeout, not a hard error. 0 keeps the
-	// engine default.
-	EventBudget uint64
 }
 
-// Validate checks the policy's parameters.
+// Validate checks the policy's parameters, including that the backoff
+// waits of a benchmark that fails every attempt sum to a finite virtual
+// time: an infinite wait would reach the results as a WastedTime JSON
+// cannot encode.
 func (p RetryPolicy) Validate() error {
 	switch {
 	case p.Backoff < 0:
@@ -48,7 +46,26 @@ func (p RetryPolicy) Validate() error {
 	case p.Timeout < 0:
 		return fmt.Errorf("suite: negative timeout %v", p.Timeout)
 	}
+	if total := p.backoffTotal(); math.IsInf(total, 0) || math.IsNaN(total) {
+		return fmt.Errorf("suite: %d retries with backoff %v growing ×%v wait %v in total, beyond the virtual clock's range",
+			p.attempts()-1, p.Backoff, p.factor(), total)
+	}
 	return nil
+}
+
+// backoffTotal sums the backoff waits before every retry of the attempt
+// budget. The waits form a geometric series, so the sum is taken in
+// closed form: the budget may be as large as an int allows.
+func (p RetryPolicy) backoffTotal() float64 {
+	retries := p.attempts() - 1
+	if retries == 0 {
+		return 0
+	}
+	b, f := float64(p.Backoff), p.factor()
+	if f == 1 {
+		return b * float64(retries)
+	}
+	return b * (math.Pow(f, float64(retries)) - 1) / (f - 1)
 }
 
 // attempts returns the effective attempt budget.
@@ -59,14 +76,18 @@ func (p RetryPolicy) attempts() int {
 	return p.MaxAttempts
 }
 
+// factor returns the effective backoff growth factor.
+func (p RetryPolicy) factor() float64 {
+	if p.BackoffFactor == 0 {
+		return 2
+	}
+	return p.BackoffFactor
+}
+
 // delay returns the virtual-time backoff charged before attempt (1-based
 // retry index).
 func (p RetryPolicy) delay(attempt int) units.Seconds {
-	factor := p.BackoffFactor
-	if factor == 0 {
-		factor = 2
-	}
-	return p.Backoff * units.Seconds(math.Pow(factor, float64(attempt-1)))
+	return p.Backoff * units.Seconds(math.Pow(p.factor(), float64(attempt-1)))
 }
 
 // simulated is what a benchmark model hands the measurement stage.
@@ -92,20 +113,21 @@ type benchStep struct {
 // simulate runs the step's performance model against a (possibly
 // fault-degraded) spec under cfg's environment.
 func (st *benchStep) simulate(cfg *Config, spec *cluster.Spec) (simulated, error) {
-	sm, err := st.w.Simulate(spec, bench.Env{
-		Procs:       cfg.Procs,
-		Placement:   cfg.Placement,
-		Override:    cfg.Tunables.override(st.name),
-		EventBudget: cfg.Retry.EventBudget,
-	})
+	sm, err := st.w.Simulate(spec, bench.Env{Procs: cfg.Procs, Placement: cfg.Placement})
 	if err != nil {
 		return simulated{}, err
 	}
 	return simulated{perf: sm.Perf, profile: sm.Profile, engine: sm.Engine}, nil
 }
 
-// runSuite executes steps under the config's fault plan and retry policy.
-func runSuite(cfg Config, steps []benchStep) (*Result, error) {
+// runSuite executes cfg's suite under its fault plan and retry policy,
+// recycling sc's buffers. Every suite run takes this path: the sweep
+// scheduler passes a worker's scratch, Run a fresh one.
+func runSuite(cfg Config, sc *cellScratch) (*Result, error) {
+	steps, err := sc.stepsFor(&cfg)
+	if err != nil {
+		return nil, fmt.Errorf("suite: %w", err)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -115,55 +137,33 @@ func runSuite(cfg Config, steps []benchStep) (*Result, error) {
 	spec := cfg.Faults.ApplySpec(cfg.Spec)
 	model := cfg.PowerModel
 	if model == nil {
-		// A scratch-cached default model is reused only while the spec
-		// pointer is unchanged (an injected fault plan derives a new
-		// spec, which forces a rebuild). NewModel's output is a pure
-		// function of the spec and nothing here mutates it.
-		if sc := cfg.scratch; sc != nil && sc.model != nil && sc.model.Spec == spec {
-			model = sc.model
-		} else {
-			var err error
-			if model, err = power.NewModel(spec); err != nil {
+		// The cached default model is reused only while the spec pointer
+		// is unchanged (an injected fault plan derives a new spec, which
+		// forces a rebuild). NewModel's output is a pure function of the
+		// spec and nothing here mutates it.
+		if sc.model == nil || sc.model.Spec != spec {
+			if sc.model, err = power.NewModel(spec); err != nil {
 				return nil, err
 			}
-			if sc := cfg.scratch; sc != nil {
-				sc.model = model
-			}
 		}
+		model = sc.model
 	}
+	// A recycled meter is reconfigured, which restores NewMeter
+	// semantics, so its traces are bit-identical to a fresh meter's.
 	meterCfg := cfg.Faults.ApplyMeter(cfg.Meter)
-	var meter *power.Meter
-	if sc := cfg.scratch; sc != nil && sc.meter != nil {
-		// Scheduler-owned scratch: recycle the previous cell's meter (and
-		// its sample buffers). Reconfigure restores NewMeter semantics, so
-		// the sampled traces are bit-identical to a fresh meter's.
-		meter = sc.meter
-		if err := meter.Reconfigure(meterCfg); err != nil {
+	if sc.meter == nil {
+		if sc.meter, err = power.NewMeter(meterCfg); err != nil {
 			return nil, err
 		}
-	} else {
-		m, err := power.NewMeter(meterCfg)
-		if err != nil {
-			return nil, err
-		}
-		meter = m
-		if sc := cfg.scratch; sc != nil {
-			// The runner folds each sampled trace into scalars before the
-			// next measurement, so buffer recycling is safe here.
-			meter.ReuseSampleBuffer()
-			sc.meter = meter
-		}
-	}
-	var distBuf []int
-	if sc := cfg.scratch; sc != nil {
-		distBuf = sc.dist
-	}
-	dist, err := spec.DistributeInto(cfg.Procs, cfg.Placement, distBuf)
-	if err != nil {
+		// The runner folds each sampled trace into scalars before the
+		// next measurement, so buffer recycling is safe here.
+		sc.meter.ReuseSampleBuffer()
+	} else if err := sc.meter.Reconfigure(meterCfg); err != nil {
 		return nil, err
 	}
-	if sc := cfg.scratch; sc != nil {
-		sc.dist = dist
+	meter := sc.meter
+	if sc.dist, err = spec.DistributeInto(cfg.Procs, cfg.Placement, sc.dist); err != nil {
+		return nil, err
 	}
 
 	rec := cfg.Trace
@@ -173,7 +173,7 @@ func runSuite(cfg Config, steps []benchStep) (*Result, error) {
 	res := &Result{
 		System:      spec.Name,
 		Procs:       cfg.Procs,
-		ActiveNodes: cluster.ActiveNodes(dist),
+		ActiveNodes: cluster.ActiveNodes(sc.dist),
 		Placement:   cfg.Placement.String(),
 		Runs:        make([]BenchmarkRun, 0, len(steps)),
 	}
@@ -189,7 +189,7 @@ func runSuite(cfg Config, steps []benchStep) (*Result, error) {
 			}
 		}
 		benchStart := clock
-		run, err := runStep(&cfg, spec, model, meter, meterCfg, st, &clock)
+		run, err := runStep(&cfg, spec, model, meter, meterCfg, &sc.repairer, st, &clock)
 		if err != nil {
 			return nil, err
 		}
@@ -270,8 +270,8 @@ func statusLabel(s Status) string {
 // so the recorded spans tile the timeline the way the simulated campaign
 // spent it.
 func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
-	meter *power.Meter, meterCfg power.MeterConfig, st benchStep,
-	clock *units.Seconds) (BenchmarkRun, error) {
+	meter *power.Meter, meterCfg power.MeterConfig, repairer *series.Repairer,
+	st benchStep, clock *units.Seconds) (BenchmarkRun, error) {
 	rec := cfg.Trace
 	var wasted units.Seconds
 	var lastErr error
@@ -317,7 +317,7 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 		sm, err := st.simulate(cfg, spec)
 		if err != nil {
 			if errors.Is(err, sim.ErrEventLimit) {
-				// The event budget is a deliberate timeout, not a bug.
+				// An exhausted event budget is a timeout, not a bug.
 				wasted += cfg.Retry.Timeout
 				lastErr = fmt.Errorf("attempt %d: event budget exhausted: %v", attempt+1, err)
 				attemptSpan(attempt, cfg.Retry.Timeout, "event-budget", obs.Str("error", err.Error()))
@@ -347,7 +347,7 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 			continue
 		}
 		meter.SetOrigin(*clock)
-		run, err := measureStep(cfg, model, meter, meterCfg, st, sm, *clock)
+		run, err := measureStep(cfg, model, meter, meterCfg, repairer, st, sm, *clock)
 		if err != nil {
 			return BenchmarkRun{}, err
 		}
@@ -386,23 +386,19 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 }
 
 // measureStep meters a successful attempt: sample the load profile, repair
-// the trace when the fault plan perturbs the measurement path, optionally
-// lift to facility power, and fold into a measurement. origin is where the
-// attempt sits on the campaign's virtual-time axis; repair events are
-// placed relative to it.
+// the trace (with repairer) when the fault plan perturbs the measurement
+// path, optionally lift to facility power, and fold into a measurement.
+// origin is where the attempt sits on the campaign's virtual-time axis;
+// repair events are placed relative to it.
 func measureStep(cfg *Config, model *power.Model, meter *power.Meter,
-	meterCfg power.MeterConfig, st benchStep, sm simulated,
-	origin units.Seconds) (BenchmarkRun, error) {
+	meterCfg power.MeterConfig, repairer *series.Repairer, st benchStep,
+	sm simulated, origin units.Seconds) (BenchmarkRun, error) {
 	trace, err := meter.Measure(model, sm.profile)
 	if err != nil {
 		return BenchmarkRun{}, fmt.Errorf("suite: metering %s: %w", st.name, err)
 	}
 	var rep series.RepairReport
 	if cfg.Faults.MeterFaulty() {
-		repairer := new(series.Repairer)
-		if sc := cfg.scratch; sc != nil {
-			repairer = &sc.repairer
-		}
 		if trace, rep, err = repairer.Repair(trace, meterCfg.Interval, 0); err != nil {
 			return BenchmarkRun{}, fmt.Errorf("suite: repairing %s trace: %w", st.name, err)
 		}

@@ -281,6 +281,20 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Error("negative backoff accepted")
 	}
+	// Doubling 30 s over 1100 retries overflows the virtual clock. The
+	// sum is taken in closed form, so even an int-sized budget is
+	// checked at once, and a flat or shrinking backoff stays finite.
+	huge := DefaultConfig(cluster.Testbed(), 4)
+	huge.Retry = RetryPolicy{MaxAttempts: 1101, Backoff: 30}
+	if _, err := Run(huge); err == nil || !strings.Contains(err.Error(), "1100 retries") {
+		t.Errorf("overflowing backoff error = %v", err)
+	}
+	for _, factor := range []float64{1, 0.5} {
+		p := RetryPolicy{MaxAttempts: math.MaxInt, Backoff: 30, BackoffFactor: factor}
+		if err := p.Validate(); err != nil {
+			t.Errorf("factor %v over an int-sized budget refused: %v", factor, err)
+		}
+	}
 	badPlan := DefaultConfig(cluster.Testbed(), 4)
 	badPlan.Faults = &faults.Plan{CrashProb: 2}
 	if _, err := Run(badPlan); err == nil {

@@ -13,11 +13,12 @@ import (
 	"repro/internal/units"
 )
 
-// cellScratch is the per-worker reusable state the scheduler threads
-// through Config.scratch: buffers that survive from one cell to the next
-// on the same worker, so steady-state cells stop paying construction
-// costs. A scratch never crosses workers, and using one never changes
-// results — it only recycles storage the runner has already drained.
+// cellScratch is the reusable state a suite run draws its buffers from.
+// Each sweep worker owns one, so buffers survive from one cell to the
+// next on the same worker and steady-state cells stop paying
+// construction costs; Run uses a fresh one. A scratch never crosses
+// workers, and reusing one never changes results — it only recycles
+// storage the runner has already drained.
 type cellScratch struct {
 	meter *power.Meter
 	// repairer repairs faulty meter traces into reused buffers; the
@@ -221,7 +222,6 @@ func (plan *SweepPlan) runCell(procs int, rec *obs.Tracer, scratch *cellScratch,
 	if rec != nil {
 		cfg.Trace = rec
 	}
-	cfg.scratch = scratch
 	if plan.Journal != nil {
 		plan.journalCell(&cfg, procs, rec, checkpoints)
 	}
@@ -230,7 +230,7 @@ func (plan *SweepPlan) runCell(procs int, rec *obs.Tracer, scratch *cellScratch,
 		cfg.Trace = plan.Live.Tap(cfg.Trace, procs)
 		done = plan.Live.BeginCell(procs)
 	}
-	r, err := Run(cfg)
+	r, err := runSuite(cfg, scratch)
 	if err != nil {
 		if done != nil {
 			done(err, 0, false)

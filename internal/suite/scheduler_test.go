@@ -217,6 +217,52 @@ func TestParallelSweepSharedJournal(t *testing.T) {
 
 // TestSweepPlanErrors: a failing cell reports the first axis position
 // that failed, wrapped with its process count, and Configure is required.
+// TestHeterogeneousCellsShareOneScratch runs cells that differ in every
+// key the worker's scratch caches on — spec (the power model), benchmark
+// list (the steps), placement (the process distribution) and meter
+// faults (the meter's configuration and the repairer) — back to back on
+// one worker, and requires each cell to serialise exactly like a
+// standalone Run of the same Config.
+func TestHeterogeneousCellsShareOneScratch(t *testing.T) {
+	testbed := cluster.Testbed()
+	configure := func(procs int) (Config, error) {
+		switch procs {
+		case 4:
+			return DefaultConfig(testbed, 4), nil
+		case 32:
+			cfg := DefaultConfig(cluster.Fire(), 32)
+			cfg.Benchmarks = ExtendedOrder
+			cfg.Placement = cluster.Block
+			cfg.Faults = &faults.Plan{Seed: 3, Meter: &faults.Meter{DropRate: 0.08, GlitchRate: 0.02, GlitchWatts: 400}}
+			return cfg, nil
+		case 8:
+			cfg := DefaultConfig(testbed, 8)
+			cfg.Benchmarks = []string{"HPL", "beff"}
+			return cfg, nil
+		}
+		return Config{}, fmt.Errorf("no cell at p=%d", procs)
+	}
+	axis := []int{4, 32, 8}
+	rs, err := RunSweepPlan(SweepPlan{Axis: axis, Configure: configure})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, procs := range axis {
+		cfg, _ := configure(procs)
+		alone, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs[i].Runs[0].GapsFilled+rs[i].Runs[0].OutliersRejected == 0 && cfg.Faults != nil {
+			t.Errorf("p=%d: meter-faulty cell repaired nothing", procs)
+		}
+		got, want := marshalResults(t, rs[i:i+1]), marshalResults(t, []*Result{alone})
+		if !bytes.Equal(got, want) {
+			t.Errorf("p=%d: cell on a shared scratch differs from a standalone Run:\n%s\nwant\n%s", procs, got, want)
+		}
+	}
+}
+
 func TestSweepPlanErrors(t *testing.T) {
 	if _, err := RunSweepPlan(SweepPlan{Axis: []int{2}}); err == nil {
 		t.Error("plan without Configure accepted")

@@ -18,15 +18,14 @@ func (c *Config) benchmarks() []string {
 
 // stepsFor assembles the run's steps from the workload registry — the
 // suite layer knows no benchmark by name. Each step wraps one registered
-// workload; the run's environment (process count, placement, tunable
-// override, event budget) is threaded in at simulate time, so the
-// resilience machinery, journaling, tracing and reports treat every
-// workload identically. Steps carry no per-run state, and a scheduler
-// scratch caches the assembled list across the cells of a sweep (every
-// cell of one sweep runs the same benchmark list).
-func stepsFor(cfg *Config) ([]benchStep, error) {
+// workload; the run's environment (process count, placement) is threaded
+// in at simulate time, so the resilience machinery, journaling, tracing
+// and reports treat every workload identically. Steps carry no per-run
+// state, so the scratch keeps the assembled list for the next cell that
+// runs the same benchmark list.
+func (sc *cellScratch) stepsFor(cfg *Config) ([]benchStep, error) {
 	names := cfg.benchmarks()
-	if sc := cfg.scratch; sc != nil && sameNames(sc.stepNames, names) {
+	if sameNames(sc.stepNames, names) {
 		return sc.steps, nil
 	}
 	resolved, err := bench.Resolve(names)
@@ -38,10 +37,8 @@ func stepsFor(cfg *Config) ([]benchStep, error) {
 		w, _ := bench.Lookup(name)
 		steps = append(steps, benchStep{name: w.Name(), metric: w.Metric(), w: w})
 	}
-	if sc := cfg.scratch; sc != nil {
-		sc.steps = steps
-		sc.stepNames = append(sc.stepNames[:0], names...)
-	}
+	sc.steps = steps
+	sc.stepNames = append(sc.stepNames[:0], names...)
 	return steps, nil
 }
 

@@ -25,11 +25,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/hpl"
-	"repro/internal/iozone"
 	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/stream"
 	"repro/internal/units"
 )
 
@@ -49,44 +46,6 @@ func PaperOrder() []string { return bench.PaperOrder() }
 // the vocabulary Config.Benchmarks accepts.
 func Workloads() []string { return bench.Names() }
 
-// Tunables collects the benchmark-model knobs a run may override; zero
-// values select each model's defaults. The typed fields cover the
-// paper's three benchmarks; Overrides generalises the mechanism to every
-// registered workload.
-type Tunables struct {
-	HPL    *hpl.ModelConfig
-	Stream *stream.ModelConfig
-	IOzone *iozone.ModelConfig
-	// Overrides maps a canonical benchmark name (BenchHPL, "DGEMM", …)
-	// to the workload package's *ModelConfig, replacing that workload's
-	// default configuration wholesale. An entry here wins over the typed
-	// fields above; a value of the wrong concrete type fails the run
-	// with a descriptive error instead of being silently ignored.
-	Overrides map[string]any
-}
-
-// override resolves the effective override for one workload.
-func (t *Tunables) override(name string) any {
-	if o, ok := t.Overrides[name]; ok {
-		return o
-	}
-	switch name {
-	case BenchHPL:
-		if t.HPL != nil {
-			return t.HPL
-		}
-	case BenchSTREAM:
-		if t.Stream != nil {
-			return t.Stream
-		}
-	case BenchIOzone:
-		if t.IOzone != nil {
-			return t.IOzone
-		}
-	}
-	return nil
-}
-
 // Config describes one suite run.
 type Config struct {
 	Spec      *cluster.Spec
@@ -104,7 +63,6 @@ type Config struct {
 	// statistics are taken — the paper's future-work extension of TGI to
 	// "a center-wide view of the energy efficiency".
 	Facility *power.FacilitySpec
-	Tunables Tunables
 
 	// Faults injects the run's fault scenario (nil or empty: none).
 	Faults *faults.Plan
@@ -131,12 +89,6 @@ type Config struct {
 	// clock starts at zero; the sweep scheduler lays the cells of a sweep
 	// end to end on the campaign clock when it merges their traces.
 	Trace obs.Recorder
-
-	// scratch, when the sweep scheduler sets it, carries per-worker
-	// reusable buffers (the meter, its sample storage and the trace
-	// repairer) across the cells a worker runs. Strictly an allocation
-	// optimisation: results are byte-identical with or without it.
-	scratch *cellScratch
 }
 
 // Validate checks the configuration before any model runs, so a broken
@@ -270,11 +222,7 @@ func (r *Result) Benchmarks() []string {
 // Run executes the configured benchmark suite at one process count — the
 // paper's three benchmarks unless Config.Benchmarks names another set.
 func Run(cfg Config) (*Result, error) {
-	steps, err := stepsFor(&cfg)
-	if err != nil {
-		return nil, fmt.Errorf("suite: %w", err)
-	}
-	return runSuite(cfg, steps)
+	return runSuite(cfg, new(cellScratch))
 }
 
 // Sweep runs the suite at each process count and returns the results in

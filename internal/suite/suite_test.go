@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/power"
-	"repro/internal/stream"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -156,25 +155,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTunablesOverride(t *testing.T) {
-	cfg := DefaultConfig(cluster.Fire(), 32)
-	st := streamOverride(cluster.Fire(), 32)
-	cfg.Tunables.Stream = &st
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Run(DefaultConfig(cluster.Fire(), 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Halving the trials halves STREAM's duration.
-	if res.Runs[1].Measurement.Time >= base.Runs[1].Measurement.Time {
-		t.Errorf("override had no effect: %v vs %v",
-			res.Runs[1].Measurement.Time, base.Runs[1].Measurement.Time)
-	}
-}
-
 func TestPowerModelOverride(t *testing.T) {
 	cfg := DefaultConfig(cluster.Fire(), 32)
 	m, err := power.NewModel(cluster.Fire())
@@ -196,13 +176,6 @@ func TestPowerModelOverride(t *testing.T) {
 		t.Errorf("PSU ablation had no effect: %v vs %v",
 			res.Runs[0].Measurement.Power, base.Runs[0].Measurement.Power)
 	}
-}
-
-// streamOverride returns a stream config with half the default trials.
-func streamOverride(spec *cluster.Spec, procs int) stream.ModelConfig {
-	cfg := stream.DefaultModelConfig(spec, procs)
-	cfg.Trials = 1900
-	return cfg
 }
 
 func TestFacilityRaisesPowerLowersTGI(t *testing.T) {
