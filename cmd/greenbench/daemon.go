@@ -7,8 +7,8 @@ package main
 // progress, per-job NDJSON event streams, Prometheus metrics, reports.
 // Job specs resolve through campaign.JobSpec.Resolve, the same path the
 // CLI's own flags take, and sharded jobs start their workers with the
-// CLI's factory and argv builder (shard.go). This file only wires the
-// server flags into the campaign package.
+// CLI's factory (shard.go). This file only wires the server flags into
+// the campaign package.
 
 import (
 	"fmt"

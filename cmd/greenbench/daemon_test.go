@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/cluster"
+	"repro/internal/faults"
 )
 
 // startDaemon runs greenbench -daemon in-process on an ephemeral port
@@ -257,6 +259,56 @@ func TestDaemonShardedJobMatchesCLI(t *testing.T) {
 	mustEqualFiles(t, "results", seqOut, filepath.Join(st.Dir, campaign.ResultsFile))
 	mustEqualFiles(t, "trace", seqTrace, filepath.Join(st.Dir, campaign.TraceFile))
 	mustEqualFiles(t, "metrics", seqMetrics, filepath.Join(st.Dir, campaign.MetricsFile))
+
+	// An inline machine spec and fault plan, a retry budget, a timeout
+	// that stragglers exceed and a cell pause all reach the workers in
+	// their stdin assignments: the job matches the CLI run of the same
+	// campaign, and nothing is handed off through the job directory.
+	plan := &faults.Plan{Seed: 4, CrashProb: 0.2,
+		Crashes:   []faults.Crash{{Benchmark: "STREAM", Node: 1, At: 1}},
+		Straggler: &faults.Straggler{Prob: 0.1, ClockFactor: 0.5},
+		Meter:     &faults.Meter{DropRate: 0.05, GlitchRate: 0.02, GlitchWatts: 60}}
+	specPath := filepath.Join(dir, "machine.json")
+	planPath := filepath.Join(dir, "plan.json")
+	if err := cluster.SaveSpec(specPath, cluster.Testbed()); err != nil {
+		t.Fatal(err)
+	}
+	if err := faults.Save(planPath, plan); err != nil {
+		t.Fatal(err)
+	}
+	cli := options{
+		specPath: specPath, faultsPath: planPath, retries: 3, timeout: 1500, cellPause: time.Millisecond,
+		sweep: true, workers: 1, placement: "cyclic",
+		out:         filepath.Join(dir, "faulty.json"),
+		tracePath:   filepath.Join(dir, "faulty.trace.json"),
+		metricsPath: filepath.Join(dir, "faulty.metrics.json"),
+	}
+	if err := run(cli); err != nil {
+		t.Fatal(err)
+	}
+	st = submitJob(t, base, campaign.JobSpec{Spec: cluster.Testbed(), Sweep: true, Shards: 3,
+		Faults: plan, Retries: 3, TimeoutSeconds: 1500, CellPauseMS: 1})
+	st = waitJob(t, base, st.ID)
+	if st.State != campaign.StateDone {
+		t.Fatalf("faulty sharded job ended %s: %s", st.State, st.Error)
+	}
+	mustEqualFiles(t, "faulty results", cli.out, filepath.Join(st.Dir, campaign.ResultsFile))
+	mustEqualFiles(t, "faulty trace", cli.tracePath, filepath.Join(st.Dir, campaign.TraceFile))
+	mustEqualFiles(t, "faulty metrics", cli.metricsPath, filepath.Join(st.Dir, campaign.MetricsFile))
+	for _, pattern := range []string{"*.spec.json", "*.faults.json", "*.shard-*"} {
+		if left, _ := filepath.Glob(filepath.Join(st.Dir, pattern)); len(left) != 0 {
+			t.Errorf("faulty sharded job left %v in its directory", left)
+		}
+	}
+	data, err := os.ReadFile(cli.tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"outcome": "crashed"`, `"outcome": "timeout"`} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("faulty campaign trace lacks %s: the plan or timeout did not act", want)
+		}
+	}
 }
 
 // TestDaemonOpsEndpoints scrapes the operational surface of a working

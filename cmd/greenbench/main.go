@@ -87,8 +87,7 @@ func main() {
 }
 
 // defineFlags registers greenbench's flags on fs, bound to the fields of
-// the returned options. A shard worker's argv (workerArgs) parses back
-// through the same set.
+// the returned options.
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.system, "system", "fire", "cluster model: "+strings.Join(cluster.Names(), ", "))
@@ -120,10 +119,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.shards, "shards", 0, "run the sweep as this many supervised worker processes (crash isolation; needs -sweep and -o/-journal)")
 	fs.DurationVar(&o.shardTimeout, "shard-timeout", 30*time.Second, "kill and relaunch a shard worker whose heartbeat is silent this long")
 	fs.IntVar(&o.shardRetries, "shard-retries", 2, "relaunches per lost shard before bisecting to the poison cell (negative: none)")
-	fs.IntVar(&o.shardWorker, "shard-worker", 0, "internal: shard index when running as a supervised worker")
-	fs.StringVar(&o.shardAxis, "shard-axis", "", "internal: comma-separated process counts this worker owns (enables worker mode)")
-	fs.BoolVar(&o.shardTrace, "shard-trace", false, "internal: journal cell traces and metric ops in the worker")
-	fs.DurationVar(&o.shardTick, "shard-tick", time.Second, "internal: worker heartbeat interval")
+	fs.BoolVar(&o.shardWorker, "shard-worker", false, "internal: run as a supervised shard worker, reading the assignment as JSON on stdin")
 	fs.StringVar(&o.daemon, "daemon", "", "run as a multi-tenant campaign server on this address (e.g. :8080; POST /jobs)")
 	fs.StringVar(&o.daemonDir, "daemon-dir", "greenbench-jobs", "campaign server: directory for per-job journals and artefacts")
 	fs.IntVar(&o.maxJobs, "max-jobs", 2, "campaign server: jobs running concurrently (others queue)")
@@ -159,9 +155,6 @@ func validateCLI(o options) error {
 			return fmt.Errorf("-shards needs a checkpoint journal: pass -o or -journal so shard segments have somewhere to merge")
 		}
 	}
-	if o.shardAxis != "" && o.journalPath == "" {
-		return fmt.Errorf("-shard-axis is internal to sharded sweeps and needs -journal (run greenbench -sweep -shards N instead)")
-	}
 	if o.flightrecSize != 0 {
 		if err := live.CheckFlightCapacity(o.flightrecSize); err != nil {
 			return fmt.Errorf("-flightrec-size: %v", err)
@@ -171,8 +164,8 @@ func validateCLI(o options) error {
 		if o.native {
 			return fmt.Errorf("-daemon and -native are mutually exclusive: the daemon runs simulated campaigns submitted over HTTP")
 		}
-		if o.shardAxis != "" {
-			return fmt.Errorf("-daemon and -shard-axis are mutually exclusive: a shard worker cannot also be the server")
+		if o.shardWorker {
+			return fmt.Errorf("-daemon and -shard-worker are mutually exclusive: a shard worker cannot also be the server")
 		}
 		if o.maxJobs < 1 {
 			return fmt.Errorf("-max-jobs must be at least 1, got %d", o.maxJobs)
@@ -230,15 +223,12 @@ type options struct {
 	noOps        bool
 	opsSample    time.Duration
 	// Sharded sweeps (wall-clock plane; see internal/shard). shards > 1
-	// runs the sweep as supervised OS worker processes; a non-empty
-	// shardAxis switches this invocation into worker mode.
+	// runs the sweep as supervised OS worker processes; shardWorker
+	// switches this invocation into worker mode.
 	shards       int
 	shardTimeout time.Duration
 	shardRetries int
-	shardWorker  int
-	shardAxis    string
-	shardTrace   bool
-	shardTick    time.Duration
+	shardWorker  bool
 	// worker overrides the shard-worker factory of both a sharded sweep
 	// and the daemon — a test hook so e2e tests can re-enter the test
 	// binary instead of exec'ing a real greenbench.
@@ -467,6 +457,12 @@ func listWorkloads() error {
 }
 
 func run(o options) error {
+	// Worker mode: this process is one shard of a supervised sweep. Its
+	// assignment arrives on stdin, it heartbeats on stdout, and it never
+	// writes user-facing output — the parent does.
+	if o.shardWorker {
+		return campaign.RunShardWorker(os.Stdin, os.Stdout)
+	}
 	if o.list {
 		return listWorkloads()
 	}
@@ -480,13 +476,6 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	// Worker mode: this process is one shard of a supervised sweep. It
-	// runs its axis slice against its own journal segment, heartbeats on
-	// stdout, and never writes user-facing output — the parent does.
-	if o.shardAxis != "" {
-		return runShardWorker(o, job)
-	}
-
 	var tracer *obs.Tracer
 	if o.traced() {
 		tracer = obs.NewTracer()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -99,6 +100,52 @@ func TestRunRejectsBadInput(t *testing.T) {
 		if !errors.As(err, &se) || se.Reason != campaign.ReasonBadSpec {
 			t.Errorf("-retries %d: %v, want a bad_spec refusal", retries, err)
 		}
+	}
+}
+
+// TestRunLargestAcceptedRetries: a traced testbed sweep under a
+// near-certain crash plan, at the largest retry budget its job spec
+// resolves with, fails every benchmark through its whole budget and
+// still writes a valid Chrome trace and parseable metrics; one retry
+// more is refused as a bad spec. No accepted budget reaches +Inf.
+func TestRunLargestAcceptedRetries(t *testing.T) {
+	dir := t.TempDir()
+	planPath := filepath.Join(dir, "crash.json")
+	if err := faults.Save(planPath, &faults.Plan{Seed: 1, CrashProb: 0.999999}); err != nil {
+		t.Fatal(err)
+	}
+	o := options{
+		system: "testbed", sweep: true, workers: 1, placement: "cyclic", faultsPath: planPath,
+		tracePath: filepath.Join(dir, "trace.json"), metricsPath: filepath.Join(dir, "metrics.json"),
+	}
+	for o.retries = 900; o.retries < 1100; o.retries++ {
+		if _, err := o.resolve(); err != nil {
+			break
+		}
+	}
+	refused := o
+	o.retries--
+	if o.retries < 900 {
+		t.Fatalf("a retry budget of 900 is already refused")
+	}
+	err := run(refused)
+	var se *campaign.SpecError
+	if !errors.As(err, &se) || se.Reason != campaign.ReasonBadSpec {
+		t.Fatalf("-retries %d: %v, want a bad_spec refusal", refused.retries, err)
+	}
+	if err := run(o); err != nil {
+		t.Fatalf("-retries %d: %v", o.retries, err)
+	}
+	if _, err := obs.ValidateChromeTraceFile(o.tracePath); err != nil {
+		t.Errorf("-retries %d trace: %v", o.retries, err)
+	}
+	data, err := os.ReadFile(o.metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics map[string]any
+	if err := json.Unmarshal(data, &metrics); err != nil {
+		t.Errorf("-retries %d metrics: %v", o.retries, err)
 	}
 }
 

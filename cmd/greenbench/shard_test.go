@@ -2,47 +2,31 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
-// workerArgsEnv carries a shard worker's argv to the helper process:
-// exec'ing a real greenbench binary would exec the test binary, so the
-// worker re-enters through TestShardWorkerProcess, which parses the argv
-// with greenbench's own flag set.
-const workerArgsEnv = "GREENBENCH_SHARD_WORKER_ARGS"
+// workerEnv marks the test binary's re-entry as a shard worker: exec'ing
+// a real greenbench would exec the test binary, so the worker re-enters
+// through TestShardWorkerProcess, which runs greenbench's worker mode on
+// the assignment the supervisor writes to its stdin.
+const workerEnv = "GREENBENCH_TEST_SHARD_WORKER"
 
 // TestShardWorkerProcess is not a test: it is the shard worker child the
 // supervisor e2e tests launch.
 func TestShardWorkerProcess(t *testing.T) {
-	raw := os.Getenv(workerArgsEnv)
-	if raw == "" {
+	if os.Getenv(workerEnv) == "" {
 		return
 	}
-	var args []string
-	if err := json.Unmarshal([]byte(raw), &args); err != nil {
-		fmt.Fprintln(os.Stderr, "worker args:", err)
-		os.Exit(99)
-	}
-	fs := flag.NewFlagSet("greenbench", flag.ContinueOnError)
-	o := defineFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	if err := run(*o); err != nil {
+	if err := run(options{shardWorker: true}); err != nil {
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)
 	}
@@ -51,15 +35,10 @@ func TestShardWorkerProcess(t *testing.T) {
 
 // testWorker is the shard-worker factory of the e2e tests, for sharded
 // sweeps and daemon jobs alike: it launches this test binary as the
-// worker, with the argv workerArgs builds and a fast heartbeat.
-func testWorker(w campaign.WorkerSpec) (*exec.Cmd, error) {
-	w.Tick = 50 * time.Millisecond
-	args, err := json.Marshal(workerArgs(w))
-	if err != nil {
-		return nil, err
-	}
+// worker.
+func testWorker() (*exec.Cmd, error) {
 	cmd := exec.Command(os.Args[0], "-test.run=TestShardWorkerProcess$")
-	cmd.Env = append(os.Environ(), workerArgsEnv+"="+string(args))
+	cmd.Env = append(os.Environ(), workerEnv+"=1")
 	cmd.Stderr = os.Stderr
 	return cmd, nil
 }
@@ -128,9 +107,9 @@ func TestShardedSweepMatchesSequential(t *testing.T) {
 }
 
 // TestShardedSweepCarriesSpecAndFaults: a machine-spec file and a fault
-// plan reach the shard workers as files next to the journal, and the
-// sharded artefacts match the single-process run byte for byte; the
-// hand-off files are gone afterwards.
+// plan reach the shard workers inline in their assignments, and the
+// sharded artefacts match the single-process run byte for byte, with
+// nothing left next to the journal.
 func TestShardedSweepCarriesSpecAndFaults(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "machine.json")
@@ -274,11 +253,10 @@ func TestValidateCLI(t *testing.T) {
 		{"negative shards", options{workers: 1, shards: -1}, "-shards"},
 		{"shards without sweep", options{workers: 1, shards: 2, out: "x.json"}, "-sweep"},
 		{"shards without journal", options{workers: 1, shards: 2, sweep: true}, "journal"},
-		{"worker axis without journal", options{workers: 1, shardAxis: "1,2"}, "-journal"},
 		{"flightrec-size too small", options{workers: 1, flightrecSize: 1}, "-flightrec-size"},
 		{"flightrec-size too large", options{workers: 1, flightrecSize: 1 << 30}, "-flightrec-size"},
 		{"daemon with native", options{workers: 1, daemon: ":0", native: true, maxJobs: 1}, "-native"},
-		{"daemon as shard worker", options{workers: 1, daemon: ":0", shardAxis: "1,2", journalPath: "j", maxJobs: 1}, "-shard-axis"},
+		{"daemon as shard worker", options{workers: 1, daemon: ":0", shardWorker: true, maxJobs: 1}, "-shard-worker"},
 		{"daemon zero max-jobs", options{workers: 1, daemon: ":0"}, "-max-jobs"},
 		{"daemon zero ops-sample", options{workers: 1, daemon: ":0", maxJobs: 1}, "-ops-sample"},
 		{"ops-trace without shards", options{workers: 1, opsTracePath: "t.json"}, "-ops-trace"},
@@ -291,35 +269,5 @@ func TestValidateCLI(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-// TestWorkerArgs pins the one shard-worker argv, which sharded sweeps
-// and daemon shard jobs both start workers with, and checks that it
-// parses back through greenbench's flag set into the same campaign.
-func TestWorkerArgs(t *testing.T) {
-	w := campaign.WorkerSpec{
-		Task: shard.Task{Shard: 1, Procs: []int{4, 8}}, Segment: "seg.journal",
-		SpecFile: "machine.json", System: "ignored", Placement: "block",
-		Benchmarks: []string{"HPL", "STREAM"}, Traced: true, Retries: 3, TimeoutSeconds: 9.5,
-		CellPause: 1500 * time.Microsecond, FaultsFile: "plan.json", Tick: 2 * time.Second,
-	}
-	args := workerArgs(w)
-	want := "-shard-worker 1 -shard-axis 4,8 -journal seg.journal -shard-tick 2s" +
-		" -placement block -bench HPL,STREAM -spec machine.json -shard-trace" +
-		" -faults plan.json -retries 3 -timeout 9.5 -cellpause 1.5ms"
-	if got := strings.Join(args, " "); got != want {
-		t.Fatalf("worker argv:\n got  %s\n want %s", got, want)
-	}
-	fs := flag.NewFlagSet("greenbench", flag.ContinueOnError)
-	o := defineFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	if o.shardWorker != 1 || o.shardAxis != "4,8" || o.journalPath != "seg.journal" ||
-		o.shardTick != 2*time.Second || !o.shardTrace || o.specPath != "machine.json" ||
-		o.faultsPath != "plan.json" || o.retries != 3 || o.timeout != 9.5 ||
-		o.cellPause != 1500*time.Microsecond || o.placement != "block" || o.bench != "HPL,STREAM" {
-		t.Errorf("argv parsed back to %+v", *o)
 	}
 }

@@ -84,7 +84,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	srv, _ := startTestServer(t, ManagerConfig{})
 	// A server that can shard: its factory must never be reached, because
 	// every sharded submission below is rejected before it is queued.
-	sharding, _ := startTestServer(t, ManagerConfig{Worker: func(WorkerSpec) (*exec.Cmd, error) {
+	sharding, _ := startTestServer(t, ManagerConfig{Worker: func() (*exec.Cmd, error) {
 		t.Error("worker factory called for a rejected job")
 		return nil, errors.New("unreachable")
 	}})

@@ -1,8 +1,8 @@
 package campaign
 
 // Sharded campaign supervision, the one implementation behind the
-// greenbench CLI's -shards and daemon shard jobs. The split of
-// responsibilities:
+// greenbench CLI's -shards and daemon shard jobs, and the shard worker
+// both of them start. The split of responsibilities:
 //
 //   - internal/shard owns supervision mechanics: launching, heartbeat
 //     watchdog, retry with backoff, bisection, quarantine decisions.
@@ -10,14 +10,18 @@ package campaign
 //     their axis-order merge, and the resume machinery that turns the
 //     merged journal into results/trace/metrics byte-identical to a
 //     single-process run.
-//   - SuperviseShards glues them: describes each worker (WorkerSpec,
-//     heartbeat tick, on-disk spec and fault plan), seeds segments on
-//     resume, records quarantined cells, merges worker segments into the
-//     canonical journal, and writes the optional wall-clock supervisor
-//     timeline. A front end supplies only a WorkerFactory (which knows
-//     its own binary and argv) and a Monitor.
+//   - SuperviseShards glues them: hands each worker its assignment (a
+//     WorkerSpec, written as JSON on the worker's stdin), seeds segments
+//     on resume, records quarantined cells, merges worker segments into
+//     the canonical journal, and writes the optional wall-clock
+//     supervisor timeline. RunShardWorker is the other end of the pipe:
+//     it reads the WorkerSpec, resolves its job like any other, and runs
+//     the cells. A front end supplies only a WorkerFactory (which names
+//     its own executable) and a Monitor.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -28,9 +32,9 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/obs/ops"
 	"repro/internal/shard"
 	"repro/internal/suite"
@@ -42,35 +46,31 @@ func SegmentPath(journal string, i int) string {
 	return fmt.Sprintf("%s.shard-%d", journal, i)
 }
 
-// WorkerSpec is everything a front end needs to build one shard-worker
-// process. SuperviseShards fills it from the resolved campaign; the
-// factory turns it into an exec.Cmd.
+// WorkerSpec is one shard worker's assignment: the document
+// SuperviseShards writes as JSON on the worker's stdin and
+// RunShardWorker reads back. Job is the campaign as the front end
+// resolved it, with any machine spec and fault plan inline, so the
+// worker settles it through the same JobSpec.Resolve as the CLI and
+// POST /jobs.
 type WorkerSpec struct {
 	// Task is the shard's axis slice; Segment its private journal.
-	Task    shard.Task
-	Segment string
-	// SpecFile is a machine-spec JSON path; when empty, System names a
-	// built-in model.
-	SpecFile string
-	System   string
-	// Placement, Benchmarks, Retries, TimeoutSeconds and CellPause mirror
-	// the campaign; Traced asks the worker to journal cell traces.
-	Placement      string
-	Benchmarks     []string
-	Traced         bool
-	Retries        int
-	TimeoutSeconds float64
-	CellPause      time.Duration
-	// FaultsFile is a fault-plan JSON path ("" for none).
-	FaultsFile string
+	Task    shard.Task `json:"task"`
+	Segment string     `json:"segment"`
+	Job     JobSpec    `json:"job"`
+	// CellPause is Resolved.CellPause at full precision, which the CLI's
+	// -cellpause may set below the job's millisecond field.
+	CellPause time.Duration `json:"cell_pause"`
+	// Traced asks the worker to journal cell traces and metric ops.
+	Traced bool `json:"traced"`
 	// Tick is the worker's heartbeat interval.
-	Tick time.Duration
+	Tick time.Duration `json:"tick"`
 }
 
 // WorkerFactory builds (without starting) a shard-worker process. The
-// supervisor owns the command's stdout, so the factory must leave
-// cmd.Stdout nil.
-type WorkerFactory func(w WorkerSpec) (*exec.Cmd, error)
+// supervisor owns the command's stdin, where it writes the WorkerSpec,
+// and its stdout, the heartbeat channel: the factory must leave both
+// nil.
+type WorkerFactory func() (*exec.Cmd, error)
 
 // ShardPlan configures one sharded-sweep supervision pass.
 type ShardPlan struct {
@@ -94,9 +94,7 @@ type ShardPlan struct {
 	// shard.Spec); the workers heartbeat five times per timeout.
 	HeartbeatTimeout time.Duration
 	MaxRetries       int
-	// Log, when non-nil, receives the supervisor's per-event lines.
-	Log io.Writer
-	// Logger, when non-nil, receives structured supervision events.
+	// Logger, when non-nil, receives the supervisor's per-event records.
 	Logger *slog.Logger
 	// Monitor, when non-nil, receives shard lifecycle events (the live
 	// Hub satisfies it structurally).
@@ -137,14 +135,9 @@ func SuperviseShards(p ShardPlan) error {
 	if err := journal.Bind(c.Benchmarks); err != nil {
 		return err
 	}
-	worker, err := p.workerSpec()
-	for _, f := range []string{worker.SpecFile, worker.FaultsFile} {
-		if f != "" {
-			defer os.Remove(f)
-		}
-	}
-	if err != nil {
-		return err
+	tick := p.HeartbeatTimeout / 5
+	if tick <= 0 {
+		tick = time.Second
 	}
 
 	tasks := shard.Partition(p.Axis, c.Job.Shards)
@@ -195,13 +188,22 @@ func SuperviseShards(p ShardPlan) error {
 	rep, err := shard.Run(shard.Spec{
 		Tasks: tasks,
 		Start: func(t shard.Task) (*exec.Cmd, error) {
-			w := worker
-			w.Task, w.Segment = t, segments[t.Shard]
-			return p.Worker(w)
+			doc, err := json.Marshal(WorkerSpec{
+				Task: t, Segment: segments[t.Shard], Job: c.Job,
+				CellPause: c.CellPause, Traced: p.Traced, Tick: tick,
+			})
+			if err != nil {
+				return nil, err
+			}
+			cmd, err := p.Worker()
+			if err != nil {
+				return nil, err
+			}
+			cmd.Stdin = bytes.NewReader(doc)
+			return cmd, nil
 		},
 		HeartbeatTimeout: p.HeartbeatTimeout,
 		MaxRetries:       p.MaxRetries,
-		Log:              p.Log,
 		Logger:           p.Logger,
 		Monitor:          mon,
 	})
@@ -284,38 +286,82 @@ func SuperviseShards(p ShardPlan) error {
 	return nil
 }
 
-// workerSpec describes the plan's workers, minus the per-task Task and
-// Segment. A machine spec without a built-in name and a fault plan reach
-// the workers as files next to the journal, because inline JSON has no
-// argv form; SuperviseShards removes them when the pass ends.
-func (p *ShardPlan) workerSpec() (WorkerSpec, error) {
-	c := p.Campaign
-	w := WorkerSpec{
-		System:         c.System,
-		Placement:      c.Placement.String(),
-		Benchmarks:     c.Benchmarks,
-		Traced:         p.Traced,
-		Retries:        c.Job.Retries,
-		TimeoutSeconds: c.Job.TimeoutSeconds,
-		CellPause:      c.CellPause,
-		Tick:           p.HeartbeatTimeout / 5,
+// RunShardWorker is the shard-worker process: it reads its WorkerSpec
+// from in, resolves the job, runs the assigned axis slice on one worker,
+// checkpoints every cell (with its cell-relative trace and metric ops
+// when Traced) into the private journal segment, and heartbeats on out.
+// out belongs to the supervisor's watchdog: no results are printed. The
+// segment is opened in resume mode unconditionally, so a relaunched
+// worker skips everything its predecessor checkpointed. The assignment
+// comes from outside the process, so anything incomplete or invalid is
+// an error before any cell runs.
+func RunShardWorker(in io.Reader, out io.Writer) error {
+	var w WorkerSpec
+	if err := json.NewDecoder(in).Decode(&w); err != nil {
+		return fmt.Errorf("shard worker: reading its assignment: %w", err)
 	}
-	if w.Tick <= 0 {
-		w.Tick = time.Second
+	if len(w.Task.Procs) == 0 {
+		return fmt.Errorf("shard worker: assignment holds no process counts")
 	}
-	if c.System == "" {
-		w.SpecFile = p.JournalPath + ".spec.json"
-		if err := cluster.SaveSpec(w.SpecFile, c.Spec); err != nil {
-			return w, err
+	for _, p := range w.Task.Procs {
+		if p < 1 {
+			return fmt.Errorf("shard worker: assignment entry %d is not a process count", p)
 		}
 	}
-	if c.Job.Faults != nil {
-		w.FaultsFile = p.JournalPath + ".faults.json"
-		if err := faults.Save(w.FaultsFile, c.Job.Faults); err != nil {
-			return w, err
+	if w.Segment == "" {
+		return fmt.Errorf("shard worker: assignment names no journal segment")
+	}
+	job, err := w.Job.Resolve()
+	if err != nil {
+		return err
+	}
+	job.CellPause = w.CellPause
+	pf, err := faults.ProcFaultFromEnv()
+	if err != nil {
+		return err
+	}
+	journal, err := suite.OpenJournal(w.Segment)
+	if err != nil {
+		return err
+	}
+	if err := journal.Bind(job.Benchmarks); err != nil {
+		return err
+	}
+	var tracer *obs.Tracer
+	if w.Traced {
+		tracer = obs.NewTracer()
+	}
+
+	beats := shard.NewBeatWriter(out, w.Task.Shard)
+	total := len(w.Task.Procs) * len(job.Benchmarks)
+	beats.Hello(total)
+	stop := shard.StartTicks(beats, w.Tick)
+	defer stop()
+	fire := func(d int) {
+		if pf.Fires(w.Task.Shard, d) {
+			stop()
+			pf.Fire(beats.Mute)
 		}
 	}
-	return w, nil
+	fire(0)
+
+	cs := job.CampaignSpec()
+	_, err = suite.RunSweepPlan(suite.SweepPlan{
+		Axis:    w.Task.Procs,
+		Trace:   tracer,
+		Journal: journal,
+		AfterCheckpoint: func(key string, done int64) error {
+			beats.Cell(key, int(done), total)
+			fire(int(done))
+			return nil
+		},
+		Configure: cs.Configure,
+	})
+	if err != nil {
+		return err
+	}
+	beats.Done()
+	return nil
 }
 
 // QuarantinedRun is the journal record for a cell lost to a poison

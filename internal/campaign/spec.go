@@ -117,7 +117,7 @@ func (js JobSpec) Resolve() (*Resolved, error) {
 	if js.Retries == math.MaxInt {
 		return nil, specErrf(ReasonBadSpec, "retries=%d is too large: the attempt budget, retries+1, overflows", js.Retries)
 	}
-	if js.TimeoutSeconds < 0 {
+	if !(js.TimeoutSeconds >= 0) { // NaN fails this too
 		return nil, specErrf(ReasonBadSpec, "timeout_seconds must be non-negative, got %g", js.TimeoutSeconds)
 	}
 	if err := js.retryPolicy().Validate(); err != nil {
@@ -163,6 +163,20 @@ func (js JobSpec) Resolve() (*Resolved, error) {
 		return nil, err
 	}
 	r.Benchmarks = benches
+	// Every failed attempt advances the campaign clock, which the trace
+	// writes in microseconds and the metrics sum over every benchmark and
+	// cell. Refuse a campaign whose clock could leave float64's range if
+	// all of its attempts failed.
+	cells := 1
+	if js.Sweep {
+		cells = len(suite.DefaultAxis(r.Spec))
+	}
+	worst := float64(js.retryPolicy().WorstCase()) * float64(cells*len(benches)) * 1e6
+	if math.IsInf(worst, 0) {
+		return nil, specErrf(ReasonBadSpec,
+			"retries=%d with timeout_seconds=%g over %d cell(s) of %d benchmark(s) could run the campaign clock past float64's range if every attempt failed",
+			js.Retries, js.TimeoutSeconds, cells, len(benches))
+	}
 	return r, nil
 }
 

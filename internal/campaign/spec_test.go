@@ -24,6 +24,14 @@ func TestResolveRejectsBadSpecs(t *testing.T) {
 		{"negative retries", JobSpec{Retries: -3}, ReasonBadSpec},
 		{"retries whose backoff overflows", JobSpec{Retries: 1100}, ReasonBadSpec},
 		{"retries whose attempt count overflows", JobSpec{Retries: math.MaxInt}, ReasonBadSpec},
+		// Each backoff alone is finite, but the campaign clock is not: in
+		// trace microseconds (1000), summed into suite.wasted_seconds
+		// (1015), or at the first journal checkpoint (1018).
+		{"retries whose clock overflows the trace", JobSpec{System: "testbed", Sweep: true, Retries: 1000}, ReasonBadSpec},
+		{"retries whose clock overflows the metrics", JobSpec{System: "testbed", Sweep: true, Retries: 1015}, ReasonBadSpec},
+		{"retries whose clock overflows the journal", JobSpec{System: "testbed", Sweep: true, Retries: 1018}, ReasonBadSpec},
+		{"timeout whose clock overflows", JobSpec{TimeoutSeconds: math.MaxFloat64}, ReasonBadSpec},
+		{"NaN timeout", JobSpec{TimeoutSeconds: math.NaN()}, ReasonBadSpec},
 		{"negative timeout", JobSpec{TimeoutSeconds: -1}, ReasonBadSpec},
 		{"negative cell pause", JobSpec{CellPauseMS: -10}, ReasonBadSpec},
 		{"shards without sweep", JobSpec{Shards: 2}, ReasonBadSpec},

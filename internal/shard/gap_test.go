@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -79,7 +80,7 @@ func TestSupervisorCountsBeatGaps(t *testing.T) {
 		Start:   gappyWorker(t),
 		Backoff: time.Millisecond,
 		Monitor: mon,
-		Log:     &log,
+		Logger:  slog.New(slog.NewTextHandler(&log, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)

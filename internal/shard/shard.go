@@ -29,9 +29,9 @@ package shard
 type Task struct {
 	// Shard is the index of the original shard this task descends from,
 	// used for logs, heartbeat attribution and fault-hook selection.
-	Shard int
+	Shard int `json:"shard"`
 	// Procs is the ordered slice of axis points the worker must run.
-	Procs []int
+	Procs []int `json:"procs"`
 }
 
 // Partition splits the sweep axis into n contiguous shards of near-equal

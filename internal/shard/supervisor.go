@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"os/exec"
 	"sort"
@@ -129,11 +128,9 @@ type Spec struct {
 	// per retry (default 250ms). Purely wall-clock pacing: it cannot
 	// affect the campaign's deterministic artifacts.
 	Backoff time.Duration
-	// Log, when non-nil, receives one line per supervision event.
-	Log io.Writer
-	// Logger, when non-nil, receives the same supervision events as
-	// structured records (the campaign server threads its NDJSON slog
-	// handler through here). Log and Logger are independent sinks.
+	// Logger, when non-nil, receives one structured record per
+	// supervision event (the CLI passes a text handler on stderr, the
+	// campaign server its NDJSON handler).
 	Logger *slog.Logger
 	// Monitor, when non-nil, receives shard lifecycle events.
 	Monitor Monitor
@@ -173,15 +170,6 @@ type supervisor struct {
 	beatGaps    int
 	cells       map[string]bool
 	quarantined []Quarantine
-}
-
-func (s *supervisor) logf(format string, args ...any) {
-	if s.spec.Log == nil {
-		return
-	}
-	s.mu.Lock()
-	fmt.Fprintf(s.spec.Log, "shard: "+format+"\n", args...)
-	s.mu.Unlock()
 }
 
 // slog emits a structured supervision record when a Logger is attached.
@@ -252,8 +240,6 @@ func (s *supervisor) supervise(t Task) error {
 	for attempt := 0; attempt <= s.spec.MaxRetries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(s.spec.Backoff << (attempt - 1))
-			s.logf("shard %d: relaunching (attempt %d of %d) after: %s",
-				t.Shard, attempt+1, s.spec.MaxRetries+1, lastLoss)
 			s.slog(slog.LevelInfo, "shard relaunching",
 				"shard", t.Shard, "attempt", attempt+1, "max_attempts", s.spec.MaxRetries+1, "reason", lastLoss)
 		}
@@ -274,7 +260,6 @@ func (s *supervisor) supervise(t Task) error {
 		s.mu.Lock()
 		s.losses++
 		s.mu.Unlock()
-		s.logf("shard %d: lost worker (procs %v): %s", t.Shard, t.Procs, loss)
 		s.slog(slog.LevelWarn, "shard worker lost",
 			"shard", t.Shard, "procs", fmt.Sprint(t.Procs), "reason", loss)
 		if m := s.spec.Monitor; m != nil {
@@ -290,8 +275,6 @@ func (s *supervisor) supervise(t Task) error {
 		mid := len(t.Procs) / 2
 		left := Task{Shard: t.Shard, Procs: t.Procs[:mid]}
 		right := Task{Shard: t.Shard, Procs: t.Procs[mid:]}
-		s.logf("shard %d: retries exhausted; bisecting %v into %v and %v",
-			t.Shard, t.Procs, left.Procs, right.Procs)
 		s.slog(slog.LevelInfo, "shard bisecting",
 			"shard", t.Shard, "left", fmt.Sprint(left.Procs), "right", fmt.Sprint(right.Procs))
 		if b, ok := s.spec.Monitor.(BisectMonitor); ok {
@@ -306,7 +289,6 @@ func (s *supervisor) supervise(t Task) error {
 	s.mu.Lock()
 	s.quarantined = append(s.quarantined, q)
 	s.mu.Unlock()
-	s.logf("shard %d: quarantining poison cell procs=%d: %s", t.Shard, q.Procs, q.Reason)
 	s.slog(slog.LevelWarn, "shard cell quarantined",
 		"shard", t.Shard, "procs", q.Procs, "reason", q.Reason)
 	if m := s.spec.Monitor; m != nil {
@@ -370,8 +352,6 @@ func (s *supervisor) runOnce(t Task) (loss string, err error) {
 		lastBeat.Store(time.Now().UnixNano())
 		if missed > 0 {
 			gaps += missed
-			s.logf("shard %d: heartbeat gap: %d line(s) missing before seq %d",
-				t.Shard, missed, b.Seq)
 			s.slog(slog.LevelWarn, "heartbeat gap",
 				"shard", t.Shard, "missed", missed, "seq", b.Seq)
 			if g, ok := s.spec.Monitor.(BeatGapMonitor); ok {

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -173,7 +174,7 @@ func TestSupervisorRetriesAfterSIGKILL(t *testing.T) {
 		Tasks:   []Task{{Shard: 0, Procs: []int{1, 2, 3}}},
 		Start:   fakeWorker(t, "MARKER="+marker),
 		Backoff: 5 * time.Millisecond,
-		Log:     &log,
+		Logger:  slog.New(slog.NewTextHandler(&log, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +272,7 @@ func TestSupervisorBisectsToPoisonCell(t *testing.T) {
 		Start:      fakeWorker(t, "POISON=3"),
 		MaxRetries: -1,
 		Backoff:    time.Millisecond,
-		Log:        &log,
+		Logger:     slog.New(slog.NewTextHandler(&log, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -68,6 +68,14 @@ func (p RetryPolicy) backoffTotal() float64 {
 	return b * (math.Pow(f, float64(retries)) - 1) / (f - 1)
 }
 
+// WorstCase bounds the virtual time one benchmark charges to the
+// campaign clock when every attempt of its budget fails: every backoff
+// wait plus Timeout per attempt. (A crash charges the model's runtime up
+// to the crash instead, which the bound leaves out.)
+func (p RetryPolicy) WorstCase() units.Seconds {
+	return units.Seconds(p.backoffTotal() + float64(p.attempts())*float64(p.Timeout))
+}
+
 // attempts returns the effective attempt budget.
 func (p RetryPolicy) attempts() int {
 	if p.MaxAttempts < 1 {
