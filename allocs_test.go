@@ -45,6 +45,7 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "probe/allocating closure", runs: 100, ceiling: 1, floor: 1, setup: setupAllocProbe},
 		{name: "sim.Engine schedule+dispatch", runs: 1000, ceiling: 0, setup: setupEngineDispatch},
 		{name: "power.Meter.Measure reused buffer", runs: 100, ceiling: 0, setup: setupMeterMeasure},
+		{name: "power.Meter.Measure after Reconfigure", runs: 100, ceiling: 0, setup: setupMeterReconfigure},
 		{name: "live.Bus.Publish no subscriber", runs: 1000, ceiling: 0, setup: setupBusPublish},
 		{name: "live.Hub.Tap span", runs: 1000, ceiling: 0, setup: setupTapSpan},
 		{name: "series.Trace.Repair", runs: 50, ceiling: 4, setup: setupRepair},
@@ -119,6 +120,41 @@ func setupMeterMeasure(t *testing.T) func() {
 		cluster.UniformPhase(60, 4, cluster.Util{CPU: 0.2}),
 	}}
 	return func() {
+		if _, err := meter.Measure(model, lp); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// setupMeterReconfigure reseeds a warm meter before every measurement,
+// as the sweep scheduler's scratch does at each cell: the draw cache
+// and the sample buffers are refilled in place, so a profile no longer
+// than the one that warmed them allocates nothing.
+func setupMeterReconfigure(t *testing.T) func() {
+	model, err := power.NewModel(cluster.Fire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := power.WattsUpPRO(42)
+	cfg.DropRate, cfg.GlitchRate, cfg.GlitchWatts = 0.05, 0.02, 60
+	meter, err := power.NewMeter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meter.ReuseSampleBuffer()
+	long := &cluster.LoadProfile{Phases: []cluster.Phase{
+		cluster.UniformPhase(90, 8, cluster.Util{CPU: 0.9, Mem: 0.4}),
+		cluster.UniformPhase(90, 4, cluster.Util{CPU: 0.2}),
+	}}
+	if _, err := meter.Measure(model, long); err != nil {
+		t.Fatal(err)
+	}
+	lp := &cluster.LoadProfile{Phases: long.Phases[:1]}
+	return func() {
+		cfg.Seed++
+		if err := meter.Reconfigure(cfg); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := meter.Measure(model, lp); err != nil {
 			t.Fatal(err)
 		}

@@ -270,12 +270,8 @@ func TestDaemonShardedJobMatchesCLI(t *testing.T) {
 		Meter:     &faults.Meter{DropRate: 0.05, GlitchRate: 0.02, GlitchWatts: 60}}
 	specPath := filepath.Join(dir, "machine.json")
 	planPath := filepath.Join(dir, "plan.json")
-	if err := cluster.SaveSpec(specPath, cluster.Testbed()); err != nil {
-		t.Fatal(err)
-	}
-	if err := faults.Save(planPath, plan); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONFile(t, specPath, cluster.Testbed())
+	writeJSONFile(t, planPath, plan)
 	cli := options{
 		specPath: specPath, faultsPath: planPath, retries: 3, timeout: 1500, cellPause: time.Millisecond,
 		sweep: true, workers: 1, placement: "cyclic",

@@ -25,9 +25,7 @@ func writeFaultPlan(t *testing.T, dir string) string {
 		Crashes:   []faults.Crash{{Benchmark: "HPL", Node: 1, At: 100, Attempt: 0}},
 		Straggler: &faults.Straggler{Prob: 1, ClockFactor: 0.9},
 	}
-	if err := faults.Save(planPath, plan); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONFile(t, planPath, plan)
 	return planPath
 }
 

@@ -111,9 +111,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 func TestRunLargestAcceptedRetries(t *testing.T) {
 	dir := t.TempDir()
 	planPath := filepath.Join(dir, "crash.json")
-	if err := faults.Save(planPath, &faults.Plan{Seed: 1, CrashProb: 0.999999}); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONFile(t, planPath, &faults.Plan{Seed: 1, CrashProb: 0.999999})
 	o := options{
 		system: "testbed", sweep: true, workers: 1, placement: "cyclic", faultsPath: planPath,
 		tracePath: filepath.Join(dir, "trace.json"), metricsPath: filepath.Join(dir, "metrics.json"),
@@ -152,9 +150,7 @@ func TestRunLargestAcceptedRetries(t *testing.T) {
 func TestRunWithSpecFile(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "spec.json")
-	if err := cluster.SaveSpec(specPath, cluster.Testbed()); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONFile(t, specPath, cluster.Testbed())
 	out := filepath.Join(dir, "out.json")
 	if err := run(options{specPath: specPath, procs: 4, out: out, placement: "cyclic"}); err != nil {
 		t.Fatal(err)
@@ -174,9 +170,7 @@ func TestRunWithFaultPlanRecovers(t *testing.T) {
 	plan := &faults.Plan{
 		Crashes: []faults.Crash{{Benchmark: "HPL", Node: 1, At: 100, Attempt: 0}},
 	}
-	if err := faults.Save(planPath, plan); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONFile(t, planPath, plan)
 	out := filepath.Join(dir, "out.json")
 	err := run(options{system: "testbed", procs: 4, out: out, placement: "cyclic",
 		faultsPath: planPath, retries: 1})
@@ -273,9 +267,7 @@ func TestRunObservabilityOutputs(t *testing.T) {
 		Straggler: &faults.Straggler{Prob: 1, ClockFactor: 0.8},
 		Meter:     &faults.Meter{DropRate: 0.05},
 	}
-	if err := faults.Save(planPath, plan); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONFile(t, planPath, plan)
 	// Ground truth: the same scenario untraced.
 	plain := filepath.Join(dir, "plain.json")
 	if err := run(options{system: "testbed", procs: 4, out: plain, placement: "cyclic",
@@ -329,15 +321,13 @@ func TestRunSweepResumeReplaysTrace(t *testing.T) {
 	// The README's fault plan with seed 4 plus a scheduled crash on
 	// STREAM's first attempt, so every cell retries.
 	planPath := filepath.Join(dir, "plan.json")
-	if err := faults.Save(planPath, &faults.Plan{
+	writeJSONFile(t, planPath, &faults.Plan{
 		Seed:      4,
 		CrashProb: 0.2,
 		Crashes:   []faults.Crash{{Benchmark: "STREAM", Node: 1, At: 1}},
 		Straggler: &faults.Straggler{Prob: 0.1, ClockFactor: 0.5},
 		Meter:     &faults.Meter{DropRate: 0.05, GlitchRate: 0.02, GlitchWatts: 60},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	for _, tc := range []struct {
 		name           string
 		placement      string
@@ -501,9 +491,7 @@ func TestRunSweepParallelMatchesSequential(t *testing.T) {
 		Straggler: &faults.Straggler{Prob: 1, ClockFactor: 0.8},
 		Meter:     &faults.Meter{DropRate: 0.05},
 	}
-	if err := faults.Save(planPath, plan); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONFile(t, planPath, plan)
 	read := func(p string) string {
 		b, err := os.ReadFile(p)
 		if err != nil {
@@ -607,6 +595,19 @@ func TestRunSweepJournalRefusesDifferentBenchList(t *testing.T) {
 	// The original composition still resumes cleanly.
 	if err := run(options{system: "testbed", sweep: true, out: out,
 		placement: "cyclic", journalPath: journalPath, resume: true}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeJSONFile writes v to path as indented JSON, the way a user hands
+// greenbench a machine spec or fault plan.
+func writeJSONFile(t *testing.T, path string, v any) {
+	t.Helper()
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

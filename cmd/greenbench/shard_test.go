@@ -113,15 +113,11 @@ func TestShardedSweepMatchesSequential(t *testing.T) {
 func TestShardedSweepCarriesSpecAndFaults(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "machine.json")
-	if err := cluster.SaveSpec(specPath, cluster.Testbed()); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONFile(t, specPath, cluster.Testbed())
 	planPath := filepath.Join(dir, "plan.json")
 	plan := &faults.Plan{Seed: 7, Crashes: []faults.Crash{{Benchmark: "HPL", Node: 1, At: 100}},
 		Meter: &faults.Meter{DropRate: 0.05}}
-	if err := faults.Save(planPath, plan); err != nil {
-		t.Fatal(err)
-	}
+	writeJSONFile(t, planPath, plan)
 	seq := shardedOptions(dir, "seq", 0)
 	seq.system, seq.specPath, seq.faultsPath, seq.retries = "", specPath, planPath, 1
 	if err := run(seq); err != nil {

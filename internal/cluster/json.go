@@ -10,22 +10,8 @@ import (
 // clusters for cmd/greenbench without recompiling. The exported struct
 // fields are the schema; LoadSpec validates on the way in.
 
-// SaveSpec writes a spec to path as indented JSON.
-func SaveSpec(path string, s *Spec) error {
-	if s == nil {
-		return fmt.Errorf("cluster: nil spec")
-	}
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// LoadSpec reads and validates a spec written by SaveSpec (or by hand).
+// LoadSpec reads and validates a spec written as JSON, by hand or by
+// json.Marshal.
 func LoadSpec(path string) (*Spec, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,7 +9,11 @@ import (
 
 func TestSpecJSONRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fire.json")
-	if err := SaveSpec(path, Fire()); err != nil {
+	b, err := json.MarshalIndent(Fire(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadSpec(path)
@@ -18,17 +23,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	orig := Fire()
 	if *back != *orig {
 		t.Errorf("spec did not round-trip:\n%+v\n%+v", back, orig)
-	}
-}
-
-func TestSaveSpecRejectsInvalid(t *testing.T) {
-	bad := Fire()
-	bad.Nodes = 0
-	if err := SaveSpec(filepath.Join(t.TempDir(), "x.json"), bad); err == nil {
-		t.Error("invalid spec saved")
-	}
-	if err := SaveSpec(filepath.Join(t.TempDir(), "y.json"), nil); err == nil {
-		t.Error("nil spec saved")
 	}
 }
 

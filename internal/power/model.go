@@ -181,17 +181,43 @@ func WattsUpPRO(seed uint64) MeterConfig {
 }
 
 // Meter is a simulated wall-plug power meter.
+//
+// The meter's random stream (gauge noise, glitches, dropped samples) is
+// a function of its config and the sample index alone, never of the
+// signal: every trace a meter samples sees the same draws at the same
+// indices. The meter therefore draws the stream once and caches it by
+// sample index, extending the cache lazily and in draw order when a
+// longer trace arrives; NewMeter and Reconfigure start a new stream. A
+// sweep cell's benchmarks and retried attempts all share one config, so
+// only the cell's longest trace draws fresh values.
+//
+// Sample times only increase, so Sample walks the exact trace with a
+// forward cursor instead of searching it for every sample.
 type Meter struct {
 	cfg    MeterConfig
 	rec    obs.Recorder
 	origin units.Seconds
+	// draws is the cached random stream by sample index; rng is the
+	// generator's state after the last cached draw.
+	draws []meterDraw
+	rng   sim.RNG
 	// exact is internal scratch for Measure's piecewise-constant signal;
 	// it never escapes the meter, so reusing it is always safe.
-	exact *series.Trace
+	exact series.Trace
 	// out is the sampled-trace scratch, reused only after ReuseSampleBuffer
 	// opted in (the returned trace then aliases it).
-	out   *series.Trace
+	out   series.Trace
 	reuse bool
+}
+
+// meterDraw is one sample index's share of the meter's random stream.
+// The noise and glitch values stay separate because Sample adds them to
+// the signal one after the other; their sum would round differently.
+type meterDraw struct {
+	noise    float64 // gauge noise, drawn when NoiseStdDev > 0
+	glitch   float64 // glitch excursion, valid when glitched
+	glitched bool
+	dropped  bool
 }
 
 // Instrument attaches an observability recorder: every sampling window
@@ -209,12 +235,12 @@ func NewMeter(cfg MeterConfig) (*Meter, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Meter{cfg: cfg}, nil
+	return &Meter{cfg: cfg, rng: *sim.NewRNG(cfg.Seed)}, nil
 }
 
 // validate checks the meter configuration's parameters.
 func (cfg MeterConfig) validate() error {
-	if cfg.Interval <= 0 {
+	if !(cfg.Interval > 0) { // also refuses NaN
 		return errors.New("power: meter interval must be positive")
 	}
 	if cfg.QuantumWatts < 0 || cfg.NoiseStdDev < 0 {
@@ -233,15 +259,17 @@ func (cfg MeterConfig) validate() error {
 }
 
 // Reconfigure resets the meter to the state NewMeter(cfg) would return —
-// recorder detached, origin zero — while keeping its sample buffers.
-// Recycling one meter across the cells of a sweep is how the scheduler's
-// per-worker scratch avoids re-growing the buffers for every cell;
-// sampling behaviour is bit-identical to a freshly-constructed meter's.
+// recorder detached, origin zero, draw cache emptied and reseeded —
+// while keeping its buffers. Recycling one meter across the cells of a
+// sweep is how the scheduler's per-worker scratch avoids re-growing the
+// buffers for every cell; sampling behaviour is bit-identical to a
+// freshly-constructed meter's.
 func (mt *Meter) Reconfigure(cfg MeterConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
 	mt.cfg, mt.rec, mt.origin = cfg, nil, 0
+	mt.draws, mt.rng = mt.draws[:0], *sim.NewRNG(cfg.Seed)
 	return nil
 }
 
@@ -256,10 +284,10 @@ func (mt *Meter) ReuseSampleBuffer() { mt.reuse = true }
 // meter would: fixed-interval sampling, quantisation, gauge noise, optional
 // sample loss. The returned trace covers the whole profile duration.
 func (mt *Meter) Measure(model *Model, lp *cluster.LoadProfile) (*series.Trace, error) {
-	if mt.exact == nil {
-		mt.exact = series.New(2 * len(lp.Phases))
+	if mt.exact.Samples() == nil {
+		mt.exact = *series.New(2 * len(lp.Phases))
 	}
-	exact, err := model.ProfileTraceInto(lp, mt.exact)
+	exact, err := model.ProfileTraceInto(lp, &mt.exact)
 	if err != nil {
 		return nil, err
 	}
@@ -272,36 +300,62 @@ func (mt *Meter) Sample(exact *series.Trace) (*series.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := sim.NewRNG(mt.cfg.Seed)
-	out := mt.out
-	if mt.reuse && out != nil {
+	n := int(float64(end-start)/float64(mt.cfg.Interval)) + 2
+	// The draw cache is sized with the sampled-trace buffer: both hold
+	// one entry per sample of the longest trace so far.
+	out := &mt.out
+	switch {
+	case !mt.reuse:
+		out = series.New(n)
+	case out.Samples() == nil:
+		*out = *series.New(n)
+	default:
 		out.Reset()
-	} else {
-		out = series.New(int(float64(end-start)/float64(mt.cfg.Interval)) + 2)
-		if mt.reuse {
-			mt.out = out
-		}
 	}
+	draws := mt.drawsFor(n)
+	ss := exact.Samples()
+	first, final := ss[0], ss[len(ss)-1]
+	// k is the cursor: the first exact sample at or after the current
+	// sample time, which is where Interpolate's search would land.
+	k := 1
 	dropped, glitched := 0, 0
-	for at := start; ; at += mt.cfg.Interval {
+	for i, at := 0, start; ; i, at = i+1, at+mt.cfg.Interval {
 		clamped := at
 		last := false
 		if clamped >= end {
 			clamped, last = end, true
 		}
-		p, err := exact.Interpolate(clamped)
-		if err != nil {
-			return nil, err
+		// Trace.Interpolate, with the cursor in place of its search.
+		var p units.Watts
+		switch {
+		case clamped <= first.At:
+			p = first.Power
+		case clamped >= final.At:
+			p = final.Power
+		default:
+			for ss[k].At < clamped {
+				k++
+			}
+			a, b := ss[k-1], ss[k]
+			if b.At == a.At { //greenvet:allow floateq -- exact duplicate-timestamp identity, not a tolerance test
+				p = b.Power
+			} else {
+				frac := float64(clamped-a.At) / float64(b.At-a.At)
+				p = a.Power + units.Watts(frac)*(b.Power-a.Power)
+			}
 		}
+		if i == len(draws) {
+			draws = mt.drawsFor(i + 1)
+		}
+		d := &draws[i]
 		v := float64(p)
 		if mt.cfg.NoiseStdDev > 0 {
-			v += rng.NormAt(0, mt.cfg.NoiseStdDev)
+			v += d.noise
 		}
 		// Glitches (failure injection): an occasional mis-read perturbs the
-		// sample by a large excursion. Guarded so a glitch-free meter
-		// consumes exactly the seed noise stream.
-		if mt.cfg.GlitchRate > 0 && rng.Float64() < mt.cfg.GlitchRate {
-			v += rng.NormAt(0, mt.cfg.GlitchWatts)
+		// sample by a large excursion.
+		if d.glitched {
+			v += d.glitch
 			glitched++
 		}
 		if q := mt.cfg.QuantumWatts; q > 0 {
@@ -310,9 +364,8 @@ func (mt *Meter) Sample(exact *series.Trace) (*series.Trace, error) {
 		if v < 0 {
 			v = 0
 		}
-		drop := mt.cfg.DropRate > 0 && rng.Float64() < mt.cfg.DropRate
 		// Never drop the boundary samples: the trace must span the window.
-		if drop && at != start && !last { //greenvet:allow floateq -- boundary samples are identified by exact virtual timestamps
+		if d.dropped && at != start && !last { //greenvet:allow floateq -- boundary samples are identified by exact virtual timestamps
 			dropped++
 			continue
 		}
@@ -350,4 +403,35 @@ func (mt *Meter) Sample(exact *series.Trace) (*series.Trace, error) {
 		mt.rec.Observe("meter.window_seconds", float64(end-start))
 	}
 	return out, nil
+}
+
+// drawsFor returns the meter's random stream with at least n draws,
+// drawing the missing ones in the order the sampling loop consumes them
+// per sample: gauge noise, then the glitch decision and magnitude, then
+// the drop decision. Each draw is guarded by its rate, so a meter
+// without glitches or drops consumes exactly the seed's noise stream.
+// The cache grows geometrically, so a run of ever-longer traces
+// reallocates it a logarithmic number of times.
+func (mt *Meter) drawsFor(n int) []meterDraw {
+	d := mt.draws
+	if n <= len(d) {
+		return d
+	}
+	if n > cap(d) {
+		d = append(make([]meterDraw, 0, max(n, 2*cap(d))), d...)
+	}
+	cfg, rng := &mt.cfg, &mt.rng
+	for len(d) < n {
+		var x meterDraw
+		if cfg.NoiseStdDev > 0 {
+			x.noise = rng.NormAt(0, cfg.NoiseStdDev)
+		}
+		if cfg.GlitchRate > 0 && rng.Float64() < cfg.GlitchRate {
+			x.glitch, x.glitched = rng.NormAt(0, cfg.GlitchWatts), true
+		}
+		x.dropped = cfg.DropRate > 0 && rng.Float64() < cfg.DropRate
+		d = append(d, x)
+	}
+	mt.draws = d
+	return d
 }

@@ -10,6 +10,32 @@ import (
 // BenchmarkRepair exercises the hot path of gap-tolerant metering: a
 // 1 Hz hour-long trace with periodic glitches and dropped stretches.
 func BenchmarkRepair(b *testing.B) {
+	tr := repairBenchTrace(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := tr.Repair(1, 6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRepairerWarm repairs the same trace with one Repairer, as a
+// sweep worker does from its second faulty cell on.
+func BenchmarkRepairerWarm(b *testing.B) {
+	tr := repairBenchTrace(b)
+	var r Repairer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := r.Repair(tr, 1, 6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// repairBenchTrace builds the benchmarks' trace.
+func repairBenchTrace(b *testing.B) *Trace {
 	const n = 3600
 	tr := New(n)
 	at := units.Seconds(0)
@@ -27,11 +53,5 @@ func BenchmarkRepair(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tr.Repair(1, 6); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return tr
 }

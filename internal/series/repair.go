@@ -56,13 +56,16 @@ func (t *Trace) Repair(interval units.Seconds, sigma float64) (*Trace, RepairRep
 // own and stays valid only until its next Repair call. The zero value is
 // ready to use; a Repairer is not safe for concurrent use.
 type Repairer struct {
-	devs   []float64
-	powers []units.Watts
+	absDev []float64
+	sel    []float64
 	glitch []bool
 	out    Trace
 }
 
-// Repair repairs t as Trace.Repair does, into the Repairer's buffers.
+// Repair repairs t as Trace.Repair does, into the Repairer's buffers. It
+// makes three passes over t: the second differences and the gap count,
+// the glitch test against their median, and the output, which replaces
+// glitches and fills gaps as it writes each sample in place.
 func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Trace, RepairReport, error) {
 	var rep RepairReport
 	if !(interval > 0) { // also refuses NaN
@@ -71,66 +74,29 @@ func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Tra
 	if sigma <= 0 {
 		sigma = 6
 	}
-	n := len(t.samples)
+	ss := t.samples
+	n := len(ss)
 	out := &r.out
 	if n < 3 {
-		out.samples = append(out.samples[:0], t.samples...)
+		out.samples = append(out.samples[:0], ss...)
 		return out, rep, nil
 	}
-	r.devs, r.powers, r.glitch = resize(r.devs, n-2), resize(r.powers, n), resize(r.glitch, n)
-	devs, powers, glitch := r.devs, r.powers, r.glitch
+	r.absDev, r.sel, r.glitch = resize(r.absDev, n-1), resize(r.sel, n-2), resize(r.glitch, n)
+	absDev, sel, glitch := r.absDev, r.sel, r.glitch
 
-	// Robust local-noise scale from the median absolute second difference:
-	// d_i = p_i - (p_{i-1}+p_{i+1})/2 is ~1.22×noise for white gauge noise
-	// and (step/2) only at load steps, which the neighbour-agreement test
-	// below excludes anyway.
-	for i := 1; i < n-1; i++ {
-		d := float64(t.samples[i].Power) -
-			0.5*float64(t.samples[i-1].Power+t.samples[i+1].Power)
-		devs[i-1] = math.Abs(d)
-	}
-	noise := 1.4826 * median(devs)
-
-	// Pass 1: replace glitches in place.
-	for i, s := range t.samples {
-		powers[i] = s.Power
-	}
-	clear(glitch)
-	for i := 1; i < n-1; i++ {
-		d := float64(t.samples[i].Power) -
-			0.5*float64(t.samples[i-1].Power+t.samples[i+1].Power)
-		spread := math.Abs(float64(t.samples[i+1].Power - t.samples[i-1].Power))
-		if math.Abs(d) > sigma*noise && spread < math.Abs(d) {
-			glitch[i] = true
-			rep.OutliersRejected++
-		}
-	}
-	for i := 1; i < n-1; i++ {
-		if !glitch[i] {
-			continue
-		}
-		lo := i - 1
-		for lo > 0 && glitch[lo] {
-			lo--
-		}
-		hi := i + 1
-		for hi < n-1 && glitch[hi] {
-			hi++
-		}
-		a, b := t.samples[lo], t.samples[hi]
-		if b.At == a.At { //greenvet:allow floateq -- exact duplicate-timestamp identity, not a tolerance test
-			powers[i] = b.Power
-		} else {
-			frac := float64(t.samples[i].At-a.At) / float64(b.At-a.At)
-			powers[i] = powers[lo] + units.Watts(frac)*(powers[hi]-powers[lo])
-		}
-	}
-
-	// Pass 2: fill cadence gaps by linear interpolation between the
-	// (already de-glitched) neighbours of each hole. Counting the holes
-	// and fills first, with the same loop, sizes the output exactly.
+	// Pass 1. The robust local-noise scale comes from the median absolute
+	// second difference: d_i = p_i - (p_{i-1}+p_{i+1})/2 is ~1.22×noise
+	// for white gauge noise and (step/2) only at load steps, which the
+	// neighbour-agreement test below excludes anyway. The same pass
+	// counts the samples that will fill the gaps in the meter's cadence,
+	// so the output is sized exactly and a runaway fill is refused before
+	// anything is written.
 	for i := 1; i < n; i++ {
-		a, b := t.samples[i-1], t.samples[i]
+		a, b := ss[i-1], ss[i]
+		if i < n-1 {
+			d := math.Abs(float64(b.Power) - 0.5*float64(a.Power+ss[i+1].Power))
+			absDev[i], sel[i-1] = d, d
+		}
 		before := rep.GapsFilled
 		for at := a.At + interval; at < b.At-interval/2; at += interval {
 			if rep.GapsFilled++; rep.GapsFilled > maxFill {
@@ -142,21 +108,56 @@ func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Tra
 			rep.Gaps++
 		}
 	}
-	out.samples = resize(out.samples, n+rep.GapsFilled)[:0]
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			a, b := t.samples[i-1], t.samples[i]
-			for at := a.At + interval; at < b.At-interval/2; at += interval {
-				frac := float64(at-a.At) / float64(b.At-a.At)
-				p := powers[i-1] + units.Watts(frac)*(powers[i]-powers[i-1])
-				if err := out.Append(at, p); err != nil {
-					return nil, rep, err
+	noise := 1.4826 * median(sel)
+
+	// Pass 2: a glitch is a sample far from its neighbours' mean, whose
+	// neighbours agree with each other better than with it.
+	glitch[0], glitch[n-1] = false, false
+	for i := 1; i < n-1; i++ {
+		d := absDev[i]
+		spread := math.Abs(float64(ss[i+1].Power - ss[i-1].Power))
+		glitch[i] = d > sigma*noise && spread < d
+		if glitch[i] {
+			rep.OutliersRejected++
+		}
+	}
+
+	// Pass 3: write the output. A glitch becomes the interpolation of
+	// the nearest clean samples on either side (lo and hi; the first and
+	// last samples are never glitches), and each gap is filled by linear
+	// interpolation between the de-glitched samples around it. Input
+	// order carries over, so no sample needs an ordering check.
+	out.samples = resize(out.samples, n+rep.GapsFilled)
+	o, lo, hi := 0, 0, 0
+	var prev units.Watts
+	for i, s := range ss {
+		p := s.Power
+		if !glitch[i] {
+			lo = i
+		} else {
+			if hi <= i {
+				for hi = i + 1; glitch[hi]; hi++ {
 				}
 			}
+			a, b := ss[lo], ss[hi]
+			if b.At == a.At { //greenvet:allow floateq -- exact duplicate-timestamp identity, not a tolerance test
+				p = b.Power
+			} else {
+				frac := float64(s.At-a.At) / float64(b.At-a.At)
+				p = a.Power + units.Watts(frac)*(b.Power-a.Power)
+			}
 		}
-		if err := out.Append(t.samples[i].At, powers[i]); err != nil {
-			return nil, rep, err
+		if i > 0 {
+			a := ss[i-1]
+			for at := a.At + interval; at < s.At-interval/2; at += interval {
+				frac := float64(at-a.At) / float64(s.At-a.At)
+				out.samples[o] = Sample{At: at, Power: prev + units.Watts(frac)*(p-prev)}
+				o++
+			}
 		}
+		out.samples[o] = Sample{At: s.At, Power: p}
+		o++
+		prev = p
 	}
 	return out, rep, nil
 }

@@ -472,9 +472,11 @@ func fromTrace(trace *series.Trace, name, metric string, perf float64,
 	if err != nil {
 		return BenchmarkRun{}, fmt.Errorf("suite: integrating %s: %w", name, err)
 	}
-	mean, err := trace.MeanPower()
-	if err != nil {
-		return BenchmarkRun{}, err
+	// The mean is Trace.MeanPower's, from the energy just integrated.
+	start, end, _ := trace.Span()
+	mean := trace.At(0).Power
+	if end != start { //greenvet:allow floateq -- zero-span guard: start and end are the same stored sample time
+		mean = units.MeanPower(energy, end-start)
 	}
 	peak, err := trace.PeakPower()
 	if err != nil {

@@ -3,6 +3,7 @@ package suite
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -16,9 +17,11 @@ import (
 // cellScratch is the reusable state a suite run draws its buffers from.
 // Each sweep worker owns one, so buffers survive from one cell to the
 // next on the same worker and steady-state cells stop paying
-// construction costs; Run uses a fresh one. A scratch never crosses
-// workers, and reusing one never changes results — it only recycles
-// storage the runner has already drained.
+// construction costs; Run uses a fresh one. A worker takes its scratch
+// from the spare list and returns it when it exits, so the buffers also
+// survive from one campaign to the next. A scratch is used by one
+// worker at a time, and reusing one never changes results — it only
+// recycles storage the runner has already drained.
 type cellScratch struct {
 	meter *power.Meter
 	// repairer repairs faulty meter traces into reused buffers; the
@@ -36,6 +39,44 @@ type cellScratch struct {
 	// dist is the process-distribution buffer recycled across cells; the
 	// runner folds it into scalars before the next cell reuses it.
 	dist []int
+}
+
+// spares holds the scratch of workers that have exited, for the workers
+// of later campaigns. It keeps at most GOMAXPROCS entries, one per
+// worker that can run at once. (A sync.Pool would do, but the garbage
+// collector empties it, which would make the allocations a campaign
+// measures depend on GC timing.)
+var spares struct {
+	sync.Mutex
+	list []*cellScratch
+}
+
+// takeScratch returns a spare scratch, or a fresh one when none is left.
+func takeScratch() *cellScratch {
+	spares.Lock()
+	defer spares.Unlock()
+	n := len(spares.list)
+	if n == 0 {
+		return new(cellScratch)
+	}
+	sc := spares.list[n-1]
+	spares.list[n-1] = nil
+	spares.list = spares.list[:n-1]
+	return sc
+}
+
+// returnScratch hands sc back for a later worker, or drops it when the
+// list is full. The meter's recorder is detached first, so a spare
+// keeps no campaign's tracer alive.
+func returnScratch(sc *cellScratch) {
+	if sc.meter != nil {
+		sc.meter.Instrument(nil)
+	}
+	spares.Lock()
+	defer spares.Unlock()
+	if len(spares.list) < runtime.GOMAXPROCS(0) {
+		spares.list = append(spares.list, sc)
+	}
 }
 
 // LiveSink is the scheduler's view of a wall-clock telemetry plane.
@@ -113,8 +154,8 @@ type SweepPlan struct {
 // in axis order. Workers claim contiguous axis-order chunks off an
 // atomic cursor and run each chunk's cells back to back against
 // worker-local state: one tracer collecting every cell the worker runs
-// (delimited by per-cell marks) and one cellScratch recycling
-// measurement buffers. Chunking amortizes tracer and scratch
+// (delimited by per-cell marks) and one cellScratch, taken from the
+// spare list, recycling measurement buffers. Chunking amortizes tracer
 // construction across a batch and keeps adjacent cells' merges reading
 // from the same arenas.
 //
@@ -168,7 +209,8 @@ func RunSweepPlan(plan SweepPlan) ([]*Result, error) {
 			if plan.Trace != nil {
 				rec = obs.NewTracer()
 			}
-			scratch := &cellScratch{}
+			scratch := takeScratch()
+			defer returnScratch(scratch)
 			for {
 				start := int(next.Add(int64(chunk))) - chunk
 				if start >= n {

@@ -464,3 +464,84 @@ func benchmarkSweepAxis(b *testing.B, axis []int, workers int) {
 		}
 	}
 }
+
+// TestScratchReuseAcrossCampaigns runs three campaigns back to back on
+// the scratch that sweep workers leave on the spare list: a faulted Fire
+// sweep, a clean extended-suite SystemG sweep, and the faulted Fire sweep
+// again. Each campaign's results, Chrome trace and metrics must match the
+// same campaign run on an empty spare list, so no meter draw, sample
+// buffer, repair buffer or cached step of one campaign leaks into the
+// next. Under -race it also checks the spare list's hand-over.
+func TestScratchReuseAcrossCampaigns(t *testing.T) {
+	fireSpec, systemG := cluster.Fire(), cluster.SystemG()
+	fire := func(procs int) (Config, error) {
+		cfg := SeededConfig(fireSpec, procs, 17)
+		cfg.Faults = fireFaultyPlan()
+		cfg.Retry = RetryPolicy{MaxAttempts: 3, Backoff: 30}
+		return cfg, nil
+	}
+	extended := func(procs int) (Config, error) {
+		cfg := SeededConfig(systemG, procs, 5)
+		cfg.Benchmarks = ExtendedOrder
+		return cfg, nil
+	}
+	type artefacts struct{ results, trace, metrics []byte }
+	run := func(axis []int, configure func(int) (Config, error)) artefacts {
+		tracer := obs.NewTracer()
+		rs, err := RunSweepPlan(SweepPlan{Axis: axis, Workers: 2, Trace: tracer, Configure: configure})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace, metrics bytes.Buffer
+		if err := obs.WriteChromeTrace(&trace, tracer.Spans(), tracer.Events()); err != nil {
+			t.Fatal(err)
+		}
+		if err := tracer.Registry().Snapshot().WriteJSON(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		return artefacts{marshalResults(t, rs), trace.Bytes(), metrics.Bytes()}
+	}
+	dropSpares := func() {
+		spares.Lock()
+		spares.list = nil
+		spares.Unlock()
+	}
+	gAxis := []int{16, 200, 512, 1024}
+	dropSpares()
+	wantFire := run(FireSweep(), fire)
+	dropSpares()
+	wantG := run(gAxis, extended)
+	dropSpares()
+	t.Cleanup(dropSpares)
+
+	campaigns := []struct {
+		name      string
+		axis      []int
+		configure func(int) (Config, error)
+		want      artefacts
+	}{
+		{"faulted Fire", FireSweep(), fire, wantFire},
+		{"clean SystemG extended", gAxis, extended, wantG},
+		{"faulted Fire again", FireSweep(), fire, wantFire},
+	}
+	for i, c := range campaigns {
+		if i > 0 {
+			spares.Lock()
+			n := len(spares.list)
+			spares.Unlock()
+			if n == 0 {
+				t.Fatalf("%s: no spare scratch left by the previous campaign", c.name)
+			}
+		}
+		got := run(c.axis, c.configure)
+		if !bytes.Equal(got.results, c.want.results) {
+			t.Errorf("%s: results differ from a run on fresh scratch", c.name)
+		}
+		if !bytes.Equal(got.trace, c.want.trace) {
+			t.Errorf("%s: Chrome trace differs from a run on fresh scratch", c.name)
+		}
+		if !bytes.Equal(got.metrics, c.want.metrics) {
+			t.Errorf("%s: metrics differ from a run on fresh scratch", c.name)
+		}
+	}
+}
