@@ -193,6 +193,8 @@ func WattsUpPRO(seed uint64) MeterConfig {
 //
 // Sample times only increase, so Sample walks the exact trace with a
 // forward cursor instead of searching it for every sample.
+//
+// A Meter is not safe for concurrent use.
 type Meter struct {
 	cfg    MeterConfig
 	rec    obs.Recorder

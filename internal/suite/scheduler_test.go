@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -486,20 +487,37 @@ func TestScratchReuseAcrossCampaigns(t *testing.T) {
 		return cfg, nil
 	}
 	type artefacts struct{ results, trace, metrics []byte }
-	run := func(axis []int, configure func(int) (Config, error)) artefacts {
+	// run may be called off the test goroutine, so it reports errors
+	// instead of failing the test itself.
+	run := func(axis []int, configure func(int) (Config, error)) (artefacts, error) {
 		tracer := obs.NewTracer()
 		rs, err := RunSweepPlan(SweepPlan{Axis: axis, Workers: 2, Trace: tracer, Configure: configure})
 		if err != nil {
-			t.Fatal(err)
+			return artefacts{}, err
+		}
+		results, err := json.MarshalIndent(rs, "", "  ")
+		if err != nil {
+			return artefacts{}, err
 		}
 		var trace, metrics bytes.Buffer
 		if err := obs.WriteChromeTrace(&trace, tracer.Spans(), tracer.Events()); err != nil {
-			t.Fatal(err)
+			return artefacts{}, err
 		}
 		if err := tracer.Registry().Snapshot().WriteJSON(&metrics); err != nil {
-			t.Fatal(err)
+			return artefacts{}, err
 		}
-		return artefacts{marshalResults(t, rs), trace.Bytes(), metrics.Bytes()}
+		return artefacts{results, trace.Bytes(), metrics.Bytes()}, nil
+	}
+	compare := func(name string, got, want artefacts) {
+		if !bytes.Equal(got.results, want.results) {
+			t.Errorf("%s: results differ from a run on fresh scratch", name)
+		}
+		if !bytes.Equal(got.trace, want.trace) {
+			t.Errorf("%s: Chrome trace differs from a run on fresh scratch", name)
+		}
+		if !bytes.Equal(got.metrics, want.metrics) {
+			t.Errorf("%s: metrics differ from a run on fresh scratch", name)
+		}
 	}
 	dropSpares := func() {
 		spares.Lock()
@@ -508,9 +526,15 @@ func TestScratchReuseAcrossCampaigns(t *testing.T) {
 	}
 	gAxis := []int{16, 200, 512, 1024}
 	dropSpares()
-	wantFire := run(FireSweep(), fire)
+	wantFire, err := run(FireSweep(), fire)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dropSpares()
-	wantG := run(gAxis, extended)
+	wantG, err := run(gAxis, extended)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dropSpares()
 	t.Cleanup(dropSpares)
 
@@ -533,15 +557,30 @@ func TestScratchReuseAcrossCampaigns(t *testing.T) {
 				t.Fatalf("%s: no spare scratch left by the previous campaign", c.name)
 			}
 		}
-		got := run(c.axis, c.configure)
-		if !bytes.Equal(got.results, c.want.results) {
-			t.Errorf("%s: results differ from a run on fresh scratch", c.name)
+		got, err := run(c.axis, c.configure)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got.trace, c.want.trace) {
-			t.Errorf("%s: Chrome trace differs from a run on fresh scratch", c.name)
+		compare(c.name, got, c.want)
+	}
+
+	// Concurrent campaigns, as the campaign server runs them, share the
+	// spare list: every campaign still matches its fresh run.
+	var wg sync.WaitGroup
+	got := make([]artefacts, len(campaigns))
+	errs := make([]error, len(campaigns))
+	for i, c := range campaigns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(c.axis, c.configure)
+		}()
+	}
+	wg.Wait()
+	for i, c := range campaigns {
+		if errs[i] != nil {
+			t.Fatalf("%s, concurrent: %v", c.name, errs[i])
 		}
-		if !bytes.Equal(got.metrics, c.want.metrics) {
-			t.Errorf("%s: metrics differ from a run on fresh scratch", c.name)
-		}
+		compare(c.name+", concurrent", got[i], c.want)
 	}
 }
