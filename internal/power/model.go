@@ -303,8 +303,9 @@ func (mt *Meter) Sample(exact *series.Trace) (*series.Trace, error) {
 		return nil, err
 	}
 	n := int(float64(end-start)/float64(mt.cfg.Interval)) + 2
-	// The draw cache is sized with the sampled-trace buffer: both hold
-	// one entry per sample of the longest trace so far.
+	// n, the sample count the span implies, sizes both the sampled-trace
+	// buffer and the draw cache; the loop extends either if rounding in
+	// the clock adds a sample.
 	out := &mt.out
 	switch {
 	case !mt.reuse:
