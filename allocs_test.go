@@ -8,6 +8,7 @@ package greenindex_test
 import (
 	"io"
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -53,6 +54,7 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "obs.WriteChromeTrace", runs: 20, ceiling: 5, setup: setupChromeTrace},
 		{name: "suite.Run untraced", runs: 20, ceiling: 30, setup: setupSuiteRun(false)},
 		{name: "suite.Run traced", runs: 20, ceiling: 122, setup: setupSuiteRun(true)},
+		{name: "suite.SaveJSON", runs: 20, ceiling: 4, setup: setupSaveJSON},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -267,6 +269,22 @@ func setupSuiteRun(traced bool) func(t *testing.T) func() {
 			if _, err := suite.Run(cfg); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// setupSaveJSON writes the results of the Testbed's default eight-cell
+// sweep: one encoding buffer and the file write, however many runs.
+func setupSaveJSON(t *testing.T) func() {
+	spec := cluster.Testbed()
+	results, err := suite.Sweep(spec, suite.DefaultAxis(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "results.json")
+	return func() {
+		if err := suite.SaveJSON(path, results); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -296,26 +296,10 @@ func SuperviseShards(p ShardPlan) error {
 // comes from outside the process, so anything incomplete or invalid is
 // an error before any cell runs.
 func RunShardWorker(in io.Reader, out io.Writer) error {
-	var w WorkerSpec
-	if err := json.NewDecoder(in).Decode(&w); err != nil {
-		return fmt.Errorf("shard worker: reading its assignment: %w", err)
-	}
-	if len(w.Task.Procs) == 0 {
-		return fmt.Errorf("shard worker: assignment holds no process counts")
-	}
-	for _, p := range w.Task.Procs {
-		if p < 1 {
-			return fmt.Errorf("shard worker: assignment entry %d is not a process count", p)
-		}
-	}
-	if w.Segment == "" {
-		return fmt.Errorf("shard worker: assignment names no journal segment")
-	}
-	job, err := w.Job.Resolve()
+	w, job, err := readWorkerSpec(in)
 	if err != nil {
 		return err
 	}
-	job.CellPause = w.CellPause
 	pf, err := faults.ProcFaultFromEnv()
 	if err != nil {
 		return err
@@ -362,6 +346,39 @@ func RunShardWorker(in io.Reader, out io.Writer) error {
 	}
 	beats.Done()
 	return nil
+}
+
+// readWorkerSpec decodes a shard worker's assignment from in, checks it
+// and resolves its job, with the worker's cell pause applied. It starts
+// nothing and touches no file, so every refusal comes before a worker
+// heartbeats or opens its segment.
+func readWorkerSpec(in io.Reader) (WorkerSpec, *Resolved, error) {
+	var w WorkerSpec
+	if err := json.NewDecoder(in).Decode(&w); err != nil {
+		return w, nil, fmt.Errorf("shard worker: reading its assignment: %w", err)
+	}
+	if len(w.Task.Procs) == 0 {
+		return w, nil, fmt.Errorf("shard worker: assignment holds no process counts")
+	}
+	for _, p := range w.Task.Procs {
+		if p < 1 {
+			return w, nil, fmt.Errorf("shard worker: assignment entry %d is not a process count", p)
+		}
+	}
+	if w.Segment == "" {
+		return w, nil, fmt.Errorf("shard worker: assignment names no journal segment")
+	}
+	job, err := w.Job.Resolve()
+	if err != nil {
+		return w, nil, err
+	}
+	for _, p := range w.Task.Procs {
+		if total := job.Spec.TotalCores(); p > total {
+			return w, nil, fmt.Errorf("shard worker: assignment entry %d exceeds the %d cores of %s", p, total, job.Spec.Name)
+		}
+	}
+	job.CellPause = w.CellPause
+	return w, job, nil
 }
 
 // QuarantinedRun is the journal record for a cell lost to a poison

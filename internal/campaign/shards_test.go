@@ -50,15 +50,10 @@ func TestWorkerSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunShardWorkerRefusesBadInput: the assignment comes from outside
-// the process, so a bad one is an error before the worker heartbeats or
-// touches a segment, never a panic.
-func TestRunShardWorkerRefusesBadInput(t *testing.T) {
-	dir := t.TempDir()
-	seg := filepath.Join(dir, "seg")
-	for _, tc := range []struct {
-		name, in, want string
-	}{
+// badWorkerSpecs are assignments a shard worker must refuse, each with
+// a word its error must mention; seg is the journal segment they name.
+func badWorkerSpecs(seg string) []struct{ name, in, want string } {
+	return []struct{ name, in, want string }{
 		{"empty", ``, "assignment"},
 		{"malformed", `{"task":{"shard":0,"procs":[1`, "assignment"},
 		{"not an object", `[1,2]`, "assignment"},
@@ -66,7 +61,17 @@ func TestRunShardWorkerRefusesBadInput(t *testing.T) {
 		{"zero procs", `{"task":{"shard":0,"procs":[0]},"segment":"` + seg + `","job":{"system":"testbed","sweep":true}}`, "not a process count"},
 		{"no segment", `{"task":{"shard":0,"procs":[1]},"job":{"system":"testbed","sweep":true}}`, "segment"},
 		{"unknown system", `{"task":{"shard":0,"procs":[1]},"segment":"` + seg + `","job":{"system":"cray","sweep":true}}`, "cray"},
-	} {
+		{"procs beyond the machine", `{"task":{"shard":0,"procs":[4,9]},"segment":"` + seg + `","job":{"system":"testbed","sweep":true}}`, "exceeds the 8 cores"},
+	}
+}
+
+// TestRunShardWorkerRefusesBadInput: the assignment comes from outside
+// the process, so a bad one is an error before the worker heartbeats or
+// touches a segment, never a panic.
+func TestRunShardWorkerRefusesBadInput(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "seg")
+	for _, tc := range badWorkerSpecs(seg) {
 		var out bytes.Buffer
 		err := RunShardWorker(strings.NewReader(tc.in), &out)
 		if err == nil {

@@ -15,6 +15,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/units"
 )
@@ -302,13 +303,18 @@ func (lp *LoadProfile) Validate(s *Spec) error {
 		return errors.New("cluster: empty load profile")
 	}
 	for i, p := range lp.Phases {
-		if p.Duration <= 0 {
-			return fmt.Errorf("cluster: phase %d has non-positive duration", i)
+		// Written so that NaN fails too: a NaN or infinite duration would
+		// size the meter's sample buffer from a meaningless count.
+		if !(p.Duration > 0) || math.IsInf(float64(p.Duration), 1) {
+			return fmt.Errorf("cluster: phase %d has duration %v, want a finite positive one", i, p.Duration)
 		}
 		if len(p.NodeUtil) > s.Nodes {
 			return fmt.Errorf("cluster: phase %d has %d node entries for %d nodes",
 				i, len(p.NodeUtil), s.Nodes)
 		}
+	}
+	if d := lp.Duration(); math.IsInf(float64(d), 1) {
+		return fmt.Errorf("cluster: load profile lasts %v: its phases overflow", d)
 	}
 	return nil
 }

@@ -57,9 +57,9 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
 			if i > 0 {
 				buf = append(buf, ", "...)
 			}
-			buf = appendJSONString(buf, a.Key)
+			buf = AppendJSONString(buf, a.Key, false)
 			buf = append(buf, ": "...)
-			buf = appendJSONString(buf, a.Value)
+			buf = AppendJSONString(buf, a.Value, false)
 		}
 		buf = append(buf, "}}"...)
 	}
@@ -72,7 +72,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
 		buf = append(buf, recordSep+`{"name": "thread_name", "ph": "M", "pid": 1, "tid": `...)
 		buf = strconv.AppendInt(buf, id, 10)
 		buf = append(buf, `, "args": {"name": `...)
-		buf = appendJSONString(buf, track)
+		buf = AppendJSONString(buf, track, false)
 		buf = append(buf, `}}`+recordSep+`{"name": "thread_sort_index", "ph": "M", "pid": 1, "tid": `...)
 		buf = strconv.AppendInt(buf, id, 10)
 		buf = append(buf, `, "args": {"sort_index": "`...)
@@ -82,7 +82,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
 	}
 	for _, s := range spans {
 		buf = append(buf, recordSep+`{"name": `...)
-		buf = appendJSONString(buf, s.Name)
+		buf = AppendJSONString(buf, s.Name, false)
 		buf = append(buf, `, "ph": "X", "ts": `...)
 		buf = strconv.AppendFloat(buf, float64(s.Start)*1e6, 'f', 3, 64)
 		buf = append(buf, `, "dur": `...)
@@ -94,7 +94,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
 	}
 	for _, e := range events {
 		buf = append(buf, recordSep+`{"name": `...)
-		buf = appendJSONString(buf, e.Name)
+		buf = AppendJSONString(buf, e.Name, false)
 		buf = append(buf, `, "ph": "i", "ts": `...)
 		buf = strconv.AppendFloat(buf, float64(e.At)*1e6, 'f', 3, 64)
 		buf = append(buf, `, "pid": 1, "tid": `...)

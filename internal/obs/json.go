@@ -4,23 +4,24 @@ import "unicode/utf8"
 
 const hexDigits = "0123456789abcdef"
 
-// appendJSONString appends s to dst as a JSON string literal, quotes
-// included, and returns the extended slice. Go's %q verb — what the
-// exporters previously used — emits Go string-literal escapes, which
-// diverge from JSON for control characters (`\x07`, `\a`) and invalid
-// UTF-8 (`\xff`): a span name carrying either produced an unloadable
-// trace file. This escaper emits only JSON-legal sequences and is
-// byte-identical to %q for the printable ASCII names the pipeline
-// normally records, so pinned golden files do not move. Each invalid
-// UTF-8 byte becomes one \ufffd escape, so the string decodes back to
-// string([]rune(s)).
-func appendJSONString(dst []byte, s string) []byte {
+// AppendJSONString appends s to dst as a JSON string literal, quotes
+// included, and returns the extended slice. Its bytes are encoding/json's
+// for a string under json.Encoder.SetEscapeHTML(html): with html set, <,
+// > and & take six-byte \u00XX escapes, as json.Marshal writes them;
+// without it they pass through, as the Chrome trace writes them. Either
+// way U+2028 and U+2029 are escaped, \b and \f keep their short forms
+// (Go 1.22 and later), other control characters become \u00XX, and each
+// invalid UTF-8 byte becomes one \ufffd escape, so the string decodes
+// back to string([]rune(s)). Go's %q verb, which the exporters once
+// used, writes Go escapes (`\x07`, `\a`) that are not JSON; for printable
+// ASCII the unescaped form agrees with it, so pinned goldens did not move.
+func AppendJSONString(dst []byte, s string, html bool) []byte {
 	dst = append(dst, '"')
 	start := 0 // first byte of the pending run that needs no escape
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' {
+			if c >= 0x20 && c != '"' && c != '\\' && (!html || c != '<' && c != '>' && c != '&') {
 				i++
 				continue
 			}
@@ -30,6 +31,10 @@ func appendJSONString(dst []byte, s string) []byte {
 				dst = append(dst, `\"`...)
 			case '\\':
 				dst = append(dst, `\\`...)
+			case '\b':
+				dst = append(dst, `\b`...)
+			case '\f':
+				dst = append(dst, `\f`...)
 			case '\n':
 				dst = append(dst, `\n`...)
 			case '\r':
@@ -69,7 +74,8 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// JSONString renders s as a JSON string literal (quotes included).
+// JSONString renders s as a JSON string literal (quotes included),
+// without HTML escaping.
 func JSONString(s string) string {
-	return string(appendJSONString(make([]byte, 0, len(s)+2), s))
+	return string(AppendJSONString(make([]byte, 0, len(s)+2), s, false))
 }

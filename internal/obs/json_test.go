@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -56,6 +57,35 @@ func TestJSONStringMatchesQForPrintableASCII(t *testing.T) {
 	for _, n := range names {
 		if got, want := JSONString(n), fmt.Sprintf("%q", n); got != want {
 			t.Errorf("JSONString(%q) = %s, %%q gives %s", n, got, want)
+		}
+	}
+}
+
+// TestAppendJSONStringMatchesEncodingJSON pins the escaper to
+// encoding/json's string encoding under SetEscapeHTML(html), for both
+// settings: the results file needs json.Marshal's bytes, the Chrome
+// trace the unescaped ones.
+func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
+	cases := []string{
+		"", "plain", "<a href=\"x\">&amp;</a>",
+		"line sep \xe2\x80\xa8 and para sep \xe2\x80\xa9",
+		"back\bspace, form\ffeed, tab\t, newline\n, return\r",
+		"nul \x00, bell \a, unit sep \x1f, del \x7f",
+		"invalid \xff\xfe, truncated \xe2\x80, lone continuation \x80",
+		"h\xc3\xa9llo \xf0\x9f\x98\x80 \xef\xbf\xbd",
+	}
+	for _, html := range []bool{false, true} {
+		for _, s := range cases {
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.SetEscapeHTML(html)
+			if err := enc.Encode(s); err != nil {
+				t.Fatal(err)
+			}
+			got := string(AppendJSONString(nil, s, html)) + "\n"
+			if got != want.String() {
+				t.Errorf("html=%v: AppendJSONString(%q) = %s, encoding/json gives %s", html, s, got, want.String())
+			}
 		}
 	}
 }

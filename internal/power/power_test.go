@@ -427,3 +427,29 @@ func TestEnergyOfMeasuredWindowMatchesMeanPower(t *testing.T) {
 	}
 	_ = units.Watts(0)
 }
+
+// TestMeasureRefusesNonFiniteDurations: a NaN or infinite phase, or
+// phases whose total overflows, used to reach the sampling loop and
+// panic sizing its buffers; the profile check must refuse them first.
+func TestMeasureRefusesNonFiniteDurations(t *testing.T) {
+	m := newFireModel(t)
+	mt, err := NewMeter(WattsUpPRO(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phases := range [][]units.Seconds{
+		{units.Seconds(math.NaN())},
+		{units.Seconds(math.Inf(1))},
+		{units.Seconds(math.Inf(-1))},
+		{60, units.Seconds(math.NaN())},
+		{math.MaxFloat64, math.MaxFloat64},
+	} {
+		lp := &cluster.LoadProfile{}
+		for _, d := range phases {
+			lp.Phases = append(lp.Phases, cluster.UniformPhase(d, 8, cluster.Util{CPU: 0.5}))
+		}
+		if _, err := mt.Measure(m, lp); err == nil {
+			t.Errorf("phases of %v: measured", phases)
+		}
+	}
+}

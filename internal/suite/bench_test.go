@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/cluster"
@@ -33,4 +34,48 @@ func BenchmarkSweepTraced(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEncodeResults encodes an extended-suite SystemG result set of
+// 768 cells (procs 1–768, the size of a benchmark-of-record sweep's
+// file) with SaveJSON's encoder and with the json.MarshalIndent it
+// replaced, without the file write.
+func BenchmarkEncodeResults(b *testing.B) {
+	spec := cluster.SystemG()
+	axis := make([]int, 768)
+	for i := range axis {
+		axis[i] = i + 1
+	}
+	results, err := RunSweepPlan(SweepPlan{
+		Axis: axis,
+		Configure: func(p int) (Config, error) {
+			cfg := DefaultConfig(spec, p)
+			cfg.Benchmarks = ExtendedOrder
+			return cfg, nil
+		},
+		Workers: 2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, err := appendResults(make([]byte, 0, encodedSize(results)), results)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(out)))
+		}
+	})
+	b.Run("MarshalIndent", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out, err := json.MarshalIndent(results, "", "  ")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(out)) + 1)
+		}
+	})
 }
