@@ -47,13 +47,14 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "sim.Engine schedule+dispatch", runs: 1000, ceiling: 0, setup: setupEngineDispatch},
 		{name: "power.Meter.Measure reused buffer", runs: 100, ceiling: 0, setup: setupMeterMeasure},
 		{name: "power.Meter.Measure after Reconfigure", runs: 100, ceiling: 0, setup: setupMeterReconfigure},
+		{name: "power.Meter.MeasureFold warm", runs: 100, ceiling: 0, setup: setupMeterMeasureFold},
 		{name: "live.Bus.Publish no subscriber", runs: 1000, ceiling: 0, setup: setupBusPublish},
 		{name: "live.Hub.Tap span", runs: 1000, ceiling: 0, setup: setupTapSpan},
 		{name: "series.Trace.Repair", runs: 50, ceiling: 4, setup: setupRepair},
 		{name: "series.Repairer.Repair warm", runs: 50, ceiling: 0, setup: setupRepairerWarm},
 		{name: "obs.WriteChromeTrace", runs: 20, ceiling: 5, setup: setupChromeTrace},
-		{name: "suite.Run untraced", runs: 20, ceiling: 30, setup: setupSuiteRun(false)},
-		{name: "suite.Run traced", runs: 20, ceiling: 122, setup: setupSuiteRun(true)},
+		{name: "suite.Run untraced", runs: 20, ceiling: 28, setup: setupSuiteRun(false)},
+		{name: "suite.Run traced", runs: 20, ceiling: 119, setup: setupSuiteRun(true)},
 		{name: "suite.SaveJSON", runs: 20, ceiling: 4, setup: setupSaveJSON},
 	}
 	for _, c := range cases {
@@ -123,6 +124,29 @@ func setupMeterMeasure(t *testing.T) func() {
 	}}
 	return func() {
 		if _, err := meter.Measure(model, lp); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// setupMeterMeasureFold folds the same profile's samples into scalars,
+// as a clean suite run does: once the exact-signal scratch and the draw
+// cache are warm, no sampled trace or anything else is allocated.
+func setupMeterMeasureFold(t *testing.T) func() {
+	model, err := power.NewModel(cluster.Fire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meter, err := power.NewMeter(power.WattsUpPRO(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp := &cluster.LoadProfile{Phases: []cluster.Phase{
+		cluster.UniformPhase(60, 8, cluster.Util{CPU: 0.9, Mem: 0.4}),
+		cluster.UniformPhase(60, 4, cluster.Util{CPU: 0.2}),
+	}}
+	return func() {
+		if _, err := meter.MeasureFold(model, lp); err != nil {
 			t.Fatal(err)
 		}
 	}

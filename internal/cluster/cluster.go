@@ -233,8 +233,14 @@ func (s *Spec) DistributeInto(procs int, pl Placement, buf []int) ([]int, error)
 			}
 		}
 	case Cyclic:
-		for i := 0; i < procs; i++ {
-			out[i%s.Nodes]++
+		// Dealing procs round-robin gives every node procs/Nodes
+		// processes and the first procs%Nodes nodes one more.
+		q, r := procs/s.Nodes, procs%s.Nodes
+		for i := range out {
+			out[i] = q
+			if i < r {
+				out[i]++
+			}
 		}
 	default:
 		return nil, fmt.Errorf("cluster: unknown placement %v", pl)
@@ -333,13 +339,24 @@ func UniformPhase(d units.Seconds, activeNodes int, u Util) Phase {
 // its share of processes: a node running k of its c cores at full tilt has
 // CPU utilisation k/c. The scale functions map the per-node process count to
 // each component's utilisation.
+//
+// f must be a pure function of (procs, cores): PhaseFromDistribution
+// calls it only where the per-node process count changes from the
+// previous node's and reuses the last result otherwise, so a block or
+// cyclic distribution, which has at most two distinct non-zero counts,
+// costs at most a few calls however many nodes it spans.
 func PhaseFromDistribution(d units.Seconds, spec *Spec, dist []int, f func(procs, cores int) Util) Phase {
 	nu := make([]Util, len(dist))
 	cores := spec.Node.Cores()
+	prev, u := 0, Util{}
 	for i, p := range dist {
-		if p > 0 {
-			nu[i] = f(p, cores).Clamp()
+		if p <= 0 {
+			continue
 		}
+		if p != prev {
+			prev, u = p, f(p, cores).Clamp()
+		}
+		nu[i] = u
 	}
 	return Phase{Duration: d, NodeUtil: nu}
 }

@@ -104,20 +104,40 @@ func (m *Model) NodeWall(u cluster.Util) float64 {
 // at utils[i]; nodes beyond len(utils) are idle but powered. The fabric
 // switch and the shared-storage backend always draw their constant power —
 // they are inside the metered envelope, as in the paper's Figure 1 setup.
+//
+// NodeWall is a pure function of the util, so it is evaluated once per
+// run of bit-identical utils and its watts are added once per node, in
+// node order: the sum is the per-node sum's, bit for bit. A block or
+// cyclic phase has at most three distinct node loads, idle included.
 func (m *Model) ClusterPower(utils []cluster.Util) units.Watts {
 	if len(utils) > m.Spec.Nodes {
 		utils = utils[:m.Spec.Nodes]
 	}
-	var p float64
-	for _, u := range utils {
-		p += m.NodeWall(u)
-	}
-	for i := len(utils); i < m.Spec.Nodes; i++ {
-		p += m.NodeWall(cluster.Util{})
+	var p, w float64
+	var prev cluster.Util
+	for i := 0; i < m.Spec.Nodes; i++ {
+		var u cluster.Util
+		if i < len(utils) {
+			u = utils[i]
+		}
+		if i == 0 || !sameUtil(u, prev) {
+			w, prev = m.NodeWall(u), u
+		}
+		p += w
 	}
 	p += m.Spec.Interconnect.SwitchWatts
 	p += m.Spec.Storage.Watts
 	return units.Watts(p)
+}
+
+// sameUtil reports whether two utils are bit-identical, so that NodeWall
+// cannot tell them apart (unlike ==, it separates 0 from -0 and matches
+// a NaN with itself).
+func sameUtil(a, b cluster.Util) bool {
+	return math.Float64bits(a.CPU) == math.Float64bits(b.CPU) &&
+		math.Float64bits(a.Mem) == math.Float64bits(b.Mem) &&
+		math.Float64bits(a.Disk) == math.Float64bits(b.Disk) &&
+		math.Float64bits(a.Net) == math.Float64bits(b.Net)
 }
 
 // IdlePower returns the wall power of the fully-idle cluster.
@@ -282,38 +302,77 @@ func (mt *Meter) Reconfigure(cfg MeterConfig) error {
 // everyone else keeps the retain-forever default.
 func (mt *Meter) ReuseSampleBuffer() { mt.reuse = true }
 
+// MaxSamples bounds how many samples one metering window may take:
+// 2^24, which is 194 days at the Watts Up? PRO's 1 s interval. Every
+// sample costs a cached draw (24 bytes) and, in a sampled trace, a
+// 16-byte sample, so the bound keeps one window under about 700 MB; the
+// longest window the paper's systems produce is a few thousand samples.
+// A span that implies more samples is refused before anything is
+// allocated; so is a sample clock that, being too far from zero for the
+// interval to advance it, would otherwise never reach the span's end.
+const MaxSamples = 1 << 24
+
 // Measure samples the exact signal of model×profile the way the physical
 // meter would: fixed-interval sampling, quantisation, gauge noise, optional
 // sample loss. The returned trace covers the whole profile duration.
 func (mt *Meter) Measure(model *Model, lp *cluster.LoadProfile) (*series.Trace, error) {
-	if mt.exact.Samples() == nil {
-		mt.exact = *series.New(2 * len(lp.Phases))
-	}
-	exact, err := model.ProfileTraceInto(lp, &mt.exact)
+	exact, err := mt.profile(model, lp)
 	if err != nil {
 		return nil, err
 	}
 	return mt.Sample(exact)
 }
 
+// MeasureFold is Measure folding the samples into their scalars instead
+// of keeping them: the fold's energy, mean, peak and count equal, bit
+// for bit, what Measure's trace reports. It draws and records exactly
+// as Measure does. A caller that needs only the scalars (a clean suite
+// run) never materialises the sampled trace.
+func (mt *Meter) MeasureFold(model *Model, lp *cluster.LoadProfile) (series.Fold, error) {
+	exact, err := mt.profile(model, lp)
+	if err != nil {
+		return series.Fold{}, err
+	}
+	_, f, err := mt.sample(exact, false)
+	return f, err
+}
+
+// profile evaluates model×lp into the meter's exact-signal scratch.
+func (mt *Meter) profile(model *Model, lp *cluster.LoadProfile) (*series.Trace, error) {
+	if mt.exact.Samples() == nil {
+		mt.exact = *series.New(2 * len(lp.Phases))
+	}
+	return model.ProfileTraceInto(lp, &mt.exact)
+}
+
 // Sample applies the meter's sampling behaviour to an arbitrary exact trace.
 func (mt *Meter) Sample(exact *series.Trace) (*series.Trace, error) {
+	out, _, err := mt.sample(exact, true)
+	return out, err
+}
+
+// sample is the meter's one sampling loop. With traced set, every kept
+// sample is appended to the returned trace; otherwise it is added to the
+// returned fold and no trace is built. The fold of a traced run is
+// filled only when a recorder needs it.
+func (mt *Meter) sample(exact *series.Trace, traced bool) (*series.Trace, series.Fold, error) {
+	var fold series.Fold
 	start, end, err := exact.Span()
 	if err != nil {
-		return nil, err
+		return nil, fold, err
 	}
-	n := int(float64(end-start)/float64(mt.cfg.Interval)) + 2
+	interval := mt.cfg.Interval
 	// n, the sample count the span implies, sizes both the sampled-trace
 	// buffer and the draw cache; the loop extends either if rounding in
-	// the clock adds a sample.
-	out := &mt.out
-	switch {
-	case !mt.reuse:
-		out = series.New(n)
-	case out.Samples() == nil:
-		*out = *series.New(n)
-	default:
-		out.Reset()
+	// the clock adds a sample. Written so that NaN and overflow refuse.
+	span := float64(end-start) / float64(interval)
+	if !(span <= MaxSamples-2) {
+		return nil, fold, fmt.Errorf("power: a %v s window at a %v s interval needs more than %d samples", end-start, interval, MaxSamples)
+	}
+	n := int(span) + 2
+	var out *series.Trace
+	if traced {
+		out = mt.sampleBuffer(n)
 	}
 	draws := mt.drawsFor(n)
 	ss := exact.Samples()
@@ -322,7 +381,7 @@ func (mt *Meter) Sample(exact *series.Trace) (*series.Trace, error) {
 	// sample time, which is where Interpolate's search would land.
 	k := 1
 	dropped, glitched := 0, 0
-	for i, at := 0, start; ; i, at = i+1, at+mt.cfg.Interval {
+	for i, at := 0, start; ; i, at = i+1, at+interval {
 		clamped := at
 		last := false
 		if clamped >= end {
@@ -348,6 +407,14 @@ func (mt *Meter) Sample(exact *series.Trace) (*series.Trace, error) {
 			}
 		}
 		if i == len(draws) {
+			// Past the implied count: the clock is rounding, or is stuck
+			// because the interval is below half an ulp of the time.
+			if i >= MaxSamples {
+				return nil, series.Fold{}, fmt.Errorf("power: window takes more than %d samples", MaxSamples)
+			}
+			if !last && at+interval == at { //greenvet:allow floateq -- a clock that adding the interval leaves unchanged never reaches the window's end
+				return nil, series.Fold{}, fmt.Errorf("power: sample clock stalls at %v s with a %v s interval", at, interval)
+			}
 			draws = mt.drawsFor(i + 1)
 		}
 		d := &draws[i]
@@ -367,45 +434,73 @@ func (mt *Meter) Sample(exact *series.Trace) (*series.Trace, error) {
 		if v < 0 {
 			v = 0
 		}
-		// Never drop the boundary samples: the trace must span the window.
+		// Never drop the boundary samples: the window must span the trace.
 		if d.dropped && at != start && !last { //greenvet:allow floateq -- boundary samples are identified by exact virtual timestamps
 			dropped++
 			continue
 		}
-		if err := out.Append(clamped, units.Watts(v)); err != nil {
-			return nil, err
+		if traced {
+			if err := out.Append(clamped, units.Watts(v)); err != nil {
+				return nil, series.Fold{}, err
+			}
+		} else {
+			fold.Add(clamped, units.Watts(v))
 		}
 		if last {
 			break
 		}
 	}
 	if mt.rec != nil {
-		attrs := []obs.Attr{
-			obs.Int("samples", out.Len()),
-			obs.Int("dropped", dropped),
-			obs.Int("glitched", glitched),
-			obs.Secs("interval", mt.cfg.Interval),
+		if traced {
+			fold = out.Fold()
 		}
-		// Mean window power rides along so live-plane consumers can show
-		// watts without re-integrating the trace. Derived purely from the
-		// already-sampled series: determinism is untouched.
-		if mean, err := out.MeanPower(); err == nil {
-			attrs = append(attrs, obs.F64("mean_watts", float64(mean)))
-		}
-		mt.rec.Span(obs.Span{
-			Track: obs.TrackMeter,
-			Name:  obs.NameMeterWindow,
-			Start: mt.origin + start,
-			End:   mt.origin + end,
-			Attrs: attrs,
-		})
-		mt.rec.Count("meter.windows", 1)
-		mt.rec.Count("meter.samples", float64(out.Len()))
-		mt.rec.Count("meter.samples_dropped", float64(dropped))
-		mt.rec.Count("meter.samples_glitched", float64(glitched))
-		mt.rec.Observe("meter.window_seconds", float64(end-start))
+		mt.record(start, end, fold, dropped, glitched)
 	}
-	return out, nil
+	return out, fold, nil
+}
+
+// sampleBuffer returns an empty trace with room for n samples: the
+// meter's own buffer once ReuseSampleBuffer opted in, a new one
+// otherwise.
+func (mt *Meter) sampleBuffer(n int) *series.Trace {
+	switch {
+	case !mt.reuse:
+		return series.New(n)
+	case mt.out.Samples() == nil:
+		mt.out = *series.New(n)
+	default:
+		mt.out.Reset()
+	}
+	return &mt.out
+}
+
+// record reports one sampling window to the meter's recorder: a span on
+// the meter track and the window's counters.
+func (mt *Meter) record(start, end units.Seconds, fold series.Fold, dropped, glitched int) {
+	attrs := []obs.Attr{
+		obs.Int("samples", fold.Len()),
+		obs.Int("dropped", dropped),
+		obs.Int("glitched", glitched),
+		obs.Secs("interval", mt.cfg.Interval),
+	}
+	// Mean window power rides along so live-plane consumers can show
+	// watts without re-integrating the trace. Derived purely from the
+	// already-sampled series: determinism is untouched.
+	if mean, err := fold.MeanPower(); err == nil {
+		attrs = append(attrs, obs.F64("mean_watts", float64(mean)))
+	}
+	mt.rec.Span(obs.Span{
+		Track: obs.TrackMeter,
+		Name:  obs.NameMeterWindow,
+		Start: mt.origin + start,
+		End:   mt.origin + end,
+		Attrs: attrs,
+	})
+	mt.rec.Count("meter.windows", 1)
+	mt.rec.Count("meter.samples", float64(fold.Len()))
+	mt.rec.Count("meter.samples_dropped", float64(dropped))
+	mt.rec.Count("meter.samples_glitched", float64(glitched))
+	mt.rec.Observe("meter.window_seconds", float64(end-start))
 }
 
 // drawsFor returns the meter's random stream with at least n draws,

@@ -58,17 +58,20 @@ func referenceSample(cfg MeterConfig, exact *series.Trace) (*series.Trace, error
 	return out, nil
 }
 
-// FuzzMeterSample checks the cached sampler against referenceSample.
+// FuzzMeterSample checks the cached sampler against referenceSample,
+// and the folded sampler against the traced one.
 // Each three bytes of data make one exact sample: a time step of byte/4
 // seconds after the previous one (so timestamps may repeat) and a power
 // of int16/8 watts (so the negative clamp is reached). One meter samples
 // a short, a long and the short trace again, is reconfigured to a second
 // seed, and samples the long, the short and the long trace again; every
 // sampled trace must equal a fresh reference run of its config bit for
-// bit. That covers a cache extended past what an earlier trace drew, a
-// cache read only in part, and a cache emptied by Reconfigure. Configs
-// the meter refuses, and traces that would take more than 4096 samples,
-// are skipped.
+// bit, and folding the same trace must give its energy, mean, peak and
+// sample count bit for bit. That covers a cache extended past what an
+// earlier trace drew, a cache read only in part, and a cache emptied by
+// Reconfigure. Configs the meter refuses are skipped; so are traces
+// that would take more than 4096 samples, except that one beyond
+// MaxSamples must be refused by both samplers.
 func FuzzMeterSample(f *testing.F) {
 	ramp := []byte{0, 0x07, 0xd0, 4, 0x0f, 0xa0, 9, 0x0f, 0xa0, 0, 0x03, 0xe8, 255, 0x03, 0xe8, 3, 0xff, 0x00}
 	f.Add(ramp, 0.0, uint64(1), uint64(2), 1.0, 0.1, 0.5, 0.0, 0.0, 0.0, true)
@@ -76,6 +79,7 @@ func FuzzMeterSample(f *testing.F) {
 	f.Add(ramp, -10.0, uint64(3), uint64(99), 1.7, 0.5, 0.0, 0.0, 0.0, 0.5, false)
 	f.Add(ramp, 0.0, uint64(5), uint64(6), 0.05, 0.0, 0.0, 0.9, 60.0, 0.0, true)
 	f.Add([]byte{1, 0, 0}, 0.0, uint64(1), uint64(2), 1.0, 0.1, 0.5, 0.1, 50.0, 0.1, true)
+	f.Add(ramp, 0.0, uint64(1), uint64(2), 1e-9, 0.1, 0.5, 0.0, 0.0, 0.0, false)
 	f.Fuzz(func(t *testing.T, data []byte, start float64, seed, reseed uint64,
 		interval, quantum, noise, glitchRate, glitchWatts, dropRate float64, reuse bool) {
 		if !(math.Abs(start) <= 1e6) {
@@ -90,6 +94,14 @@ func FuzzMeterSample(f *testing.F) {
 			return
 		}
 		if s, e, err := long.Span(); err == nil && float64(e-s)/interval > 4096 {
+			if float64(e-s)/interval > MaxSamples-2 {
+				if _, err := mt.Sample(long); err == nil {
+					t.Fatalf("Sample took more than %d samples", MaxSamples)
+				}
+				if _, _, err := mt.sample(long, false); err == nil {
+					t.Fatalf("the folded sampler took more than %d samples", MaxSamples)
+				}
+			}
 			return
 		}
 		if reuse {
@@ -115,6 +127,11 @@ func FuzzMeterSample(f *testing.F) {
 					t.Fatalf("sample %d is %v, reference %v", i, g, w)
 				}
 			}
+			_, fold, err := mt.sample(exact, false)
+			if err != nil {
+				t.Fatalf("folded sampler: %v", err)
+			}
+			checkFold(t, fold, want)
 		}
 		for _, exact := range []*series.Trace{short, long, short} {
 			check(cfg, exact)

@@ -86,42 +86,113 @@ func (t *Trace) Span() (start, end units.Seconds, err error) {
 
 // Energy integrates the trace with the trapezoidal rule over its full span.
 func (t *Trace) Energy() (units.Joules, error) {
-	if len(t.samples) < 2 {
-		return 0, ErrTooFew
-	}
-	var e float64
-	for i := 1; i < len(t.samples); i++ {
-		a, b := t.samples[i-1], t.samples[i]
-		e += 0.5 * float64(a.Power+b.Power) * float64(b.At-a.At)
-	}
-	return units.Joules(e), nil
+	f := t.Fold()
+	return f.Energy()
 }
 
 // MeanPower returns the time-weighted mean power over the trace span.
 func (t *Trace) MeanPower() (units.Watts, error) {
-	e, err := t.Energy()
-	if err != nil {
-		return 0, err
-	}
-	start, end, _ := t.Span()
-	if end == start { //greenvet:allow floateq -- zero-span guard: start and end are the same stored sample time
-		return t.samples[0].Power, nil
-	}
-	return units.MeanPower(e, end-start), nil
+	f := t.Fold()
+	return f.MeanPower()
 }
 
 // PeakPower returns the maximum sampled power.
 func (t *Trace) PeakPower() (units.Watts, error) {
+	f := t.Fold()
+	return f.PeakPower()
+}
+
+// Fold folds the trace's samples, in order, into their scalars.
+func (t *Trace) Fold() Fold {
 	if len(t.samples) == 0 {
+		return Fold{}
+	}
+	first := t.samples[0]
+	r := startRun(first)
+	for _, s := range t.samples[1:] {
+		r = r.add(s)
+	}
+	return Fold{n: len(t.samples), first: first, run: r}
+}
+
+// Fold is a trace reduced to the scalars a measurement needs: sample
+// count, first and last sample, peak power and trapezoidal energy. It is
+// the one place that arithmetic is written. Adding a trace's samples in
+// order gives bit for bit what the trace's Energy, MeanPower and
+// PeakPower report, because those methods fold the trace; a meter can
+// fold its samples as it takes them and never store them. The zero Fold
+// is empty.
+type Fold struct {
+	n     int
+	first Sample
+	run   run
+}
+
+// run is the part of a fold that every sample updates. At four machine
+// words it is small enough for the compiler to keep a local run in
+// registers across a loop; a whole Fold, at seven, stays in memory.
+type run struct {
+	last   Sample
+	peak   units.Watts
+	energy float64
+}
+
+// startRun begins a run at its first sample.
+func startRun(s Sample) run { return run{last: s, peak: s.Power} }
+
+// add extends the run by the next sample: one trapezoid of energy, and
+// the peak.
+func (r run) add(s Sample) run {
+	r.energy += 0.5 * float64(r.last.Power+s.Power) * float64(s.At-r.last.At)
+	if s.Power > r.peak {
+		r.peak = s.Power
+	}
+	r.last = s
+	return r
+}
+
+// Add folds in the next sample. Samples must arrive in nondecreasing
+// time order; unlike Trace.Append, Add does not check it.
+func (f *Fold) Add(at units.Seconds, p units.Watts) {
+	s := Sample{At: at, Power: p}
+	if f.n == 0 {
+		f.first, f.run = s, startRun(s)
+	} else {
+		f.run = f.run.add(s)
+	}
+	f.n++
+}
+
+// Len returns the number of samples folded in.
+func (f *Fold) Len() int { return f.n }
+
+// Energy returns the trapezoidal integral over the folded span.
+func (f *Fold) Energy() (units.Joules, error) {
+	if f.n < 2 {
 		return 0, ErrTooFew
 	}
-	max := t.samples[0].Power
-	for _, s := range t.samples[1:] {
-		if s.Power > max {
-			max = s.Power
-		}
+	return units.Joules(f.run.energy), nil
+}
+
+// MeanPower returns the time-weighted mean power over the folded span.
+func (f *Fold) MeanPower() (units.Watts, error) {
+	e, err := f.Energy()
+	if err != nil {
+		return 0, err
 	}
-	return max, nil
+	start, end := f.first.At, f.run.last.At
+	if end == start { //greenvet:allow floateq -- zero-span guard: start and end are the same stored sample time
+		return f.first.Power, nil
+	}
+	return units.MeanPower(e, end-start), nil
+}
+
+// PeakPower returns the maximum power folded in.
+func (f *Fold) PeakPower() (units.Watts, error) {
+	if f.n == 0 {
+		return 0, ErrTooFew
+	}
+	return f.run.peak, nil
 }
 
 // Interpolate returns the linearly-interpolated power at time at. Outside

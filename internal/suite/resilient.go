@@ -396,11 +396,20 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 // measureStep meters a successful attempt: sample the load profile, repair
 // the trace (with repairer) when the fault plan perturbs the measurement
 // path, optionally lift to facility power, and fold into a measurement.
-// origin is where the attempt sits on the campaign's virtual-time axis;
-// repair events are placed relative to it.
+// When nothing transforms the trace, the meter folds its samples
+// directly and no trace is built. origin is where the attempt sits on
+// the campaign's virtual-time axis; repair events are placed relative
+// to it.
 func measureStep(cfg *Config, model *power.Model, meter *power.Meter,
 	meterCfg power.MeterConfig, repairer *series.Repairer, st benchStep,
 	sm simulated, origin units.Seconds) (BenchmarkRun, error) {
+	if !cfg.Faults.MeterFaulty() && cfg.Facility == nil {
+		fold, err := meter.MeasureFold(model, sm.profile)
+		if err != nil {
+			return BenchmarkRun{}, fmt.Errorf("suite: metering %s: %w", st.name, err)
+		}
+		return fromFold(fold, st.name, st.metric, sm.perf, sm.profile.Duration())
+	}
 	trace, err := meter.Measure(model, sm.profile)
 	if err != nil {
 		return BenchmarkRun{}, fmt.Errorf("suite: metering %s: %w", st.name, err)
@@ -435,7 +444,7 @@ func measureStep(cfg *Config, model *power.Model, meter *power.Meter,
 			return BenchmarkRun{}, fmt.Errorf("suite: facility model for %s: %w", st.name, err)
 		}
 	}
-	run, err := fromTrace(trace, st.name, st.metric, sm.perf, sm.profile.Duration())
+	run, err := fromFold(trace.Fold(), st.name, st.metric, sm.perf, sm.profile.Duration())
 	if err != nil {
 		return BenchmarkRun{}, err
 	}
@@ -465,23 +474,17 @@ func stretchProfile(lp *cluster.LoadProfile, factor float64) *cluster.LoadProfil
 	return out
 }
 
-// fromTrace builds a BenchmarkRun from an already-sampled trace.
-func fromTrace(trace *series.Trace, name, metric string, perf float64,
+// fromFold builds a BenchmarkRun from a metered window's scalars.
+func fromFold(f series.Fold, name, metric string, perf float64,
 	dur units.Seconds) (BenchmarkRun, error) {
-	energy, err := trace.Energy()
+	energy, err := f.Energy()
 	if err != nil {
 		return BenchmarkRun{}, fmt.Errorf("suite: integrating %s: %w", name, err)
 	}
-	// The mean is Trace.MeanPower's, from the energy just integrated.
-	start, end, _ := trace.Span()
-	mean := trace.At(0).Power
-	if end != start { //greenvet:allow floateq -- zero-span guard: start and end are the same stored sample time
-		mean = units.MeanPower(energy, end-start)
-	}
-	peak, err := trace.PeakPower()
-	if err != nil {
-		return BenchmarkRun{}, err
-	}
+	// With the energy integrated the fold has two samples, so neither
+	// of these can fail.
+	mean, _ := f.MeanPower()
+	peak, _ := f.PeakPower()
 	return BenchmarkRun{
 		Measurement: core.Measurement{
 			Benchmark:   name,
@@ -492,6 +495,6 @@ func fromTrace(trace *series.Trace, name, metric string, perf float64,
 			Energy:      energy,
 		},
 		PeakPower: peak,
-		Samples:   trace.Len(),
+		Samples:   f.Len(),
 	}, nil
 }
