@@ -48,9 +48,11 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -425,8 +427,10 @@ func (o options) resolve() (*campaign.Resolved, error) {
 	return job, nil
 }
 
-// listWorkloads prints the registry: every benchmark -bench accepts.
-func listWorkloads() error {
+// listWorkloads prints the registry to w: every benchmark -bench
+// accepts. It returns the first write error.
+func listWorkloads(w io.Writer) error {
+	bw := bufio.NewWriter(w)
 	inPaper := map[string]bool{}
 	for _, n := range suite.PaperOrder() {
 		inPaper[n] = true
@@ -436,7 +440,7 @@ func listWorkloads() error {
 		inExtended[n] = true
 	}
 	for _, name := range suite.Workloads() {
-		w, ok := bench.Lookup(name)
+		wl, ok := bench.Lookup(name)
 		if !ok {
 			return fmt.Errorf("registry lists unknown workload %q", name)
 		}
@@ -447,13 +451,13 @@ func listWorkloads() error {
 		if inExtended[name] {
 			sets = append(sets, "extended")
 		}
-		line := fmt.Sprintf("%-13s %s", name, w.Metric())
+		line := fmt.Sprintf("%-13s %s", name, wl.Metric())
 		if len(sets) > 0 {
 			line += "  (" + strings.Join(sets, ", ") + ")"
 		}
-		fmt.Println(line)
+		fmt.Fprintln(bw, line)
 	}
-	return nil
+	return bw.Flush()
 }
 
 func run(o options) error {
@@ -464,7 +468,7 @@ func run(o options) error {
 		return campaign.RunShardWorker(os.Stdin, os.Stdout)
 	}
 	if o.list {
-		return listWorkloads()
+		return listWorkloads(os.Stdout)
 	}
 	if o.native {
 		return runNative(o)
@@ -506,18 +510,20 @@ func run(o options) error {
 	cs.Trace = tracer
 	cs.Logf = logf
 	cs.Render = func(results []*suite.Result) error {
-		printResults(os.Stdout, results)
+		// Without -o the summary is the campaign's only output, so a
+		// failed write is an error; the artefacts are written either way.
+		printErr := printResults(os.Stdout, results)
 		// campaign.Artifacts is the single results-to-disk code path,
 		// shared with the daemon: that is what makes a job submitted
 		// over HTTP byte-identical to the same campaign run here.
-		return campaign.Artifacts{
+		return errors.Join(printErr, campaign.Artifacts{
 			Results:   o.out,
 			Trace:     o.tracePath,
 			Metrics:   o.metricsPath,
 			Report:    o.reportPath,
 			ReportOut: os.Stdout,
 			Logf:      logf,
-		}.Write(tracer, results)
+		}.Write(tracer, results))
 	}
 	if hub := ls.Hub(); hub != nil {
 		cs.Live = hub
@@ -548,23 +554,25 @@ func run(o options) error {
 	return nil
 }
 
-// printResults renders the per-run summary lines of a campaign.
-func printResults(w *os.File, results []*suite.Result) {
+// printResults renders the per-run summary lines of a campaign to w and
+// returns the first write error.
+func printResults(w io.Writer, results []*suite.Result) error {
+	bw := bufio.NewWriter(w)
 	for _, r := range results {
 		header := fmt.Sprintf("%s procs=%d placement=%s", r.System, r.Procs, r.Placement)
 		if r.Degraded {
 			header += "  [DEGRADED]"
 		}
-		fmt.Fprintln(w, header)
+		fmt.Fprintln(bw, header)
 		for _, b := range r.Runs {
 			m := b.Measurement
 			if b.Status == suite.StatusQuarantined {
-				fmt.Fprintf(w, "  %-7s QUARANTINED (shard worker lost): %s\n",
+				fmt.Fprintf(bw, "  %-7s QUARANTINED (shard worker lost): %s\n",
 					m.Benchmark, b.Error)
 				continue
 			}
 			if !b.OK() {
-				fmt.Fprintf(w, "  %-7s FAILED after %d attempt(s): %s\n",
+				fmt.Fprintf(bw, "  %-7s FAILED after %d attempt(s): %s\n",
 					m.Benchmark, b.Retries+1, b.Error)
 				continue
 			}
@@ -578,9 +586,10 @@ func printResults(w *os.File, results []*suite.Result) {
 				line += fmt.Sprintf("  [meter repair: %d gap(s), %d outlier(s)]",
 					b.GapsFilled, b.OutliersRejected)
 			}
-			fmt.Fprintln(w, line)
+			fmt.Fprintln(bw, line)
 		}
 	}
+	return bw.Flush()
 }
 
 // journalFile resolves the sweep journal path: an explicit -journal wins,
@@ -604,10 +613,14 @@ func runNative(o options) error {
 		return err
 	}
 	r := &suite.Result{System: "host", Procs: o.procs, Placement: "native"}
+	bw := bufio.NewWriter(os.Stdout)
 	for _, m := range res.Measurements {
-		fmt.Printf("  %-13s perf=%.5g %s  time=%s  (%s)\n",
+		fmt.Fprintf(bw, "  %-13s perf=%.5g %s  time=%s  (%s)\n",
 			m.Benchmark, m.Performance, m.Metric, m.Time, res.Details[m.Benchmark])
 		r.Runs = append(r.Runs, suite.BenchmarkRun{Measurement: m})
+	}
+	if err := bw.Flush(); err != nil {
+		return err
 	}
 	if o.out != "" {
 		if err := suite.SaveJSON(o.out, []*suite.Result{r}); err != nil {

@@ -443,6 +443,31 @@ func TestRunListFlag(t *testing.T) {
 	}
 }
 
+// TestRunReportsStdoutWriteError: without -o the summary is a run's only
+// output, so a stdout that refuses writes (here a read-only file, as
+// /dev/full refuses them for want of space) fails the run, and so does
+// -list.
+func TestRunReportsStdoutWriteError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stdout")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	readOnly, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer readOnly.Close()
+	stdout := os.Stdout
+	os.Stdout = readOnly
+	defer func() { os.Stdout = stdout }()
+	if err := run(options{system: "testbed", procs: 4, placement: "cyclic"}); err == nil {
+		t.Error("run with an unwritable stdout succeeded")
+	}
+	if err := run(options{list: true}); err == nil {
+		t.Error("-list with an unwritable stdout succeeded")
+	}
+}
+
 func TestRunBenchFlagComposesSuite(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "custom.json")

@@ -80,11 +80,15 @@ func run(o options, out, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// The CSV is the command's product: a write error is sticky in w,
+	// and Flush returns it.
 	w := bufio.NewWriter(out)
-	defer w.Flush()
 	fmt.Fprintln(w, "seconds,watts")
 	for _, s := range m.trace.Samples() {
 		fmt.Fprintf(w, "%.3f,%.1f\n", float64(s.At), float64(s.Power))
+	}
+	if err := w.Flush(); err != nil {
+		return err
 	}
 	if o.tracePath != "" {
 		if err := obs.WriteChromeTraceFile(o.tracePath, m.tracer.Spans(), m.tracer.Events()); err != nil {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,6 +95,21 @@ func TestIOzoneMatchesSuiteMeasurement(t *testing.T) {
 			t.Errorf("%s@%d: powersim IOzone %.1f s / %.1f J, suite %.1f s / %.1f J", c.system, c.procs,
 				row.Seconds, row.EnergyJ, float64(want.Measurement.Time), float64(want.Measurement.Energy))
 		}
+	}
+}
+
+// failWriter fails every write, like a full disk behind stdout.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+// TestRunReportsStdoutWriteError: the CSV is the command's product, so a
+// failed write to stdout is an error, not a silent exit 0.
+func TestRunReportsStdoutWriteError(t *testing.T) {
+	o := opts("testbed", 4, "hpl", 1, 1)
+	o.quiet = true
+	if err := run(o, failWriter{}, io.Discard); err == nil || !strings.Contains(err.Error(), "no space left") {
+		t.Fatalf("run with a failing stdout = %v, want its write error", err)
 	}
 }
 

@@ -77,10 +77,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Registry lists every analyzer in deterministic run order: the five
 // syntax-level checks from the original suite, then the interprocedural
 // tier (clocktaint/randtaint over the call graph, goroleak over the
-// blocks-forever summaries) and the concurrency analyzers.
+// blocks-forever summaries), the concurrency analyzers and the
+// module-wide dead-export check.
 func Registry() []*Analyzer {
 	return []*Analyzer{DetClock, DetRand, MapOrder, FloatEq, Layering,
-		ClockTaint, RandTaint, GoroLeak, Locks, NonBlock}
+		ClockTaint, RandTaint, GoroLeak, Locks, NonBlock, UnusedExport}
 }
 
 // ByName returns the registered analyzer with that name, or nil.

@@ -23,7 +23,7 @@ func BenchmarkLoadModule(b *testing.B) {
 }
 
 // BenchmarkAnalyzerSuite times the back half: the full default rule
-// table — all ten analyzers, including the interprocedural taint tier —
+// table — all eleven analyzers, including the interprocedural taint tier —
 // over an already-loaded module. The first iteration builds the call
 // graph; later ones reuse it, matching how one CLI run amortizes the
 // graph across packages.

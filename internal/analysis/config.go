@@ -127,11 +127,16 @@ var deterministicPkgs = []string{
 //   - internal/stats and internal/units host the approved tolerance
 //     helpers, so floateq is off inside them.
 //   - No internal package may import a cmd.
+//   - Every internal package runs unusedexport: an exported function
+//     that no non-test file of the module references is dead code. The
+//     root package is the public API and the commands and examples are
+//     mains, so they do not run it.
 func DefaultConfig() Config {
 	det := []string{"detclock", "clocktaint", "detrand", "randtaint", "maporder", "floateq", "layering", "locks"}
-	concurrent := []string{"detrand", "randtaint", "maporder", "floateq", "layering", "locks", "goroleak"}
+	concurrent := []string{"detrand", "randtaint", "maporder", "floateq", "layering", "locks", "goroleak", "unusedexport"}
 	livePlane := append(append([]string{}, concurrent...), "nonblock")
-	noFloat := []string{"detclock", "clocktaint", "detrand", "randtaint", "maporder", "layering", "locks"}
+	noFloat := []string{"detclock", "clocktaint", "detrand", "randtaint", "maporder", "layering", "locks", "unusedexport"}
+	detInternal := append(append([]string{}, det...), "unusedexport")
 	wallCmd := []string{"detrand", "randtaint", "maporder", "floateq", "layering", "locks"}
 	detForbid := []string{"repro/internal/obs/live", "repro/internal/obs/ops", "repro/internal/shard", "repro/internal/campaign", "os/exec", "net/http", "repro/cmd/..."}
 	internalForbid := []string{"repro/cmd/..."}
@@ -145,10 +150,10 @@ func DefaultConfig() Config {
 		{Match: "repro/internal/units", Analyzers: noFloat, ForbidImports: internalForbid},
 	}
 	for _, p := range deterministicPkgs {
-		pkgs = append(pkgs, Rules{Match: p, Analyzers: det, ForbidImports: detForbid})
+		pkgs = append(pkgs, Rules{Match: p, Analyzers: detInternal, ForbidImports: detForbid})
 	}
 	pkgs = append(pkgs,
-		Rules{Match: "repro/internal/...", Analyzers: det, ForbidImports: internalForbid},
+		Rules{Match: "repro/internal/...", Analyzers: detInternal, ForbidImports: internalForbid},
 		Rules{Match: "repro/cmd/...", Analyzers: wallCmd},
 		Rules{Match: "repro/examples/...", Analyzers: wallCmd},
 		Rules{Match: "repro", Analyzers: det, ForbidImports: detForbid},

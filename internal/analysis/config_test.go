@@ -141,8 +141,8 @@ func TestRegistryWellFormed(t *testing.T) {
 	if ByName("nosuch") != nil {
 		t.Error("ByName of an unknown name must return nil")
 	}
-	if len(seen) != 10 {
-		t.Errorf("registry has %d analyzers, want 10", len(seen))
+	if len(seen) != 11 {
+		t.Errorf("registry has %d analyzers, want 11", len(seen))
 	}
 }
 

@@ -181,6 +181,10 @@ func TestNonBlockFixture(t *testing.T) {
 	runFixture(t, "nonblock", analysis.Rules{Match: "fixture/nonblock", Analyzers: []string{"nonblock"}})
 }
 
+func TestUnusedExportFixture(t *testing.T) {
+	runFixture(t, "unusedexport", analysis.Rules{Match: "fixture/unusedexport", Analyzers: []string{"unusedexport"}})
+}
+
 func TestAllowExtentFixture(t *testing.T) {
 	// Statement-extent suppression: a directive above (or trailing on)
 	// a multi-line statement covers its whole extent and nothing past it.

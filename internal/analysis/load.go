@@ -38,6 +38,7 @@ type Module struct {
 	extraOrder  []string
 	fixtureRoot string
 	graph       *Graph
+	useIdx      *useIndex
 }
 
 // Package is one parsed, type-checked package. Test files are excluded:
@@ -300,10 +301,14 @@ func (m *Module) check(path string) (*Package, error) {
 // packages: an import of "fixture/<name>" from a CheckDir'd package
 // resolves to <root>/<name>, loaded through CheckDir on demand. Tests
 // use this so a fixture can exercise cross-package analysis.
+//
+//greenvet:allow unusedexport -- tests in other packages depend on it: the fixture tests of package analysis_test
 func (m *Module) SetFixtureRoot(root string) { m.fixtureRoot = root }
 
 // InvalidateGraph drops the cached call graph so the next Graph call
 // rebuilds it — benchmarks use it to time whole builds.
+//
+//greenvet:allow unusedexport -- tests in other packages depend on it: the call-graph benchmark of package analysis_test
 func (m *Module) InvalidateGraph() { m.graph = nil }
 
 // CheckDir parses and type-checks a directory outside the module tree

@@ -1,60 +1,12 @@
 // Package blas implements the dense linear-algebra kernels the HPL
-// benchmark is built from: level-1 vector operations (axpy, scal, swap,
-// idamax, dot, nrm2), the level-2 rank-1 update (ger), triangular solves
-// (trsm) and a cache-blocked matrix-matrix multiply (gemm).
+// benchmark is built from: the level-1 swap and dot, triangular solves
+// (trsm, trsv) and a cache-blocked matrix-matrix multiply (gemm).
 //
 // All matrices are row-major with an explicit leading dimension (the stride
 // between consecutive rows), matching the layout the hpl package uses for
 // its block-cyclic panels. Only the variants HPL needs are provided; this is
 // a benchmark substrate, not a general BLAS.
 package blas
-
-import "math"
-
-// Idamax returns the index of the element of x with the largest absolute
-// value, or -1 when x is empty. Ties resolve to the lowest index, as in the
-// reference BLAS — pivot reproducibility depends on it.
-func Idamax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best, bv := 0, math.Abs(x[0])
-	for i, v := range x[1:] {
-		if a := math.Abs(v); a > bv {
-			best, bv = i+1, a
-		}
-	}
-	return best
-}
-
-// IdamaxStride is Idamax over n elements of x spaced inc apart.
-func IdamaxStride(n int, x []float64, inc int) int {
-	if n <= 0 || inc <= 0 {
-		return -1
-	}
-	best, bv := 0, math.Abs(x[0])
-	for i := 1; i < n; i++ {
-		if a := math.Abs(x[i*inc]); a > bv {
-			best, bv = i, a
-		}
-	}
-	return best
-}
-
-// Scal scales x by alpha.
-func Scal(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Axpy computes y += alpha*x.
-func Axpy(alpha float64, x, y []float64) {
-	_ = y[len(x)-1]
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
 
 // Dot returns xᵀy.
 func Dot(x, y []float64) float64 {
@@ -66,50 +18,11 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Nrm2 returns the Euclidean norm of x, with scaling against overflow.
-func Nrm2(x []float64) float64 {
-	var scale, ssq float64
-	ssq = 1
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
-	}
-	if scale == 0 {
-		return 0
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // Swap exchanges x and y elementwise.
 func Swap(x, y []float64) {
 	_ = y[len(x)-1]
 	for i := range x {
 		x[i], y[i] = y[i], x[i]
-	}
-}
-
-// Ger performs the rank-1 update A += alpha * x * yᵀ where A is m×n
-// row-major with leading dimension lda.
-func Ger(m, n int, alpha float64, x, y, a []float64, lda int) {
-	for i := 0; i < m; i++ {
-		axi := alpha * x[i]
-		if axi == 0 {
-			continue
-		}
-		row := a[i*lda : i*lda+n]
-		for j, yv := range y[:n] {
-			row[j] += axi * yv
-		}
 	}
 }
 

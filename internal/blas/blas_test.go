@@ -41,40 +41,7 @@ func maxDiff(a, b []float64) float64 {
 	return d
 }
 
-func TestIdamax(t *testing.T) {
-	if got := Idamax([]float64{1, -5, 3}); got != 1 {
-		t.Errorf("Idamax = %d, want 1", got)
-	}
-	if got := Idamax(nil); got != -1 {
-		t.Errorf("Idamax(nil) = %d", got)
-	}
-	// Ties resolve to the first index.
-	if got := Idamax([]float64{-2, 2}); got != 0 {
-		t.Errorf("Idamax tie = %d, want 0", got)
-	}
-}
-
-func TestIdamaxStride(t *testing.T) {
-	x := []float64{1, 99, -7, 99, 3, 99}
-	if got := IdamaxStride(3, x, 2); got != 1 {
-		t.Errorf("IdamaxStride = %d, want 1 (element -7)", got)
-	}
-	if got := IdamaxStride(0, x, 2); got != -1 {
-		t.Errorf("IdamaxStride(0) = %d", got)
-	}
-}
-
 func TestLevel1(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{10, 20, 30}
-	Axpy(2, x, y)
-	if y[0] != 12 || y[1] != 24 || y[2] != 36 {
-		t.Errorf("Axpy = %v", y)
-	}
-	Scal(0.5, x)
-	if x[0] != 0.5 || x[2] != 1.5 {
-		t.Errorf("Scal = %v", x)
-	}
 	if d := Dot([]float64{1, 2}, []float64{3, 4}); d != 11 {
 		t.Errorf("Dot = %v", d)
 	}
@@ -82,30 +49,6 @@ func TestLevel1(t *testing.T) {
 	Swap(a, b)
 	if a[0] != 3 || b[1] != 2 {
 		t.Errorf("Swap = %v %v", a, b)
-	}
-}
-
-func TestNrm2(t *testing.T) {
-	if n := Nrm2([]float64{3, 4}); math.Abs(n-5) > 1e-12 {
-		t.Errorf("Nrm2 = %v", n)
-	}
-	if n := Nrm2(nil); n != 0 {
-		t.Errorf("Nrm2(nil) = %v", n)
-	}
-	// Overflow-safe scaling.
-	big := []float64{1e308, 1e308}
-	if n := Nrm2(big); math.IsInf(n, 0) || math.Abs(n-1e308*math.Sqrt2) > 1e294 {
-		t.Errorf("Nrm2 overflowed: %v", n)
-	}
-}
-
-func TestGer(t *testing.T) {
-	// A(2x3) += 2 * x * yT
-	a := make([]float64, 6)
-	Ger(2, 3, 2, []float64{1, 2}, []float64{1, 10, 100}, a, 3)
-	want := []float64{2, 20, 200, 4, 40, 400}
-	if maxDiff(a, want) > 1e-12 {
-		t.Errorf("Ger = %v", a)
 	}
 }
 

@@ -103,13 +103,6 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// CancelRequested reports whether a cancellation was requested.
-func (j *Job) CancelRequested() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancelRequested
-}
-
 // ShardStatus is the supervisor's view of one shard of a sharded job.
 type ShardStatus struct {
 	Shard    int    `json:"shard"`

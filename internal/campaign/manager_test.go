@@ -179,7 +179,7 @@ func TestManagerCancelRunningJobDumpsFlight(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(j.Dir(), FlightFile)); err != nil {
 		t.Errorf("cancelled running job left no flight dump: %v", err)
 	}
-	if !j.CancelRequested() {
+	if !j.Status().CancelRequested {
 		t.Error("CancelRequested not recorded")
 	}
 }

@@ -30,11 +30,6 @@ type CPUSpec struct {
 	MaxWatts       float64 // socket power at full load
 }
 
-// PeakFLOPS returns the socket's peak floating-point rate.
-func (c CPUSpec) PeakFLOPS() units.FLOPS {
-	return units.FLOPS(c.ClockHz * c.FlopsPerCycle * float64(c.CoresPerSocket))
-}
-
 // MemorySpec describes a node's memory system.
 type MemorySpec struct {
 	CapacityBytes float64 // installed DRAM per node
@@ -71,11 +66,6 @@ type NodeSpec struct {
 
 // Cores returns the number of cores in one node.
 func (n NodeSpec) Cores() int { return n.Sockets * n.CPU.CoresPerSocket }
-
-// PeakFLOPS returns the node's peak floating-point rate.
-func (n NodeSpec) PeakFLOPS() units.FLOPS {
-	return units.FLOPS(float64(n.Sockets)) * n.CPU.PeakFLOPS()
-}
 
 // StorageSpec describes the shared storage backend (an NFS-style file
 // server): an aggregate bandwidth that all clients contend for, a per-client
@@ -158,16 +148,6 @@ func (s *Spec) Validate() error {
 
 // TotalCores returns the cluster's core count.
 func (s *Spec) TotalCores() int { return s.Nodes * s.Node.Cores() }
-
-// PeakFLOPS returns the cluster's peak floating-point rate.
-func (s *Spec) PeakFLOPS() units.FLOPS {
-	return units.FLOPS(float64(s.Nodes)) * s.Node.PeakFLOPS()
-}
-
-// TotalMemory returns the cluster's installed DRAM in bytes.
-func (s *Spec) TotalMemory() units.Bytes {
-	return units.Bytes(float64(s.Nodes) * s.Node.Memory.CapacityBytes)
-}
 
 // Placement selects how MPI processes map onto nodes.
 type Placement int
@@ -327,6 +307,8 @@ func (lp *LoadProfile) Validate(s *Spec) error {
 
 // UniformPhase builds a phase where the first activeNodes nodes carry u and
 // the rest idle.
+//
+//greenvet:allow unusedexport -- a root benchmark or test uses it: allocs_test.go
 func UniformPhase(d units.Seconds, activeNodes int, u Util) Phase {
 	nu := make([]Util, activeNodes)
 	for i := range nu {

@@ -36,13 +36,18 @@ func TestFireMatchesPaper(t *testing.T) {
 		t.Errorf("Fire clock = %v, want 2.3 GHz", f.Node.CPU.ClockHz)
 	}
 	// Peak must comfortably exceed the delivered ~0.9 TFLOPS HPL figure.
-	peak := float64(f.PeakFLOPS())
+	peak := peakFLOPS(f)
 	if peak < 1.1e12 || peak > 1.3e12 {
 		t.Errorf("Fire peak = %v, want ~1.18 TFLOPS", peak)
 	}
-	if got := float64(f.TotalMemory()); got != 8*32*(1<<30) {
+	if got := float64(f.Nodes) * f.Node.Memory.CapacityBytes; got != 8*32*(1<<30) {
 		t.Errorf("Fire memory = %v", got)
 	}
+}
+
+// peakFLOPS returns the cluster's peak floating-point rate.
+func peakFLOPS(s *Spec) float64 {
+	return float64(s.TotalCores()) * s.Node.CPU.ClockHz * s.Node.CPU.FlopsPerCycle
 }
 
 func TestSystemGMatchesPaper(t *testing.T) {
@@ -53,7 +58,7 @@ func TestSystemGMatchesPaper(t *testing.T) {
 	if g.Nodes != 128 {
 		t.Errorf("SystemG nodes = %d, want 128", g.Nodes)
 	}
-	peak := float64(g.PeakFLOPS())
+	peak := peakFLOPS(g)
 	if peak < 11e12 || peak > 12e12 {
 		t.Errorf("SystemG peak = %v, want ~11.5 TFLOPS", peak)
 	}
@@ -226,7 +231,7 @@ func TestSiCortexSpec(t *testing.T) {
 	// The design point: peak well below Fire's, but the full-load
 	// power-per-peak-flop far better.
 	fire := Fire()
-	if float64(s.PeakFLOPS()) >= float64(fire.PeakFLOPS()) {
+	if peakFLOPS(s) >= peakFLOPS(fire) {
 		t.Error("SiCortex peak should be below Fire's")
 	}
 }

@@ -16,6 +16,8 @@ import (
 // work the paper builds on (Hsu & Feng, cited as [11]): running below
 // nominal frequency trades performance for disproportionate power savings,
 // and TGI makes the system-wide outcome of that trade a single number.
+//
+//greenvet:allow unusedexport -- a root benchmark or test uses it: bench_test.go
 func WithFrequency(s *Spec, factor float64) (*Spec, error) {
 	if s == nil {
 		return nil, errors.New("cluster: nil spec")

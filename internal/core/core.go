@@ -79,6 +79,8 @@ func PerfPerWatt(m Measurement) float64 {
 // InverseEDP is an energy-delay-product-based efficiency: 1/(E·T), so that
 // higher remains better and the ratio-to-reference structure of Equation 3
 // is preserved.
+//
+//greenvet:allow unusedexport -- a root benchmark or test uses it: bench_test.go
 func InverseEDP(m Measurement) float64 {
 	return 1 / (float64(m.EnergyJoules()) * float64(m.Time))
 }
@@ -285,37 +287,4 @@ func ComputeWith(ee EEFunc, test, ref []Measurement, s Scheme, custom []float64)
 		c.TGI += ws[i] * ree
 	}
 	return c, nil
-}
-
-// SPECRating is Equation 1: the performance of the reference system divided
-// by the performance of the system under test, with time as the unit of
-// performance — a rating of 25 means the system under test is 25× faster
-// than the reference. Provided because TGI's normalisation step follows the
-// same approach.
-func SPECRating(refTime, testTime units.Seconds) (float64, error) {
-	if refTime <= 0 || testTime <= 0 {
-		return 0, errors.New("core: SPEC rating needs positive times")
-	}
-	return float64(refTime) / float64(testTime), nil
-}
-
-// DesiredPropertyHolds checks Section III's requirement on the metric: at
-// fixed performance, the efficiency must be inversely proportional to the
-// energy consumed. It evaluates ee on a measurement and on a copy with k×
-// the energy (and the corresponding power at fixed time), and reports
-// whether efficiency scaled by 1/k within tol.
-func DesiredPropertyHolds(ee EEFunc, m Measurement, k, tol float64) bool {
-	if err := m.Validate(); err != nil || k <= 0 {
-		return false
-	}
-	scaled := m
-	scaled.Power = m.Power * units.Watts(k)
-	scaled.Energy = units.Joules(float64(m.EnergyJoules()) * k)
-	base := ee(m)
-	got := ee(scaled)
-	if base <= 0 || got <= 0 {
-		return false
-	}
-	want := base / k
-	return math.Abs(got-want) <= tol*want
 }

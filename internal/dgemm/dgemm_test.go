@@ -46,7 +46,8 @@ func TestSimulate(t *testing.T) {
 	if err := res.Profile.Validate(cluster.Fire()); err != nil {
 		t.Fatal(err)
 	}
-	peak := float64(cluster.Fire().PeakFLOPS())
+	fire := cluster.Fire()
+	peak := float64(fire.TotalCores()) * fire.Node.CPU.ClockHz * fire.Node.CPU.FlopsPerCycle
 	perf := float64(res.Perf)
 	// DGEMM sustains more of peak than HPL but never exceeds it.
 	if perf <= 0.6*peak || perf > peak {

@@ -115,6 +115,8 @@ func rowFFTs(local []float64, rowsLoc, w int) error {
 
 // DistRun executes the distributed transform and verifies the gathered
 // result against the serial Transform on rank 0.
+//
+//greenvet:allow unusedexport -- a reproduced result uses it: the MPIFFT row of EXPERIMENTS.md
 func DistRun(cfg DistConfig) (*DistResult, error) {
 	if cfg.LogN1 < 1 || cfg.LogN2 < 1 || cfg.LogN1+cfg.LogN2 > 24 {
 		return nil, errors.New("fft: LogN1/LogN2 must be >= 1 with LogN1+LogN2 <= 24")

@@ -80,21 +80,6 @@ func Inverse(x []complex128) error {
 	return nil
 }
 
-// DFT is the O(n²) direct transform used as a reference in tests.
-func DFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var s complex128
-		for t := 0; t < n; t++ {
-			ang := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			s += x[t] * cmplx.Rect(1, ang)
-		}
-		out[k] = s
-	}
-	return out
-}
-
 // Config describes one native benchmark run.
 type Config struct {
 	// LogN is the transform size exponent (vector length 2^LogN).

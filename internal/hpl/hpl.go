@@ -594,28 +594,3 @@ func residual(cfg Config, x []float64) float64 {
 	}
 	return rinf / denom
 }
-
-// mpirtRunSolution is a test hook: run the distributed factorise+solve and
-// return the raw solution vector without the residual bookkeeping.
-func mpirtRunSolution(cfg Config, out *[]float64) error {
-	if cfg.NB > cfg.N {
-		cfg.NB = cfg.N
-	}
-	return mpirt.Run(cfg.Procs, func(c *mpirt.Comm) error {
-		s, err := newShard(c, cfg)
-		if err != nil {
-			return err
-		}
-		if err := s.factorize(); err != nil {
-			return err
-		}
-		x, err := s.solve()
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			*out = x
-		}
-		return nil
-	})
-}

@@ -3,6 +3,8 @@ package hpl
 import (
 	"math"
 	"testing"
+
+	"repro/internal/mpirt"
 )
 
 func TestGrid(t *testing.T) {
@@ -259,6 +261,31 @@ func naiveSolve(n int, seed uint64) []float64 {
 		b[r] = s / a[r][r]
 	}
 	return b
+}
+
+// mpirtRunSolution runs the distributed factorise+solve and returns
+// the raw solution vector without the residual bookkeeping.
+func mpirtRunSolution(cfg Config, out *[]float64) error {
+	if cfg.NB > cfg.N {
+		cfg.NB = cfg.N
+	}
+	return mpirt.Run(cfg.Procs, func(c *mpirt.Comm) error {
+		s, err := newShard(c, cfg)
+		if err != nil {
+			return err
+		}
+		if err := s.factorize(); err != nil {
+			return err
+		}
+		x, err := s.solve()
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			*out = x
+		}
+		return nil
+	})
 }
 
 // runForSolution runs the distributed pipeline and returns x (test hook).

@@ -17,9 +17,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
-	"repro/internal/units"
 )
 
 // AnySource matches messages from any rank in Recv.
@@ -44,12 +41,11 @@ type World struct {
 	inbox   []chan message
 	pending [][]message  // per world rank, unmatched messages; owned by that rank's goroutine
 	bytes   atomic.Int64 // total payload bytes sent, all communicators
-	msgs    atomic.Int64
 	chanCap int
 
-	// Crash/abort path: when a rank dies (error return, panic, or explicit
-	// Abort), the world is poisoned so peers blocked in Recv or a full
-	// Send unblock with ErrAborted instead of deadlocking.
+	// Crash/abort path: when a rank dies (error return or panic), the
+	// world is poisoned so peers blocked in Recv or a full Send unblock
+	// with ErrAborted instead of deadlocking.
 	done      chan struct{}
 	abortOnce sync.Once
 	abortInfo atomic.Pointer[abortCause]
@@ -78,16 +74,6 @@ func (w *World) abortErr() error {
 		return fmt.Errorf("%w by rank %d: %v", ErrAborted, info.rank, info.err)
 	}
 	return ErrAborted
-}
-
-// Abort simulates this rank crashing: every peer blocked in (or later
-// entering) a communication call fails with ErrAborted rather than
-// deadlocking — MPI_Abort semantics for the miniature runtime.
-func (c *Comm) Abort(cause error) {
-	if cause == nil {
-		cause = errors.New("aborted")
-	}
-	c.world.abort(c.members[c.rank], cause)
 }
 
 // Comm is one rank's handle on a communicator.
@@ -164,60 +150,6 @@ func Run(n int, fn func(c *Comm) error) error {
 	return nil
 }
 
-// RunTraced is Run with per-rank observability: each rank's execution is
-// recorded as a span on the "mpirt" track of rec. The runtime has no
-// virtual clock, so spans lie on a logical message clock — the world's
-// cumulative message count at rank start and finish — which still shows
-// which ranks were communication-active over which part of the run. Rank
-// goroutines record concurrently; rec must be safe for concurrent use
-// (obs.Tracer is). A nil rec degrades to plain Run.
-func RunTraced(n int, rec obs.Recorder, fn func(c *Comm) error) error {
-	if rec == nil {
-		return Run(n, fn)
-	}
-	return Run(n, func(c *Comm) error {
-		start := c.world.msgs.Load()
-		err := fn(c)
-		end := c.world.msgs.Load()
-		attrs := []obs.Attr{
-			obs.Int("rank", c.rank),
-			obs.Int("world", n),
-			obs.Int64("bytes_sent_world", c.world.bytes.Load()),
-		}
-		if err != nil {
-			attrs = append(attrs, obs.Str("error", err.Error()))
-		}
-		rec.Span(obs.Span{
-			Track: obs.TrackMPI,
-			Name:  fmt.Sprintf("rank %d", c.rank),
-			Start: units.Seconds(start),
-			End:   units.Seconds(end),
-			Attrs: attrs,
-		})
-		rec.Count("mpirt.ranks", 1)
-		if err != nil {
-			rec.Count("mpirt.rank_failures", 1)
-			// The rank that died with its own error (not a peer's abort
-			// propagating back) is the one that poisoned the world: record
-			// the abort as an instant so trace and live consumers see who
-			// initiated the collapse, not just which ranks drowned in it.
-			if !errors.Is(err, ErrAborted) {
-				rec.Event(obs.Event{
-					Track: obs.TrackMPI,
-					Name:  obs.EventMPIAbort,
-					At:    units.Seconds(end),
-					Attrs: []obs.Attr{
-						obs.Int("rank", c.rank),
-						obs.Str("error", err.Error()),
-					},
-				})
-				rec.Count("mpirt.aborts", 1)
-			}
-		}
-		return err
-	})
-}
-
 // Rank returns this process's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }
 
@@ -228,9 +160,6 @@ func (c *Comm) Size() int { return len(c.members) }
 // far (all communicators). Benchmark drivers read this to report
 // communication volume.
 func (c *Comm) BytesSent() int64 { return c.world.bytes.Load() }
-
-// MessagesSent returns the total message count across the world.
-func (c *Comm) MessagesSent() int64 { return c.world.msgs.Load() }
 
 // Send delivers a copy of data to dst (communicator rank) under tag.
 // Tags must be non-negative; negative tags are reserved for collectives.
@@ -248,7 +177,6 @@ func (c *Comm) send(dst, tag int, data []float64) error {
 	cp := make([]float64, len(data))
 	copy(cp, data)
 	c.world.bytes.Add(int64(8 * len(data)))
-	c.world.msgs.Add(1)
 	m := message{commID: c.id, src: c.rank, tag: tag, data: cp}
 	box := c.world.inbox[c.members[dst]]
 	// Prefer delivery while there is buffer space; only a blocked send
@@ -462,18 +390,6 @@ func (c *Comm) Reduce(root int, op Op, in, out []float64) error {
 	return c.send(root, tag, in)
 }
 
-// Allreduce is Reduce to rank 0 followed by Bcast; every rank gets the
-// combined result in out.
-func (c *Comm) Allreduce(op Op, in, out []float64) error {
-	if len(out) != len(in) {
-		return fmt.Errorf("mpirt: allreduce buffer mismatch: %d vs %d", len(out), len(in))
-	}
-	if err := c.Reduce(0, op, in, out); err != nil {
-		return err
-	}
-	return c.Bcast(0, out)
-}
-
 // Gather concatenates equal-length contributions on root: out receives
 // rank i's in at offset i*len(in). out may be nil on non-root ranks.
 func (c *Comm) Gather(root int, in, out []float64) error {
@@ -500,40 +416,6 @@ func (c *Comm) Gather(root int, in, out []float64) error {
 		return nil
 	}
 	return c.send(root, tag, in)
-}
-
-// Scatter distributes equal-size chunks of in from root: rank i receives
-// in[i*len(out) : (i+1)*len(out)]. in may be nil on non-root ranks.
-func (c *Comm) Scatter(root int, in, out []float64) error {
-	n := len(c.members)
-	if root < 0 || root >= n {
-		return fmt.Errorf("mpirt: scatter root %d invalid", root)
-	}
-	tag := c.nextCollTag()
-	if c.rank == root {
-		if len(in) != n*len(out) {
-			return fmt.Errorf("mpirt: scatter buffer %d, want %d", len(in), n*len(out))
-		}
-		for i := 0; i < n; i++ {
-			if i == root {
-				copy(out, in[i*len(out):(i+1)*len(out)])
-				continue
-			}
-			if err := c.send(i, tag, in[i*len(out):(i+1)*len(out)]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	data, err := c.recvExact(root, tag)
-	if err != nil {
-		return err
-	}
-	if len(data) != len(out) {
-		return fmt.Errorf("mpirt: scatter chunk length %d, want %d", len(data), len(out))
-	}
-	copy(out, data)
-	return nil
 }
 
 // Allgather is Gather to rank 0 followed by Bcast of the concatenation.
@@ -639,23 +521,4 @@ func (c *Comm) Alltoall(in, out []float64) error {
 		copy(out[src*k:(src+1)*k], data)
 	}
 	return nil
-}
-
-// Sendrecv exchanges buffers with a peer in one deadlock-free step: data is
-// sent to peer under tag while a same-tag message from peer is received and
-// returned. Both sides must call it symmetrically.
-func (c *Comm) Sendrecv(peer, tag int, data []float64) ([]float64, error) {
-	if tag < 0 {
-		return nil, fmt.Errorf("mpirt: user tag %d is negative", tag)
-	}
-	if peer == c.rank {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		return cp, nil
-	}
-	if err := c.send(peer, tag, data); err != nil {
-		return nil, err
-	}
-	got, _, _, err := c.Recv(peer, tag)
-	return got, err
 }

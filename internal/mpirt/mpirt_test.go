@@ -261,25 +261,7 @@ func TestReduceMaxMin(t *testing.T) {
 	}
 }
 
-func TestAllreduce(t *testing.T) {
-	const n = 9
-	err := Run(n, func(c *Comm) error {
-		in := []float64{1}
-		out := make([]float64, 1)
-		if err := c.Allreduce(OpSum, in, out); err != nil {
-			return err
-		}
-		if out[0] != n {
-			return fmt.Errorf("rank %d allreduce = %v", c.Rank(), out)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherScatter(t *testing.T) {
+func TestGather(t *testing.T) {
 	const n = 4
 	err := Run(n, func(c *Comm) error {
 		in := []float64{float64(c.Rank() * 2), float64(c.Rank()*2 + 1)}
@@ -296,14 +278,6 @@ func TestGatherScatter(t *testing.T) {
 					return fmt.Errorf("gather = %v", out)
 				}
 			}
-		}
-		// Scatter it back.
-		chunk := make([]float64, 2)
-		if err := c.Scatter(1, out, chunk); err != nil {
-			return err
-		}
-		if chunk[0] != float64(c.Rank()*2) || chunk[1] != float64(c.Rank()*2+1) {
-			return fmt.Errorf("rank %d scatter = %v", c.Rank(), chunk)
 		}
 		return nil
 	})
@@ -330,6 +304,15 @@ func TestAllgather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allreduce is Reduce to rank 0 followed by Bcast: every rank gets the
+// combined result in out.
+func allreduce(c *Comm, op Op, in, out []float64) error {
+	if err := c.Reduce(0, op, in, out); err != nil {
+		return err
+	}
+	return c.Bcast(0, out)
 }
 
 func TestSplitGrid(t *testing.T) {
@@ -360,14 +343,14 @@ func TestSplitGrid(t *testing.T) {
 		}
 		// Sum of ranks along a row must be 0+1+2 = 3 for every row.
 		out := make([]float64, 1)
-		if err := rowComm.Allreduce(OpSum, []float64{float64(myCol)}, out); err != nil {
+		if err := allreduce(rowComm, OpSum, []float64{float64(myCol)}, out); err != nil {
 			return err
 		}
 		if out[0] != 3 {
 			return fmt.Errorf("row sum = %v", out[0])
 		}
 		// Sum of ranks along a column must be 0+1 = 1.
-		if err := colComm.Allreduce(OpSum, []float64{float64(myRow)}, out); err != nil {
+		if err := allreduce(colComm, OpSum, []float64{float64(myRow)}, out); err != nil {
 			return err
 		}
 		if out[0] != 1 {
@@ -431,9 +414,6 @@ func TestTrafficAccounting(t *testing.T) {
 		if c.BytesSent() < 800 {
 			return fmt.Errorf("bytes sent = %d, want >= 800", c.BytesSent())
 		}
-		if c.MessagesSent() < 1 {
-			return errors.New("no messages recorded")
-		}
 		return nil
 	})
 	if err != nil {
@@ -453,7 +433,7 @@ func TestPiByAllreduce(t *testing.T) {
 			local += 4 / (1 + x*x)
 		}
 		out := make([]float64, 1)
-		if err := c.Allreduce(OpSum, []float64{local * h}, out); err != nil {
+		if err := allreduce(c, OpSum, []float64{local * h}, out); err != nil {
 			return err
 		}
 		if math.Abs(out[0]-math.Pi) > 1e-6 {
@@ -541,39 +521,14 @@ func TestAlltoallRepeated(t *testing.T) {
 	}
 }
 
-func TestSendrecv(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		mine := []float64{float64(c.Rank() + 10)}
-		got, err := c.Sendrecv(1-c.Rank(), 9, mine)
-		if err != nil {
-			return err
-		}
-		if got[0] != float64((1-c.Rank())+10) {
-			return fmt.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		// Self-exchange is a copy.
-		self, err := c.Sendrecv(c.Rank(), 9, mine)
-		if err != nil || self[0] != mine[0] {
-			return fmt.Errorf("self sendrecv = %v, %v", self, err)
-		}
-		if _, err := c.Sendrecv(0, -1, nil); err == nil {
-			return errors.New("negative tag accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCrashedRankUnblocksPeers simulates a node crash mid-run: one rank
-// aborts while its peers sit inside a collective that can never complete.
-// The peers must return ErrAborted instead of deadlocking.
+// fails while its peers sit inside a collective that can never complete.
+// Run aborts the world on the failed rank's error, so the peers must
+// return ErrAborted instead of deadlocking.
 func TestCrashedRankUnblocksPeers(t *testing.T) {
 	crash := errors.New("simulated node crash")
 	err := Run(4, func(c *Comm) error {
 		if c.Rank() == 2 {
-			c.Abort(crash)
 			return crash
 		}
 		// Without rank 2 this barrier cannot complete; the abort must
@@ -625,13 +580,13 @@ func TestPanickedRankUnblocksPeers(t *testing.T) {
 // world aborts must still be receivable — the abort only breaks waits that
 // could never finish.
 func TestAbortDoesNotEatDeliveredMessages(t *testing.T) {
+	crash := errors.New("late crash")
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 3, []float64{7}); err != nil {
 				return err
 			}
-			c.Abort(errors.New("late crash"))
-			return nil
+			return crash
 		}
 		// Wait until the abort has landed, then receive the earlier message.
 		<-c.world.done
@@ -644,8 +599,12 @@ func TestAbortDoesNotEatDeliveredMessages(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	var errs *Errs
+	if !errors.As(err, &errs) {
+		t.Fatalf("err = %v, want *Errs", err)
+	}
+	if len(errs.ByRank) != 1 || !errors.Is(errs.ByRank[0], crash) {
+		t.Errorf("ByRank = %v, want only rank 0's crash", errs.ByRank)
 	}
 }
 
@@ -687,7 +646,7 @@ func TestCollectiveFuzz(t *testing.T) {
 				}
 			case 2:
 				out := make([]float64, 1)
-				if err := even.Allreduce(OpSum, []float64{1}, out); err != nil {
+				if err := allreduce(even, OpSum, []float64{1}, out); err != nil {
 					return err
 				}
 				if out[0] != float64(even.Size()) {

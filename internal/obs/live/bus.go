@@ -52,17 +52,6 @@ func (b *Bus) Dropped() uint64 {
 	return b.dropped.Load()
 }
 
-// Subscribers returns the number of attached subscriptions.
-func (b *Bus) Subscribers() int {
-	if b == nil {
-		return 0
-	}
-	if subs := b.subs.Load(); subs != nil {
-		return len(*subs)
-	}
-	return 0
-}
-
 // Subscribe attaches a subscriber with the given buffer capacity
 // (minimum 1). The caller must drain Events() promptly or accept drops,
 // and must Close() the subscription when done.

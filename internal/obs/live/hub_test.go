@@ -226,7 +226,6 @@ func TestClassifySpanAndEvent(t *testing.T) {
 		{obs.Span{Track: obs.TrackMeter, Name: obs.NameMeterWindow}, KindMeterWindow},
 		{obs.Span{Track: obs.TrackSuite, Name: obs.NameBackoff}, KindBackoff},
 		{obs.Span{Track: obs.TrackSuite, Name: "attempt 2"}, KindAttempt},
-		{obs.Span{Track: obs.TrackMPI, Name: "rank 3"}, KindRank},
 		{obs.Span{Track: "custom", Name: "whatever"}, KindSpan},
 	}
 	for _, c := range spanCases {
@@ -241,7 +240,6 @@ func TestClassifySpanAndEvent(t *testing.T) {
 		{obs.Event{Name: obs.EventNodeCrash}, KindCrash},
 		{obs.Event{Name: obs.EventStraggler}, KindStraggler},
 		{obs.Event{Name: obs.EventRepair}, KindRepair},
-		{obs.Event{Name: obs.EventMPIAbort}, KindAbort},
 		{obs.Event{Name: "anything else"}, KindEvent},
 	}
 	for _, c := range eventCases {

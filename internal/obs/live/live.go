@@ -46,8 +46,6 @@ const (
 	KindCrash       Kind = "fault.crash"
 	KindStraggler   Kind = "fault.straggler"
 	KindRepair      Kind = "meter.repair"
-	KindRank        Kind = "mpi.rank"
-	KindAbort       Kind = "mpi.abort"
 
 	// Shard lifecycle kinds, published by the sharded-sweep supervisor
 	// (internal/shard) through the hub's Shard* methods.
@@ -93,8 +91,6 @@ func classifySpan(s obs.Span) Kind {
 		return KindBackoff
 	case strings.HasPrefix(s.Name, obs.AttemptPrefix):
 		return KindAttempt
-	case s.Track == obs.TrackMPI:
-		return KindRank
 	default:
 		return KindSpan
 	}
@@ -109,8 +105,6 @@ func classifyEvent(e obs.Event) Kind {
 		return KindStraggler
 	case obs.EventRepair:
 		return KindRepair
-	case obs.EventMPIAbort:
-		return KindAbort
 	default:
 		return KindEvent
 	}

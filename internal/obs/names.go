@@ -1,7 +1,7 @@
 package obs
 
 // Track and record names shared by the pipeline's recorders (suite,
-// power, faults, mpirt) and the live-plane classifier
+// power, faults) and the live-plane classifier
 // (internal/obs/live). Pinning them here keeps the virtual-time and
 // wall-clock planes agreeing on what a record means; the string values
 // are part of the golden trace format and must not change.
@@ -11,8 +11,6 @@ const (
 	TrackMeter = "meter"
 	// TrackSuite carries one span per suite run ("run p=N").
 	TrackSuite = "suite"
-	// TrackMPI carries mpirt rank spans on the logical message clock.
-	TrackMPI = "mpirt"
 
 	// NameMeterWindow is the meter's per-attempt sampling-window span.
 	NameMeterWindow = "window"
@@ -29,6 +27,4 @@ const (
 	// changed, with counts of the holes, filled samples and rejected
 	// outliers.
 	EventRepair = "repair: meter trace repaired"
-	// EventMPIAbort marks a rank death that poisoned its mpirt world.
-	EventMPIAbort = "mpirt: abort"
 )

@@ -68,8 +68,8 @@ type Event struct {
 }
 
 // Recorder receives completed spans, instant events and metric updates.
-// Implementations must be safe for concurrent use (mpirt ranks record
-// from their own goroutines) and must never mutate what they observe.
+// Implementations must be safe for concurrent use and must never mutate
+// what they observe.
 type Recorder interface {
 	Span(s Span)
 	Event(e Event)

@@ -144,16 +144,6 @@ func (t *Timeline) closeAttempt(shard int, end units.Seconds, outcome, reason st
 	})
 }
 
-// Counts reports how many spans and instants the timeline holds.
-func (t *Timeline) Counts() (spans, events int) {
-	if t == nil {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans), len(t.events)
-}
-
 // WriteFile exports the timeline as Chrome trace_event JSON. Attempts
 // still open (a supervisor that never reported an outcome) are closed
 // at the current instant so the trace stays well-formed. Spans are

@@ -145,6 +145,8 @@ var promSampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)` +
 // # TYPE line, then every one of its samples, with _bucket, _sum and
 // _count belonging to their histogram. Tests and CI hold every
 // exposition the wall-clock planes serve to it.
+//
+//greenvet:allow unusedexport -- tests in other packages depend on it: the obs, live, ops and campaign tests
 func CheckExposition(text []byte) error {
 	if !utf8.Valid(text) {
 		return errors.New("exposition is not UTF-8")

@@ -88,6 +88,8 @@ func (r *Registry) SetGauge(name string, v float64) {
 // RegisterHistogram pins explicit bucket bounds (ascending upper bounds;
 // an overflow bucket is implicit) for the named histogram. Registering
 // after the first observation, or with unsorted bounds, is an error.
+//
+//greenvet:allow unusedexport -- tests in other packages depend on it: the live Prometheus golden pins its buckets
 func (r *Registry) RegisterHistogram(name string, bounds []float64) error {
 	if len(bounds) == 0 {
 		return fmt.Errorf("obs: histogram %q needs at least one bound", name)

@@ -51,9 +51,6 @@ type Dataset struct {
 	TGI map[core.Scheme][]float64
 }
 
-// Benchmarks in suite order.
-var Benchmarks = []string{suite.BenchHPL, suite.BenchSTREAM, suite.BenchIOzone}
-
 // NewDataset runs the full reproduction: the SystemG reference point and
 // the Fire sweep, then derives the EE, REE and TGI curves.
 func NewDataset() (*Dataset, error) {

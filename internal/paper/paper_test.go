@@ -29,7 +29,7 @@ func TestDatasetStructure(t *testing.T) {
 	if len(d.Procs) != len(d.Results) {
 		t.Fatalf("axis %d vs results %d", len(d.Procs), len(d.Results))
 	}
-	for _, b := range Benchmarks {
+	for _, b := range suite.PaperOrder() {
 		if len(d.EE[b]) != len(d.Procs) {
 			t.Errorf("EE[%s] has %d points", b, len(d.EE[b]))
 		}

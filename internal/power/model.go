@@ -140,22 +140,11 @@ func sameUtil(a, b cluster.Util) bool {
 		math.Float64bits(a.Net) == math.Float64bits(b.Net)
 }
 
-// IdlePower returns the wall power of the fully-idle cluster.
-func (m *Model) IdlePower() units.Watts { return m.ClusterPower(nil) }
-
-// PeakPower returns the wall power with every component of every node at
-// full utilisation.
-func (m *Model) PeakPower() units.Watts {
-	full := make([]cluster.Util, m.Spec.Nodes)
-	for i := range full {
-		full[i] = cluster.Util{CPU: 1, Mem: 1, Disk: 1, Net: 1}
-	}
-	return m.ClusterPower(full)
-}
-
 // ProfileTrace evaluates a load profile into the exact piecewise-constant
 // cluster power signal, emitting one sample at each phase boundary (both
 // sides, so trapezoidal integration is exact).
+//
+//greenvet:allow unusedexport -- a root benchmark or test uses it: bench_test.go
 func (m *Model) ProfileTrace(lp *cluster.LoadProfile) (*series.Trace, error) {
 	return m.ProfileTraceInto(lp, series.New(2*len(lp.Phases)))
 }

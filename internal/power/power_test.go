@@ -73,11 +73,13 @@ func frac(v float64) float64 {
 
 func TestWallAboveDC(t *testing.T) {
 	m := newFireModel(t)
-	for _, u := range CalibrationSweep() {
-		dc := m.NodeDC(u)
-		wall := m.NodeWall(u)
-		if wall < dc {
-			t.Errorf("wall %v below DC %v at %+v", wall, dc, u)
+	for _, l := range []float64{0, 0.25, 0.5, 0.75, 1} {
+		for _, u := range []cluster.Util{{CPU: l}, {Mem: l}, {Disk: l}, {Net: l}, {CPU: l, Mem: l, Disk: l, Net: l}} {
+			dc := m.NodeDC(u)
+			wall := m.NodeWall(u)
+			if wall < dc {
+				t.Errorf("wall %v below DC %v at %+v", wall, dc, u)
+			}
 		}
 	}
 	m.DisablePSU = true
@@ -87,10 +89,20 @@ func TestWallAboveDC(t *testing.T) {
 	}
 }
 
+// peakPower is the wall power with every component of every node at full
+// utilisation.
+func peakPower(m *Model) units.Watts {
+	full := make([]cluster.Util, m.Spec.Nodes)
+	for i := range full {
+		full[i] = cluster.Util{CPU: 1, Mem: 1, Disk: 1, Net: 1}
+	}
+	return m.ClusterPower(full)
+}
+
 func TestClusterPowerIncludesIdleNodesAndFabric(t *testing.T) {
 	m := newFireModel(t)
 	spec := m.Spec
-	idleAll := float64(m.IdlePower())
+	idleAll := float64(m.ClusterPower(nil))
 	wantIdle := 8*m.NodeWall(cluster.Util{}) + spec.Interconnect.SwitchWatts + spec.Storage.Watts
 	if math.Abs(idleAll-wantIdle) > 1e-9 {
 		t.Errorf("idle cluster = %v, want %v", idleAll, wantIdle)
@@ -101,15 +113,15 @@ func TestClusterPowerIncludesIdleNodesAndFabric(t *testing.T) {
 	if math.Abs(float64(one)-wantOne) > 1e-9 {
 		t.Errorf("one-node load = %v, want %v", one, wantOne)
 	}
-	if peak := m.PeakPower(); float64(peak) <= idleAll {
+	if peak := peakPower(m); float64(peak) <= idleAll {
 		t.Errorf("peak %v not above idle %v", peak, idleAll)
 	}
 }
 
 func TestClusterPowerPlausibleRange(t *testing.T) {
 	m := newFireModel(t)
-	idle := float64(m.IdlePower())
-	peak := float64(m.PeakPower())
+	idle := float64(m.ClusterPower(nil))
+	peak := float64(peakPower(m))
 	// An 8-node dual-socket cluster: idle ~1.5-2.5 kW, peak ~3-4.5 kW.
 	if idle < 1200 || idle > 2600 {
 		t.Errorf("Fire idle power %v W outside plausible range", idle)
@@ -156,7 +168,7 @@ func TestProfileTraceExactEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	pFull := float64(m.ClusterPower(lp.Phases[0].NodeUtil))
-	pIdle := float64(m.IdlePower())
+	pIdle := float64(m.ClusterPower(nil))
 	want := pFull*10 + pIdle*20
 	if math.Abs(float64(e)-want) > 1e-6 {
 		t.Errorf("profile energy = %v, want %v", e, want)
@@ -339,74 +351,6 @@ func TestMeterGlitchesPerturbSamples(t *testing.T) {
 		if b.At(i) != c.At(i) {
 			t.Fatalf("glitchy meter not deterministic at sample %d", i)
 		}
-	}
-}
-
-func TestFitRecoversLinearModel(t *testing.T) {
-	truth := LinearCoefficients{Base: 150, CPU: 160, Mem: 20, Disk: 6, Net: 5}
-	var obs []Observation
-	for _, u := range CalibrationSweep() {
-		obs = append(obs, Observation{Util: u, Watts: truth.Predict(u)})
-	}
-	got, err := Fit(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, g, w float64) {
-		if math.Abs(g-w) > 1e-6 {
-			t.Errorf("%s = %v, want %v", name, g, w)
-		}
-	}
-	check("base", got.Base, truth.Base)
-	check("cpu", got.CPU, truth.CPU)
-	check("mem", got.Mem, truth.Mem)
-	check("disk", got.Disk, truth.Disk)
-	check("net", got.Net, truth.Net)
-	if rmse := got.RMSE(obs); rmse > 1e-6 {
-		t.Errorf("rmse = %v on exact data", rmse)
-	}
-}
-
-func TestFitErrors(t *testing.T) {
-	if _, err := Fit(nil); err == nil {
-		t.Error("empty fit accepted")
-	}
-	// Degenerate: every observation identical.
-	same := make([]Observation, 10)
-	for i := range same {
-		same[i] = Observation{Util: cluster.Util{CPU: 0.5}, Watts: 100}
-	}
-	if _, err := Fit(same); err == nil {
-		t.Error("singular system accepted")
-	}
-}
-
-func TestCalibrateModelRoundTrip(t *testing.T) {
-	m := newFireModel(t)
-	m.DisablePSU = true // the DC model is exactly linear, so the fit is exact
-	c, rmse, err := CalibrateModel(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmse > 1e-6 {
-		t.Errorf("rmse on linear model = %v", rmse)
-	}
-	wantIdle := m.NodeDC(cluster.Util{})
-	if math.Abs(c.Base-wantIdle) > 1e-6 {
-		t.Errorf("fitted base %v, want %v", c.Base, wantIdle)
-	}
-	// With the PSU curve the model is nonlinear; fit degrades but stays
-	// within a few watts RMS.
-	m.DisablePSU = false
-	_, rmsePSU, err := CalibrateModel(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmsePSU <= rmse {
-		t.Error("PSU nonlinearity did not increase RMSE")
-	}
-	if rmsePSU > 10 {
-		t.Errorf("PSU fit RMSE %v W implausibly large", rmsePSU)
 	}
 }
 

@@ -3,6 +3,7 @@ package power
 import (
 	"bytes"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/series"
@@ -12,7 +13,7 @@ import (
 
 // referenceSample is the meter's sampling loop as it was before the draw
 // cache and the trace cursor: it restarts the random stream at every
-// call and finds each sample's power with Trace.Interpolate. The cached
+// call and finds each sample's power with interpolate. The cached
 // sampler must reproduce it bit for bit.
 func referenceSample(cfg MeterConfig, exact *series.Trace) (*series.Trace, error) {
 	start, end, err := exact.Span()
@@ -27,7 +28,7 @@ func referenceSample(cfg MeterConfig, exact *series.Trace) (*series.Trace, error
 		if clamped >= end {
 			clamped, last = end, true
 		}
-		p, err := exact.Interpolate(clamped)
+		p, err := interpolate(exact, clamped)
 		if err != nil {
 			return nil, err
 		}
@@ -56,6 +57,55 @@ func referenceSample(cfg MeterConfig, exact *series.Trace) (*series.Trace, error
 		}
 	}
 	return out, nil
+}
+
+// interpolate returns the linearly-interpolated power of t at time at.
+// Outside the span it clamps to the boundary sample.
+func interpolate(t *series.Trace, at units.Seconds) (units.Watts, error) {
+	samples := t.Samples()
+	n := len(samples)
+	if n == 0 {
+		return 0, series.ErrTooFew
+	}
+	if at <= samples[0].At {
+		return samples[0].Power, nil
+	}
+	if at >= samples[n-1].At {
+		return samples[n-1].Power, nil
+	}
+	i := sort.Search(n, func(k int) bool { return samples[k].At >= at })
+	a, b := samples[i-1], samples[i]
+	if b.At == a.At { //greenvet:allow floateq -- exact duplicate-timestamp identity, not a tolerance test
+		return b.Power, nil
+	}
+	frac := float64(at-a.At) / float64(b.At-a.At)
+	return a.Power + units.Watts(frac)*(b.Power-a.Power), nil
+}
+
+func TestInterpolate(t *testing.T) {
+	tr := series.New(2)
+	if err := tr.Append(0, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Append(10, 200); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		at   float64
+		want float64
+	}{
+		{-5, 100}, // clamp left
+		{0, 100},
+		{5, 150},
+		{10, 200},
+		{99, 200}, // clamp right
+	}
+	for _, c := range cases {
+		got, err := interpolate(tr, units.Seconds(c.at))
+		if err != nil || float64(got) != c.want {
+			t.Errorf("interpolate(%v) = %v, %v; want %v", c.at, got, err, c.want)
+		}
+	}
 }
 
 // FuzzMeterSample checks the cached sampler against referenceSample,

@@ -33,21 +33,6 @@ func nextRan(x uint64) uint64 {
 	return x
 }
 
-// Stream generates n successive LFSR values starting from seed (zero seeds
-// are replaced by 1: the LFSR's zero state is absorbing).
-func Stream(seed uint64, n int) []uint64 {
-	if seed == 0 {
-		seed = 1
-	}
-	out := make([]uint64, n)
-	x := seed
-	for i := range out {
-		x = nextRan(x)
-		out[i] = x
-	}
-	return out
-}
-
 // Config describes one native run.
 type Config struct {
 	// LogTableSize is the per-worker table exponent (2^k uint64 words).

@@ -46,6 +46,8 @@ type RepairReport struct {
 //
 // Repair returns a new trace on every call; a hot loop that folds each
 // repaired trace into scalars before the next one uses a Repairer.
+//
+//greenvet:allow unusedexport -- a root benchmark or test uses it: allocs_test.go
 func (t *Trace) Repair(interval units.Seconds, sigma float64) (*Trace, RepairReport, error) {
 	return new(Repairer).Repair(t, interval, sigma)
 }

@@ -80,7 +80,12 @@ func TestRepairPreservesLoadStep(t *testing.T) {
 func TestRepairFillsGaps(t *testing.T) {
 	tr := flatTrace(t, 60, 250)
 	// Drop three samples: one isolated, two adjacent.
-	holed := tr.DropSamples(10, 40, 41)
+	holed := New(tr.Len())
+	for i, s := range tr.Samples() {
+		if i != 10 && i != 40 && i != 41 {
+			holed.samples = append(holed.samples, s)
+		}
+	}
 	out, rep, err := holed.Repair(1, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -153,10 +158,7 @@ func TestRepairEdgeCases(t *testing.T) {
 	if _, _, err := wide.Repair(1, 6); err == nil {
 		t.Error("hole of more than maxFill samples accepted")
 	}
-	far, err := FromSamples([]Sample{{At: 1e17, Power: 250}, {At: 1e17 + 64, Power: 250}, {At: 1e17 + 128, Power: 250}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	far := mustTrace(t, 1e17, 250, 1e17+64, 250, 1e17+128, 250)
 	if _, _, err := far.Repair(1, 6); err == nil {
 		t.Error("hole the interval cannot step across accepted")
 	}

@@ -1,7 +1,6 @@
 // Package series provides time-series support for power traces: the sample
 // streams produced by a wall-plug power meter, integration of power into
-// energy, resampling, and extraction of the window that corresponds to one
-// benchmark run.
+// energy, and repair of the gaps and glitches a faulty meter leaves.
 //
 // The paper's measurement setup (Figure 1) places a Watts Up? PRO ES meter
 // between the outlet and the system; the meter emits one aggregate power
@@ -12,8 +11,6 @@ package series
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/units"
 )
@@ -38,18 +35,6 @@ var ErrTooFew = errors.New("series: too few samples")
 // New returns a Trace pre-sized for n samples.
 func New(n int) *Trace {
 	return &Trace{samples: make([]Sample, 0, n)}
-}
-
-// FromSamples builds a trace from a sample slice, which must be in
-// nondecreasing time order.
-func FromSamples(ss []Sample) (*Trace, error) {
-	t := New(len(ss))
-	for _, s := range ss {
-		if err := t.Append(s.At, s.Power); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }
 
 // Append adds a sample. Samples must arrive in nondecreasing time order.
@@ -193,194 +178,4 @@ func (f *Fold) PeakPower() (units.Watts, error) {
 		return 0, ErrTooFew
 	}
 	return f.run.peak, nil
-}
-
-// Interpolate returns the linearly-interpolated power at time at. Outside
-// the span it clamps to the boundary sample.
-func (t *Trace) Interpolate(at units.Seconds) (units.Watts, error) {
-	n := len(t.samples)
-	if n == 0 {
-		return 0, ErrTooFew
-	}
-	if at <= t.samples[0].At {
-		return t.samples[0].Power, nil
-	}
-	if at >= t.samples[n-1].At {
-		return t.samples[n-1].Power, nil
-	}
-	i := sort.Search(n, func(k int) bool { return t.samples[k].At >= at })
-	a, b := t.samples[i-1], t.samples[i]
-	if b.At == a.At { //greenvet:allow floateq -- exact duplicate-timestamp identity, not a tolerance test
-		return b.Power, nil
-	}
-	frac := float64(at-a.At) / float64(b.At-a.At)
-	return a.Power + units.Watts(frac)*(b.Power-a.Power), nil
-}
-
-// Window extracts the sub-trace covering [start, end], adding interpolated
-// boundary samples so the window integrates exactly over the requested
-// interval. This is how a benchmark's execution window is aligned against a
-// continuously-sampling wall meter.
-func (t *Trace) Window(start, end units.Seconds) (*Trace, error) {
-	if end < start {
-		return nil, fmt.Errorf("series: window end %v before start %v", end, start)
-	}
-	if len(t.samples) == 0 {
-		return nil, ErrTooFew
-	}
-	out := New(8)
-	ps, err := t.Interpolate(start)
-	if err != nil {
-		return nil, err
-	}
-	if err := out.Append(start, ps); err != nil {
-		return nil, err
-	}
-	for _, s := range t.samples {
-		if s.At > start && s.At < end {
-			if err := out.Append(s.At, s.Power); err != nil {
-				return nil, err
-			}
-		}
-	}
-	pe, err := t.Interpolate(end)
-	if err != nil {
-		return nil, err
-	}
-	if err := out.Append(end, pe); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Resample returns a new trace sampled at the fixed interval dt across the
-// original span, using linear interpolation. A meter with a coarser clock is
-// modelled by resampling a fine-grained model trace.
-func (t *Trace) Resample(dt units.Seconds) (*Trace, error) {
-	if dt <= 0 {
-		return nil, errors.New("series: non-positive resample interval")
-	}
-	start, end, err := t.Span()
-	if err != nil {
-		return nil, err
-	}
-	n := int(math.Floor(float64(end-start)/float64(dt))) + 1
-	out := New(n + 1)
-	for i := 0; i < n; i++ {
-		at := start + units.Seconds(float64(i)*float64(dt))
-		p, err := t.Interpolate(at)
-		if err != nil {
-			return nil, err
-		}
-		if err := out.Append(at, p); err != nil {
-			return nil, err
-		}
-	}
-	if last := start + units.Seconds(float64(n-1)*float64(dt)); last < end {
-		p, _ := t.Interpolate(end)
-		if err := out.Append(end, p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Scale returns a new trace with every power value multiplied by k. Used to
-// apply PSU efficiency or unit changes to a whole trace.
-func (t *Trace) Scale(k float64) *Trace {
-	out := New(len(t.samples))
-	for _, s := range t.samples {
-		out.samples = append(out.samples, Sample{At: s.At, Power: s.Power * units.Watts(k)})
-	}
-	return out
-}
-
-// Add returns the pointwise sum of two traces over the intersection of their
-// spans, sampled at the union of their sample times. Summing per-node traces
-// yields the cluster-level trace a wall meter would see.
-func Add(a, b *Trace) (*Trace, error) {
-	as, ae, err := a.Span()
-	if err != nil {
-		return nil, err
-	}
-	bs, be, err := b.Span()
-	if err != nil {
-		return nil, err
-	}
-	start := as
-	if bs > start {
-		start = bs
-	}
-	end := ae
-	if be < end {
-		end = be
-	}
-	if end < start {
-		return nil, errors.New("series: traces do not overlap")
-	}
-	times := make([]float64, 0, a.Len()+b.Len())
-	for _, s := range a.samples {
-		if s.At >= start && s.At <= end {
-			times = append(times, float64(s.At))
-		}
-	}
-	for _, s := range b.samples {
-		if s.At >= start && s.At <= end {
-			times = append(times, float64(s.At))
-		}
-	}
-	times = append(times, float64(start), float64(end))
-	sort.Float64s(times)
-	out := New(len(times))
-	prev := math.Inf(-1)
-	for _, tm := range times {
-		if tm == prev { //greenvet:allow floateq -- exact duplicate-timestamp identity, not a tolerance test
-			continue
-		}
-		prev = tm
-		pa, err := a.Interpolate(units.Seconds(tm))
-		if err != nil {
-			return nil, err
-		}
-		pb, err := b.Interpolate(units.Seconds(tm))
-		if err != nil {
-			return nil, err
-		}
-		if err := out.Append(units.Seconds(tm), pa+pb); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Sum folds Add over one or more traces.
-func Sum(traces ...*Trace) (*Trace, error) {
-	if len(traces) == 0 {
-		return nil, ErrTooFew
-	}
-	acc := traces[0]
-	var err error
-	for _, t := range traces[1:] {
-		acc, err = Add(acc, t)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// DropSamples returns a copy of the trace with the samples at the given
-// indices removed, used by failure-injection tests to model meter dropout.
-func (t *Trace) DropSamples(indices ...int) *Trace {
-	drop := make(map[int]bool, len(indices))
-	for _, i := range indices {
-		drop[i] = true
-	}
-	out := New(len(t.samples))
-	for i, s := range t.samples {
-		if !drop[i] {
-			out.samples = append(out.samples, s)
-		}
-	}
-	return out
 }

@@ -1,9 +1,7 @@
 package series
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/units"
 )
@@ -73,225 +71,5 @@ func TestMeanAndPeakPower(t *testing.T) {
 	p, _ := tr.PeakPower()
 	if p != 200 {
 		t.Errorf("PeakPower = %v, want 200", p)
-	}
-}
-
-func TestInterpolate(t *testing.T) {
-	tr := mustTrace(t, 0, 100, 10, 200)
-	cases := []struct {
-		at   float64
-		want float64
-	}{
-		{-5, 100}, // clamp left
-		{0, 100},
-		{5, 150},
-		{10, 200},
-		{99, 200}, // clamp right
-	}
-	for _, c := range cases {
-		got, err := tr.Interpolate(units.Seconds(c.at))
-		if err != nil || float64(got) != c.want {
-			t.Errorf("Interpolate(%v) = %v, %v; want %v", c.at, got, err, c.want)
-		}
-	}
-}
-
-func TestWindowExactEnergy(t *testing.T) {
-	tr := mustTrace(t, 0, 100, 10, 100, 20, 300)
-	w, err := tr.Window(5, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := w.Energy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 5s at 100 W + 5s ramp 100→200 (avg 150) = 500 + 750 = 1250 J.
-	if math.Abs(float64(e)-1250) > 1e-9 {
-		t.Errorf("window energy = %v, want 1250", e)
-	}
-	start, end, _ := w.Span()
-	if start != 5 || end != 15 {
-		t.Errorf("window span = [%v, %v]", start, end)
-	}
-}
-
-func TestWindowAdditivity(t *testing.T) {
-	// Energy over [a,c] = energy over [a,b] + energy over [b,c].
-	tr := mustTrace(t, 0, 50, 3, 120, 7, 80, 12, 200, 20, 60)
-	f := func(rawA, rawB, rawC float64) bool {
-		ts := []float64{
-			math.Abs(math.Mod(rawA, 20)),
-			math.Abs(math.Mod(rawB, 20)),
-			math.Abs(math.Mod(rawC, 20)),
-		}
-		a, b, c := ts[0], ts[1], ts[2]
-		if a > b {
-			a, b = b, a
-		}
-		if b > c {
-			b, c = c, b
-		}
-		if a > b {
-			a, b = b, a
-		}
-		whole, err := tr.Window(units.Seconds(a), units.Seconds(c))
-		if err != nil {
-			return false
-		}
-		left, err := tr.Window(units.Seconds(a), units.Seconds(b))
-		if err != nil {
-			return false
-		}
-		right, err := tr.Window(units.Seconds(b), units.Seconds(c))
-		if err != nil {
-			return false
-		}
-		we, err := whole.Energy()
-		if err != nil {
-			return true // degenerate zero-length window
-		}
-		le, err1 := left.Energy()
-		re, err2 := right.Energy()
-		var sum float64
-		if err1 == nil {
-			sum += float64(le)
-		}
-		if err2 == nil {
-			sum += float64(re)
-		}
-		return math.Abs(float64(we)-sum) <= 1e-6*(1+math.Abs(float64(we)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestResample(t *testing.T) {
-	tr := mustTrace(t, 0, 0, 10, 100)
-	rs, err := tr.Resample(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Len() != 11 {
-		t.Fatalf("resampled len = %d, want 11", rs.Len())
-	}
-	// Linear trace resamples losslessly: energy preserved.
-	e1, _ := tr.Energy()
-	e2, _ := rs.Energy()
-	if math.Abs(float64(e1-e2)) > 1e-9 {
-		t.Errorf("resample changed energy: %v vs %v", e1, e2)
-	}
-	if _, err := tr.Resample(0); err == nil {
-		t.Error("zero interval accepted")
-	}
-}
-
-func TestResampleCoversSpanEnd(t *testing.T) {
-	tr := mustTrace(t, 0, 100, 10.5, 100)
-	rs, err := tr.Resample(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, end, _ := rs.Span()
-	if end != 10.5 {
-		t.Errorf("resampled span end = %v, want 10.5", end)
-	}
-}
-
-func TestScale(t *testing.T) {
-	tr := mustTrace(t, 0, 100, 10, 100)
-	s := tr.Scale(1.1)
-	e, _ := s.Energy()
-	if math.Abs(float64(e)-1100) > 1e-9 {
-		t.Errorf("scaled energy = %v, want 1100", e)
-	}
-	// Original untouched.
-	e0, _ := tr.Energy()
-	if e0 != 1000 {
-		t.Errorf("original mutated: %v", e0)
-	}
-}
-
-func TestAddTraces(t *testing.T) {
-	a := mustTrace(t, 0, 100, 10, 100)
-	b := mustTrace(t, 0, 50, 10, 150)
-	sum, err := Add(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := sum.Energy()
-	// 1000 + (50+150)/2*10 = 2000 J.
-	if math.Abs(float64(e)-2000) > 1e-9 {
-		t.Errorf("sum energy = %v, want 2000", e)
-	}
-}
-
-func TestAddPartialOverlap(t *testing.T) {
-	a := mustTrace(t, 0, 100, 10, 100)
-	b := mustTrace(t, 5, 200, 15, 200)
-	sum, err := Add(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start, end, _ := sum.Span()
-	if start != 5 || end != 10 {
-		t.Errorf("overlap span = [%v, %v], want [5, 10]", start, end)
-	}
-	m, _ := sum.MeanPower()
-	if math.Abs(float64(m)-300) > 1e-9 {
-		t.Errorf("overlap mean = %v, want 300", m)
-	}
-}
-
-func TestAddDisjointErrors(t *testing.T) {
-	a := mustTrace(t, 0, 100, 1, 100)
-	b := mustTrace(t, 5, 100, 6, 100)
-	if _, err := Add(a, b); err == nil {
-		t.Error("disjoint traces added without error")
-	}
-}
-
-func TestSum(t *testing.T) {
-	a := mustTrace(t, 0, 10, 10, 10)
-	b := mustTrace(t, 0, 20, 10, 20)
-	c := mustTrace(t, 0, 30, 10, 30)
-	s, err := Sum(a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := s.MeanPower()
-	if math.Abs(float64(m)-60) > 1e-9 {
-		t.Errorf("Sum mean = %v, want 60", m)
-	}
-	if _, err := Sum(); err != ErrTooFew {
-		t.Errorf("empty Sum err = %v", err)
-	}
-}
-
-func TestDropSamples(t *testing.T) {
-	tr := mustTrace(t, 0, 100, 1, 100, 2, 500, 3, 100)
-	d := tr.DropSamples(2)
-	if d.Len() != 3 {
-		t.Fatalf("len after drop = %d", d.Len())
-	}
-	for _, s := range d.Samples() {
-		if s.Power == 500 {
-			t.Error("dropped sample still present")
-		}
-	}
-	// Trace remains integrable after dropout.
-	if _, err := d.Energy(); err != nil {
-		t.Errorf("energy after dropout: %v", err)
-	}
-}
-
-func TestFromSamples(t *testing.T) {
-	tr, err := FromSamples([]Sample{{0, 1}, {1, 2}})
-	if err != nil || tr.Len() != 2 {
-		t.Errorf("FromSamples = %v, %v", tr, err)
-	}
-	if _, err := FromSamples([]Sample{{1, 1}, {0, 2}}); err == nil {
-		t.Error("unordered FromSamples accepted")
 	}
 }

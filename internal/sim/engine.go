@@ -283,6 +283,3 @@ func (e *Engine) Run(until units.Seconds) (uint64, error) {
 
 // RunAll processes every remaining event.
 func (e *Engine) RunAll() (uint64, error) { return e.Run(-1) }
-
-// Pending returns the number of live events still queued.
-func (e *Engine) Pending() int { return len(e.heap) }

@@ -26,8 +26,6 @@ type SharedResource struct {
 	jobs       []srJob // in submission order
 	last       units.Seconds
 	pending    Handle
-	doneWork   float64  // total units completed
-	busyTime   float64  // ∫ utilization dt
 	completeFn func()   // prebuilt r.complete, so reschedule never allocates
 	finished   []func() // scratch: done callbacks drained by complete
 }
@@ -56,7 +54,7 @@ func NewSharedResource(eng *Engine, capacity, perJobCap float64) (*SharedResourc
 }
 
 // Reconfigure returns the resource to the state NewSharedResource would
-// construct — no jobs, counters zeroed, bookkeeping anchored at the
+// construct — no jobs, bookkeeping anchored at the
 // engine's current time — while keeping the job and scratch storage.
 // Call it after resetting the engine the resource is bound to; recycling
 // a (engine, resource) pair across independent simulations behaves
@@ -79,7 +77,6 @@ func (r *SharedResource) Reconfigure(capacity, perJobCap float64) error {
 	r.finished = r.finished[:0]
 	r.last = r.eng.Now()
 	r.pending = Handle{}
-	r.doneWork, r.busyTime = 0, 0
 	return nil
 }
 
@@ -94,26 +91,6 @@ func (r *SharedResource) rate() float64 {
 		share = r.perJobCap
 	}
 	return share
-}
-
-// Utilization returns the instantaneous fraction of capacity in use, in [0, 1].
-func (r *SharedResource) Utilization() float64 {
-	total := r.rate() * float64(len(r.jobs))
-	return total / r.capacity
-}
-
-// TotalWorkDone returns the units of work completed so far (including partial
-// progress of in-flight jobs up to the current virtual time).
-func (r *SharedResource) TotalWorkDone() float64 {
-	r.advance()
-	return r.doneWork
-}
-
-// BusySeconds returns ∫ utilization dt, the device-busy time used by energy
-// accounting.
-func (r *SharedResource) BusySeconds() float64 {
-	r.advance()
-	return r.busyTime
 }
 
 // advance applies progress between the last bookkeeping point and now.
@@ -133,8 +110,6 @@ func (r *SharedResource) advance() {
 				j.remaining = 0
 			}
 		}
-		r.doneWork += rate * dt * float64(len(r.jobs))
-		r.busyTime += r.Utilization() * dt
 	}
 	r.last = now
 }
@@ -199,9 +174,3 @@ func (r *SharedResource) Submit(amount float64, done func()) error {
 	r.reschedule()
 	return nil
 }
-
-// Active returns the number of in-flight jobs.
-func (r *SharedResource) Active() int { return len(r.jobs) }
-
-// Capacity returns the aggregate capacity in units per second.
-func (r *SharedResource) Capacity() float64 { return r.capacity }

@@ -50,18 +50,6 @@ func (r *RNG) NormAt(mean, stddev float64) float64 {
 	return mean + stddev*r.Norm()
 }
 
-// Exp returns an exponential variate with the given rate (λ).
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("sim: Exp with non-positive rate")
-	}
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -math.Log(1-u) / rate
-}
-
 // Fork derives an independent child generator. Distinct labels give distinct
 // streams; the parent's stream is unaffected. The child is returned by
 // value (a single uint64 of state), so the per-attempt fork chain of a

@@ -1,7 +1,7 @@
 // Package stats implements the small statistics toolkit the green-index
-// pipeline needs: central-tendency measures (arithmetic, weighted, geometric
-// and harmonic means), dispersion, correlation (Pearson and Spearman) and
-// simple linear regression.
+// pipeline needs: the arithmetic and weighted harmonic means, dispersion,
+// Pearson correlation, simple linear regression, weight normalisation and
+// tolerance comparison.
 //
 // The paper's evaluation (Section IV.B, Table II) relies on the Pearson
 // correlation coefficient between the per-benchmark efficiency curves and the
@@ -12,7 +12,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned when a statistic is requested over no data.
@@ -35,60 +34,6 @@ func Mean(xs []float64) (float64, error) {
 		s += x
 	}
 	return s / float64(len(xs)), nil
-}
-
-// WeightedMean returns Σ w_i·x_i / Σ w_i. Weights must be non-negative with a
-// positive sum; they need not be normalised.
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if len(xs) != len(ws) {
-		return 0, ErrMismatch
-	}
-	var num, den float64
-	for i, x := range xs {
-		if ws[i] < 0 || math.IsNaN(ws[i]) {
-			return 0, ErrBadWeights
-		}
-		num += ws[i] * x
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0, ErrBadWeights
-	}
-	return num / den, nil
-}
-
-// GeometricMean returns the geometric mean of xs. All values must be
-// positive.
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean requires positive values")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
-}
-
-// HarmonicMean returns the harmonic mean of xs. All values must be positive.
-func HarmonicMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: harmonic mean requires positive values")
-		}
-		s += 1 / x
-	}
-	return float64(len(xs)) / s, nil
 }
 
 // WeightedHarmonicMean returns Σw_i / Σ(w_i/x_i), the weighted harmonic mean.
@@ -182,42 +127,9 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return math.Max(-1, math.Min(1, r)), nil
 }
 
-// ranks returns fractional ranks (average rank for ties), 1-based.
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	r := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			r[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return r
-}
-
-// Spearman returns Spearman's rank correlation coefficient, a robustness
-// companion to Pearson for the monotonic-trend claims in the paper.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrMismatch
-	}
-	if len(xs) < 2 {
-		return 0, errors.New("stats: spearman requires at least two samples")
-	}
-	return Pearson(ranks(xs), ranks(ys))
-}
-
 // LinearFit returns the least-squares slope and intercept of y = a·x + b.
+//
+//greenvet:allow unusedexport -- a root benchmark or test uses it: bench_test.go
 func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
 	if len(xs) != len(ys) {
 		return 0, 0, ErrMismatch
@@ -239,23 +151,6 @@ func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
 	slope = sxy / sxx
 	intercept = my - slope*mx
 	return slope, intercept, nil
-}
-
-// MinMax returns the minimum and maximum of xs.
-func MinMax(xs []float64) (min, max float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, nil
 }
 
 // Normalize returns ws scaled so the entries sum to one. Entries must be

@@ -18,98 +18,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	m, err := WeightedMean([]float64{10, 20}, []float64{3, 1})
-	if err != nil || m != 12.5 {
-		t.Errorf("WeightedMean = %v, %v", m, err)
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{1, 2}); err != ErrMismatch {
-		t.Errorf("mismatch err = %v", err)
-	}
-	if _, err := WeightedMean([]float64{1, 2}, []float64{-1, 2}); err != ErrBadWeights {
-		t.Errorf("negative weight err = %v", err)
-	}
-	if _, err := WeightedMean([]float64{1, 2}, []float64{0, 0}); err != ErrBadWeights {
-		t.Errorf("zero weights err = %v", err)
-	}
-}
-
-func TestWeightedMeanEqualWeightsIsMean(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			xs = append(xs, math.Mod(v, 1e6))
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		ws := make([]float64, len(xs))
-		for i := range ws {
-			ws[i] = 1
-		}
-		wm, err1 := WeightedMean(xs, ws)
-		m, err2 := Mean(xs)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return almost(wm, m, 1e-9*(1+math.Abs(m)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGeometricHarmonic(t *testing.T) {
-	g, err := GeometricMean([]float64{1, 100})
-	if err != nil || !almost(g, 10, 1e-12) {
-		t.Errorf("GeometricMean = %v, %v", g, err)
-	}
-	h, err := HarmonicMean([]float64{2, 6})
-	if err != nil || !almost(h, 3, 1e-12) {
-		t.Errorf("HarmonicMean = %v, %v", h, err)
-	}
-	if _, err := GeometricMean([]float64{1, -1}); err == nil {
-		t.Error("geometric mean accepted negative value")
-	}
-	if _, err := HarmonicMean([]float64{0}); err == nil {
-		t.Error("harmonic mean accepted zero")
-	}
-}
-
-// AM >= GM >= HM for positive values.
-func TestMeanInequalityChain(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			x := math.Abs(math.Mod(v, 1e4)) + 0.1
-			xs = append(xs, x)
-		}
-		if len(xs) < 2 {
-			return true
-		}
-		am, _ := Mean(xs)
-		gm, err1 := GeometricMean(xs)
-		hm, err2 := HarmonicMean(xs)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		eps := 1e-9 * am
-		return am >= gm-eps && gm >= hm-eps
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWeightedHarmonicMean(t *testing.T) {
 	// Equal weights reduce to the plain harmonic mean.
 	h, err := WeightedHarmonicMean([]float64{2, 6}, []float64{1, 1})
@@ -217,20 +125,6 @@ func TestPearsonInvariantUnderAffine(t *testing.T) {
 	}
 }
 
-func TestSpearman(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 4, 9, 16, 25} // monotonic but nonlinear
-	rho, err := Spearman(xs, ys)
-	if err != nil || !almost(rho, 1, 1e-12) {
-		t.Errorf("Spearman monotonic = %v, %v", rho, err)
-	}
-	// Ties get averaged ranks.
-	rho, err = Spearman([]float64{1, 2, 2, 3}, []float64{1, 2, 2, 3})
-	if err != nil || !almost(rho, 1, 1e-12) {
-		t.Errorf("Spearman with ties = %v, %v", rho, err)
-	}
-}
-
 func TestLinearFit(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7}
@@ -240,16 +134,6 @@ func TestLinearFit(t *testing.T) {
 	}
 	if _, _, err := LinearFit([]float64{2, 2}, []float64{1, 5}); err == nil {
 		t.Error("LinearFit accepted degenerate x")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil || min != -1 || max != 7 {
-		t.Errorf("MinMax = %v, %v, %v", min, max, err)
-	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Errorf("MinMax(nil) = %v", err)
 	}
 }
 

@@ -36,8 +36,6 @@ type Device interface {
 type MemDevice struct {
 	blocks int64
 	data   map[int64][]byte
-	reads  int64
-	writes int64
 }
 
 // NewMemDevice creates a device with the given capacity in blocks.
@@ -51,9 +49,6 @@ func NewMemDevice(blocks int64) (*MemDevice, error) {
 // Blocks returns the capacity in blocks.
 func (d *MemDevice) Blocks() int64 { return d.blocks }
 
-// Counters returns the number of block reads and writes performed.
-func (d *MemDevice) Counters() (reads, writes int64) { return d.reads, d.writes }
-
 // ReadBlock implements Device.
 func (d *MemDevice) ReadBlock(idx int64, dst []byte) error {
 	if idx < 0 || idx >= d.blocks {
@@ -62,7 +57,6 @@ func (d *MemDevice) ReadBlock(idx int64, dst []byte) error {
 	if len(dst) != BlockSize {
 		return fmt.Errorf("storage: read buffer %d bytes, want %d", len(dst), BlockSize)
 	}
-	d.reads++
 	if b, ok := d.data[idx]; ok {
 		copy(dst, b)
 	} else {
@@ -81,7 +75,6 @@ func (d *MemDevice) WriteBlock(idx int64, src []byte) error {
 	if len(src) != BlockSize {
 		return fmt.Errorf("storage: write buffer %d bytes, want %d", len(src), BlockSize)
 	}
-	d.writes++
 	b, ok := d.data[idx]
 	if !ok {
 		b = make([]byte, BlockSize)
@@ -195,34 +188,6 @@ func (f *file) blockOf(idx int64) (int64, error) {
 		idx -= e.count
 	}
 	return 0, fmt.Errorf("storage: block %d beyond allocation of %q", idx, f.name)
-}
-
-// Size returns a file's length in bytes.
-func (fs *FS) Size(name string) (int64, error) {
-	f, ok := fs.files[name]
-	if !ok {
-		return 0, fmt.Errorf("storage: %q does not exist", name)
-	}
-	return f.size, nil
-}
-
-// Files lists the filesystem's file names in sorted order.
-func (fs *FS) Files() []string {
-	out := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FreeBlocks returns the number of unallocated blocks.
-func (fs *FS) FreeBlocks() int64 {
-	var n int64
-	for _, e := range fs.free {
-		n += e.count
-	}
-	return n
 }
 
 // WriteAt writes p to the file at offset off, extending it as needed.
@@ -350,9 +315,3 @@ func (b *Backend) Reconfigure(aggregateBps, perClientBps float64) error {
 func (b *Backend) SubmitWrite(n float64, done func()) error {
 	return b.res.Submit(n, done)
 }
-
-// BytesDone returns the bytes the backend has completed so far.
-func (b *Backend) BytesDone() float64 { return b.res.TotalWorkDone() }
-
-// Utilization returns the backend's instantaneous utilisation.
-func (b *Backend) Utilization() float64 { return b.res.Utilization() }

@@ -210,17 +210,3 @@ func validate(k Kernel, a, b, c []float64, scalar float64, trials int) bool {
 	}
 	return true
 }
-
-// RunAll executes all four kernels and returns their results keyed by
-// kernel, mirroring the reference benchmark's output table.
-func RunAll(cfg Config) (map[Kernel]*Result, error) {
-	out := make(map[Kernel]*Result, 4)
-	for _, k := range []Kernel{Copy, Scale, Add, Triad} {
-		r, err := Run(k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = r
-	}
-	return out, nil
-}

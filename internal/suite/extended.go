@@ -5,14 +5,6 @@ import (
 	"repro/internal/cluster"
 )
 
-// Extended-suite benchmark names (beyond the paper's three).
-const (
-	BenchDGEMM        = bench.DGEMM
-	BenchPTRANS       = bench.PTRANS
-	BenchRandomAccess = bench.RandomAccess
-	BenchFFT          = bench.FFT
-)
-
 // ExtendedOrder lists the seven benchmarks of the extended suite in run
 // order — the full HPC Challenge-style coverage the paper's introduction
 // motivates ("there are seven different benchmark tests in the suite"):

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
 )
@@ -33,13 +34,13 @@ func TestRunExtendedMetricLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		BenchHPL:          "GFLOPS",
-		BenchDGEMM:        "GFLOPS",
-		BenchSTREAM:       "MBPS",
-		BenchPTRANS:       "MBPS",
-		BenchRandomAccess: "GUPS",
-		BenchFFT:          "GFLOPS",
-		BenchIOzone:       "MBPS",
+		BenchHPL:           "GFLOPS",
+		bench.DGEMM:        "GFLOPS",
+		BenchSTREAM:        "MBPS",
+		bench.PTRANS:       "MBPS",
+		bench.RandomAccess: "GUPS",
+		bench.FFT:          "GFLOPS",
+		BenchIOzone:        "MBPS",
 	}
 	for _, b := range res.Runs {
 		if got := b.Measurement.Metric; got != want[b.Measurement.Benchmark] {
@@ -59,11 +60,11 @@ func TestRunExtendedOrderingConsistency(t *testing.T) {
 	for _, b := range res.Runs {
 		perf[b.Measurement.Benchmark] = b.Measurement.Performance
 	}
-	if perf[BenchDGEMM] <= perf[BenchHPL] {
-		t.Errorf("DGEMM %v not above HPL %v", perf[BenchDGEMM], perf[BenchHPL])
+	if perf[bench.DGEMM] <= perf[BenchHPL] {
+		t.Errorf("DGEMM %v not above HPL %v", perf[bench.DGEMM], perf[BenchHPL])
 	}
-	if perf[BenchFFT] >= perf[BenchHPL]/2 {
-		t.Errorf("FFT %v implausibly close to HPL %v", perf[BenchFFT], perf[BenchHPL])
+	if perf[bench.FFT] >= perf[BenchHPL]/2 {
+		t.Errorf("FFT %v implausibly close to HPL %v", perf[bench.FFT], perf[BenchHPL])
 	}
 }
 

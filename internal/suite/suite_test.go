@@ -63,7 +63,11 @@ func TestRunPowerBracketedByModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle, peak := float64(model.IdlePower()), float64(model.PeakPower())
+	full := make([]cluster.Util, model.Spec.Nodes)
+	for i := range full {
+		full[i] = cluster.Util{CPU: 1, Mem: 1, Disk: 1, Net: 1}
+	}
+	idle, peak := float64(model.ClusterPower(nil)), float64(model.ClusterPower(full))
 	for _, m := range res.Measurements() {
 		p := float64(m.Power)
 		if p < idle*0.99 || p > peak*1.01 {

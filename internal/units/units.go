@@ -11,9 +11,6 @@ package units
 
 import (
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -42,11 +39,6 @@ const (
 	Giga = 1e9
 	Tera = 1e12
 	Peta = 1e15
-
-	KiB = 1 << 10
-	MiB = 1 << 20
-	GiB = 1 << 30
-	TiB = 1 << 40
 )
 
 // Energy returns the energy consumed by drawing power p for duration d,
@@ -60,19 +52,6 @@ func MeanPower(e Joules, d Seconds) Watts {
 		return 0
 	}
 	return Watts(float64(e) / float64(d))
-}
-
-// Duration converts a Seconds value to a time.Duration, saturating at the
-// representable range.
-func (s Seconds) Duration() time.Duration {
-	sec := float64(s)
-	if sec > math.MaxInt64/1e9 {
-		return time.Duration(math.MaxInt64)
-	}
-	if sec < math.MinInt64/1e9 {
-		return time.Duration(math.MinInt64)
-	}
-	return time.Duration(sec * 1e9)
 }
 
 // FromDuration converts a time.Duration to Seconds.
@@ -130,81 +109,3 @@ func (b Bytes) String() string { return formatSI(float64(b), "B") }
 
 // String renders the duration, e.g. "312.5 s".
 func (s Seconds) String() string { return fmt.Sprintf("%.4g s", float64(s)) }
-
-// ParseSI parses a value with an optional SI prefix and unit suffix, such as
-// "8.1TFLOPS", "22.9 KW", "150 MB/s" or "42". The unit suffix, if present,
-// must equal want (case-insensitive); pass "" to accept any suffix.
-func ParseSI(s, want string) (float64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("units: empty quantity")
-	}
-	// Split the leading number from the rest.
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		if (c >= '0' && c <= '9') || c == '.' || c == '+' || c == '-' || c == 'e' || c == 'E' {
-			// Guard: 'e'/'E' only counts as part of the number when followed
-			// by a digit or sign (exponent); otherwise it starts the suffix.
-			if c == 'e' || c == 'E' {
-				if i+1 >= len(s) {
-					break
-				}
-				n := s[i+1]
-				if !(n >= '0' && n <= '9') && n != '+' && n != '-' {
-					break
-				}
-			}
-			i++
-			continue
-		}
-		break
-	}
-	num, rest := s[:i], strings.TrimSpace(s[i:])
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: bad number %q in %q", num, s)
-	}
-	if rest == "" {
-		return v, nil
-	}
-	factor := 1.0
-	switch {
-	case strings.HasPrefix(rest, "P"):
-		factor, rest = Peta, rest[1:]
-	case strings.HasPrefix(rest, "T"):
-		factor, rest = Tera, rest[1:]
-	case strings.HasPrefix(rest, "G"):
-		factor, rest = Giga, rest[1:]
-	case strings.HasPrefix(rest, "M"):
-		factor, rest = Mega, rest[1:]
-	case strings.HasPrefix(rest, "K"), strings.HasPrefix(rest, "k"):
-		factor, rest = Kilo, rest[1:]
-	case strings.HasPrefix(rest, "m") && !strings.EqualFold(rest, want):
-		factor, rest = 1e-3, rest[1:]
-	case strings.HasPrefix(rest, "u"):
-		factor, rest = 1e-6, rest[1:]
-	}
-	if want != "" && !strings.EqualFold(rest, want) {
-		return 0, fmt.Errorf("units: want unit %q, got %q in %q", want, rest, s)
-	}
-	return v * factor, nil
-}
-
-// ParseWatts parses strings like "22.9KW" or "450 W".
-func ParseWatts(s string) (Watts, error) {
-	v, err := ParseSI(s, "W")
-	return Watts(v), err
-}
-
-// ParseFLOPS parses strings like "8.1 TFLOPS".
-func ParseFLOPS(s string) (FLOPS, error) {
-	v, err := ParseSI(s, "FLOPS")
-	return FLOPS(v), err
-}
-
-// ParseBytesPerSec parses strings like "1100 MB/s".
-func ParseBytesPerSec(s string) (BytesPerSec, error) {
-	v, err := ParseSI(s, "B/s")
-	return BytesPerSec(v), err
-}
