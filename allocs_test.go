@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -53,8 +54,9 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "series.Trace.Repair", runs: 50, ceiling: 4, setup: setupRepair},
 		{name: "series.Repairer.Repair warm", runs: 50, ceiling: 0, setup: setupRepairerWarm},
 		{name: "obs.WriteChromeTrace", runs: 20, ceiling: 5, setup: setupChromeTrace},
-		{name: "suite.Run untraced", runs: 20, ceiling: 28, setup: setupSuiteRun(false)},
-		{name: "suite.Run traced", runs: 20, ceiling: 119, setup: setupSuiteRun(true)},
+		{name: "suite.Run untraced", runs: 20, ceiling: 5, setup: setupSuiteRun(false)},
+		{name: "suite.Run traced", runs: 20, ceiling: 96, setup: setupSuiteRun(true)},
+		{name: "suite.Run extended SystemG cell warm", runs: 20, ceiling: 9, setup: setupExtendedCell(cluster.SystemG())},
 		{name: "suite.SaveJSON", runs: 20, ceiling: 4, setup: setupSaveJSON},
 	}
 	for _, c := range cases {
@@ -85,6 +87,33 @@ func TestAllocCeilings(t *testing.T) {
 			t.Errorf("%v allocs for 100 records, %v for 10000: the writer allocates per record", small, large)
 		}
 	})
+	// A warm cell builds its node loads in the worker's scratch, so its
+	// bytes do not grow with the node count: SystemG's 128 nodes cost
+	// what Fire's 8 do, give or take the margin. One per-node slice on
+	// SystemG would be 4 KiB.
+	t.Run("suite.Run extended cell flat in nodes", func(t *testing.T) {
+		const margin = 256
+		g := bytesPerRun(20, setupExtendedCell(cluster.SystemG())(t))
+		fire := bytesPerRun(20, setupExtendedCell(cluster.Fire())(t))
+		t.Logf("%v B per SystemG cell, %v B per Fire cell", g, fire)
+		if g > fire+margin {
+			t.Errorf("%v B per SystemG cell, %v B per Fire cell: more than %v B apart, so a cell allocates per node", g, fire, margin)
+		}
+	})
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// one call of f allocates, after one warm-up call, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 func setupAllocProbe(*testing.T) func() {
@@ -290,6 +319,23 @@ func setupSuiteRun(traced bool) func(t *testing.T) func() {
 			if traced {
 				cfg.Trace = obs.NewTracer()
 			}
+			if _, err := suite.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// setupExtendedCell returns a setup that runs one extended-suite cell
+// on spec at 128 processes, the whole of Fire and one process per
+// SystemG node. Run borrows a spare scratch, so after the warm-up call
+// a cell allocates what a sweep worker's warm cell does: the Result,
+// its Runs and one ModelResult per benchmark.
+func setupExtendedCell(spec *cluster.Spec) func(t *testing.T) func() {
+	return func(t *testing.T) func() {
+		cfg := suite.DefaultConfig(spec, 128)
+		cfg.Benchmarks = suite.ExtendedOrder
+		return func() {
 			if _, err := suite.Run(cfg); err != nil {
 				t.Fatal(err)
 			}

@@ -17,8 +17,10 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 	"time"
 
@@ -49,6 +51,9 @@ func measureSort() (opsPerSec float64, elapsed units.Seconds) {
 }
 
 func main() {
+	// Buffered, so a failed write surfaces at Flush and exits 1
+	// instead of losing the study silently.
+	out := bufio.NewWriter(os.Stdout)
 	var test []greenindex.Measurement
 
 	// 1. Native HPL: a real distributed LU over the in-process MPI runtime,
@@ -60,7 +65,7 @@ func main() {
 	if !hplRes.Passed {
 		log.Fatalf("HPL residual check failed: %v", hplRes.Residual)
 	}
-	fmt.Printf("HPL     : N=%d grid %dx%d  %.2f GFLOPS  residual %.3f (passed)\n",
+	fmt.Fprintf(out, "HPL     : N=%d grid %dx%d  %.2f GFLOPS  residual %.3f (passed)\n",
 		hplRes.N, hplRes.P, hplRes.Q, hplRes.GFLOPS, hplRes.Residual)
 	test = append(test, greenindex.Measurement{
 		Benchmark: "HPL", Metric: "GFLOPS",
@@ -73,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("STREAM  : triad best %s over %d trials\n", st.Best, st.Trials)
+	fmt.Fprintf(out, "STREAM  : triad best %s over %d trials\n", st.Best, st.Trials)
 	test = append(test, greenindex.Measurement{
 		Benchmark: "STREAM", Metric: "MBPS",
 		Performance: float64(st.Best) / 1e6, Power: assumedHostWatts,
@@ -97,7 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("IOzone  : write %s (1 MiB records)\n", ioRes[0].Rate)
+	fmt.Fprintf(out, "IOzone  : write %s (1 MiB records)\n", ioRes[0].Rate)
 	test = append(test, greenindex.Measurement{
 		Benchmark: "IOzone", Metric: "MBPS",
 		Performance: float64(ioRes[0].Rate) / 1e6, Power: assumedHostWatts,
@@ -107,7 +112,7 @@ func main() {
 	// 4. The custom benchmark: TGI accepts any (name, metric, perf, power,
 	// time) tuple.
 	ops, el := measureSort()
-	fmt.Printf("Sort    : %.4g keys/s\n", ops)
+	fmt.Fprintf(out, "Sort    : %.4g keys/s\n", ops)
 	test = append(test, greenindex.Measurement{
 		Benchmark: "Sort", Metric: "keys/s",
 		Performance: ops, Power: assumedHostWatts, Time: el,
@@ -126,9 +131,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nTGI (four benchmarks, equal weights) = %.3f\n", res.TGI)
+	fmt.Fprintf(out, "\nTGI (four benchmarks, equal weights) = %.3f\n", res.TGI)
 	for i, b := range res.Benchmarks {
-		fmt.Printf("  %-7s REE=%.3f\n", b, res.REE[i])
+		fmt.Fprintf(out, "  %-7s REE=%.3f\n", b, res.REE[i])
 	}
 
 	// ...or emphasise the custom workload.
@@ -136,5 +141,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("TGI (sort-heavy custom weights)      = %.3f\n", res.TGI)
+	fmt.Fprintf(out, "TGI (sort-heavy custom weights)      = %.3f\n", res.TGI)
+	if err := out.Flush(); err != nil {
+		log.Fatal(err)
+	}
 }

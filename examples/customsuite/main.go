@@ -12,16 +12,21 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"log"
+	"os"
 
 	greenindex "repro"
 )
 
 func main() {
+	// Buffered, so a failed write surfaces at Flush and exits 1
+	// instead of losing the study silently.
+	out := bufio.NewWriter(os.Stdout)
 	// The registry's vocabulary: every workload RunCustomSuite accepts.
-	fmt.Println("Registered workloads:", greenindex.Workloads())
+	fmt.Fprintln(out, "Registered workloads:", greenindex.Workloads())
 
 	// 1. Compose a four-benchmark suite. Names are matched case- and
 	// separator-insensitively ("beff" resolves to "b_eff"), and the
@@ -35,9 +40,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nFire @ 128 cores, interconnect-aware suite:")
+	fmt.Fprintln(out, "\nFire @ 128 cores, interconnect-aware suite:")
 	for _, m := range test.Measurements() {
-		fmt.Printf("  %-7s %10.4g %-6s at %s over %s\n",
+		fmt.Fprintf(out, "  %-7s %10.4g %-6s at %s over %s\n",
 			m.Benchmark, m.Performance, m.Metric, m.Power, m.Time)
 	}
 
@@ -48,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nTGI(Fire vs SystemG, incl. b_eff) = %.4f\n", res.TGI)
+	fmt.Fprintf(out, "\nTGI(Fire vs SystemG, incl. b_eff) = %.4f\n", res.TGI)
 
 	// 3. Sweep the whole axis on a worker pool. Cells are independent,
 	// deterministically-seeded simulations, so four workers produce the
@@ -64,11 +69,14 @@ func main() {
 	}
 	pb, _ := json.Marshal(parallel)
 	sb, _ := json.Marshal(oneWorker)
-	fmt.Printf("\nSweep over %v on 4 workers: %d results, byte-identical to one worker: %v\n",
+	fmt.Fprintf(out, "\nSweep over %v on 4 workers: %d results, byte-identical to one worker: %v\n",
 		axis, len(parallel), string(pb) == string(sb))
 	for _, r := range parallel {
 		hpl := r.Runs[0].Measurement
-		fmt.Printf("  p=%-3d HPL %8.4g %s at %s\n",
+		fmt.Fprintf(out, "  p=%-3d HPL %8.4g %s at %s\n",
 			r.Procs, hpl.Performance, hpl.Metric, hpl.Power)
+	}
+	if err := out.Flush(); err != nil {
+		log.Fatal(err)
 	}
 }

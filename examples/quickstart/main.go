@@ -10,22 +10,27 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"log"
+	"os"
 
 	greenindex "repro"
 )
 
 func main() {
+	// Buffered, so a failed write surfaces at Flush and exits 1
+	// instead of losing the study silently.
+	out := bufio.NewWriter(os.Stdout)
 	// 1. Measure the reference system (SystemG, 1024 cores) — the paper's
 	// Table I. On real hardware these numbers would come from a wall meter.
 	refRun, err := greenindex.RunSuite(greenindex.SystemG(), 1024)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("Reference measurements (SystemG @ 1024 cores):")
+	fmt.Fprintln(out, "Reference measurements (SystemG @ 1024 cores):")
 	for _, m := range refRun.Measurements() {
-		fmt.Printf("  %-7s %10.4g %-6s at %s over %s\n",
+		fmt.Fprintf(out, "  %-7s %10.4g %-6s at %s over %s\n",
 			m.Benchmark, m.Performance, m.Metric, m.Power, m.Time)
 	}
 
@@ -34,9 +39,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nSystem under test (Fire @ 128 cores):")
+	fmt.Fprintln(out, "\nSystem under test (Fire @ 128 cores):")
 	for _, m := range testRun.Measurements() {
-		fmt.Printf("  %-7s %10.4g %-6s at %s over %s\n",
+		fmt.Fprintf(out, "  %-7s %10.4g %-6s at %s over %s\n",
 			m.Benchmark, m.Performance, m.Metric, m.Power, m.Time)
 	}
 
@@ -46,13 +51,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nPer-benchmark breakdown:")
+	fmt.Fprintln(out, "\nPer-benchmark breakdown:")
 	for i, b := range res.Benchmarks {
-		fmt.Printf("  %-7s EE=%-10.4g relative EE=%-8.4f weight=%.3f\n",
+		fmt.Fprintf(out, "  %-7s EE=%-10.4g relative EE=%-8.4f weight=%.3f\n",
 			b, res.EE[i], res.REE[i], res.Weights[i])
 	}
-	fmt.Printf("\nTGI(Fire vs SystemG) = %.4f\n", res.TGI)
-	fmt.Println("A value above 1 means Fire is more energy-efficient, system-wide,")
-	fmt.Println("than the reference — and the per-benchmark rows show which")
-	fmt.Println("subsystem is responsible (here I/O drags, memory carries).")
+	fmt.Fprintf(out, "\nTGI(Fire vs SystemG) = %.4f\n", res.TGI)
+	fmt.Fprintln(out, "A value above 1 means Fire is more energy-efficient, system-wide,")
+	fmt.Fprintln(out, "than the reference — and the per-benchmark rows show which")
+	fmt.Fprintln(out, "subsystem is responsible (here I/O drags, memory carries).")
+	if err := out.Flush(); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -16,6 +16,10 @@ type ModelConfig struct {
 	Spec      *cluster.Spec
 	Procs     int
 	Placement cluster.Placement
+	// Scratch, when set, holds the distribution and the returned
+	// profile, which then lasts until Scratch's next use (see
+	// cluster.Scratch); nil allocates both.
+	Scratch *cluster.Scratch
 	// MessageBytes is the payload each rank passes to its ring successor
 	// per round. 0 means 4 MiB.
 	MessageBytes float64
@@ -94,7 +98,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	dist, err := cfg.Spec.Distribute(cfg.Procs, cfg.Placement)
+	dist, err := cfg.Scratch.Distribute(cfg.Spec, cfg.Procs, cfg.Placement)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +137,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	// The fraction of traffic leaving each node drives the power model's
 	// network term; the cores mostly wait on transfers.
 	crossFrac := float64(totalCross) / float64(cfg.Procs)
-	phase := cluster.PhaseFromDistribution(units.Seconds(duration), cfg.Spec, dist,
+	profile := cfg.Scratch.FromDistribution(units.Seconds(duration), cfg.Spec, dist,
 		func(procs, cores int) cluster.Util {
 			nodeBytes := float64(procs) * crossFrac * msg / roundTime
 			return cluster.Util{
@@ -148,6 +152,6 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 		Bandwidth: fabric.Bandwidth,
 		RingRate:  units.BytesPerSec(ringRate),
 		Duration:  units.Seconds(duration),
-		Profile:   &cluster.LoadProfile{Phases: []cluster.Phase{phase}},
+		Profile:   profile,
 	}, nil
 }

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/iozone"
 	"repro/internal/sim"
 )
 
@@ -37,6 +38,38 @@ type Env struct {
 	Procs int
 	// Placement maps processes onto nodes.
 	Placement cluster.Placement
+	// Scratch, when set, is where the workload builds its distribution,
+	// load profile and discrete-event stack, so the returned profile is
+	// valid only until the next Simulate on the same Scratch. Nil
+	// allocates a profile the caller may keep.
+	Scratch *Scratch
+}
+
+// Scratch is one caller's reusable storage for workload simulations:
+// the profile buffers every model builds in, and IOzone's
+// discrete-event stack. A sweep worker owns one and drains each
+// profile before its next Simulate; reusing it never changes a result.
+// The zero value is ready to use; a Scratch is not safe for concurrent
+// use.
+type Scratch struct {
+	load cluster.Scratch
+	io   iozone.Stack
+}
+
+// loads returns the profile buffers, or nil for a nil scratch.
+func (s *Scratch) loads() *cluster.Scratch {
+	if s == nil {
+		return nil
+	}
+	return &s.load
+}
+
+// stack returns IOzone's discrete-event stack, or nil for a nil scratch.
+func (s *Scratch) stack() *iozone.Stack {
+	if s == nil {
+		return nil
+	}
+	return &s.io
 }
 
 // Simulated is what a workload's performance model hands the measurement

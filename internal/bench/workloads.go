@@ -33,6 +33,7 @@ func (hplWorkload) Metric() string { return "GFLOPS" }
 func (hplWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := hpl.DefaultModelConfig(spec, env.Procs)
 	cfg.Placement = env.Placement
+	cfg.Scratch = env.Scratch.loads()
 	res, err := hpl.Simulate(cfg)
 	if err != nil {
 		return Simulated{}, err
@@ -47,6 +48,7 @@ func (dgemmWorkload) Metric() string { return "GFLOPS" }
 func (dgemmWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := dgemm.DefaultModelConfig(spec, env.Procs)
 	cfg.Placement = env.Placement
+	cfg.Scratch = env.Scratch.loads()
 	res, err := dgemm.Simulate(cfg)
 	if err != nil {
 		return Simulated{}, err
@@ -61,6 +63,7 @@ func (streamWorkload) Metric() string { return "MBPS" }
 func (streamWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := stream.DefaultModelConfig(spec, env.Procs)
 	cfg.Placement = env.Placement
+	cfg.Scratch = env.Scratch.loads()
 	res, err := stream.Simulate(cfg)
 	if err != nil {
 		return Simulated{}, err
@@ -75,6 +78,7 @@ func (ptransWorkload) Metric() string { return "MBPS" }
 func (ptransWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := ptrans.DefaultModelConfig(spec, env.Procs)
 	cfg.Placement = env.Placement
+	cfg.Scratch = env.Scratch.loads()
 	res, err := ptrans.Simulate(cfg)
 	if err != nil {
 		return Simulated{}, err
@@ -89,6 +93,7 @@ func (randomAccessWorkload) Metric() string { return "GUPS" }
 func (randomAccessWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := randomaccess.DefaultModelConfig(spec, env.Procs)
 	cfg.Placement = env.Placement
+	cfg.Scratch = env.Scratch.loads()
 	res, err := randomaccess.Simulate(cfg)
 	if err != nil {
 		return Simulated{}, err
@@ -103,6 +108,7 @@ func (fftWorkload) Metric() string { return "GFLOPS" }
 func (fftWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := fft.DefaultModelConfig(spec, env.Procs)
 	cfg.Placement = env.Placement
+	cfg.Scratch = env.Scratch.loads()
 	res, err := fft.Simulate(cfg)
 	if err != nil {
 		return Simulated{}, err
@@ -130,6 +136,7 @@ func (iozoneWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := iozone.DefaultModelConfig(spec, ioClients)
 	cfg.FileBytesPerNode = 4.5e9 * float64(env.Procs) / float64(ioClients)
 	cfg.Procs = env.Procs
+	cfg.Scratch, cfg.Stack = env.Scratch.loads(), env.Scratch.stack()
 	res, err := iozone.Simulate(cfg)
 	if err != nil {
 		return Simulated{}, err
@@ -148,6 +155,7 @@ func (beffWorkload) Metric() string { return "MBPS" }
 func (beffWorkload) Simulate(spec *cluster.Spec, env Env) (Simulated, error) {
 	cfg := beff.DefaultModelConfig(spec, env.Procs)
 	cfg.Placement = env.Placement
+	cfg.Scratch = env.Scratch.loads()
 	res, err := beff.Simulate(cfg)
 	if err != nil {
 		return Simulated{}, err

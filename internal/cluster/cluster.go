@@ -317,22 +317,86 @@ func UniformPhase(d units.Seconds, activeNodes int, u Util) Phase {
 	return Phase{Duration: d, NodeUtil: nu}
 }
 
-// PhaseFromDistribution builds a phase where node i carries util scaled by
-// its share of processes: a node running k of its c cores at full tilt has
-// CPU utilisation k/c. The scale functions map the per-node process count to
-// each component's utilisation.
+// Scratch is caller-owned storage for the one-phase load profiles the
+// workload models build: a process-distribution buffer and a profile
+// with its phase and node entries. A model handed a Scratch builds in
+// it instead of allocating, so the profile it returns is valid only
+// until the model's next use of the same Scratch; a sweep worker keeps
+// one and drains each profile before its next benchmark. A nil
+// *Scratch allocates afresh on every call, for callers that keep
+// their profiles. A Scratch is not safe for concurrent use.
+type Scratch struct {
+	dist    []int
+	nodes   []Util
+	phases  [1]Phase
+	profile LoadProfile
+}
+
+// Distribute is Spec.Distribute into the scratch's buffer.
+func (s *Scratch) Distribute(spec *Spec, procs int, pl Placement) ([]int, error) {
+	if s == nil {
+		return spec.Distribute(procs, pl)
+	}
+	dist, err := spec.DistributeInto(procs, pl, s.dist)
+	if err != nil {
+		return nil, err
+	}
+	s.dist = dist
+	return dist, nil
+}
+
+// nodeBuf returns n node entries for the caller to overwrite, every one
+// of them: a recycled buffer keeps the previous profile's loads.
+func (s *Scratch) nodeBuf(n int) []Util {
+	if s == nil {
+		return make([]Util, n)
+	}
+	if cap(s.nodes) < n {
+		s.nodes = make([]Util, n)
+	}
+	s.nodes = s.nodes[:n]
+	return s.nodes
+}
+
+// NodeLoads returns n idle node entries, for a model that sets the
+// loads of its phase one node at a time before passing them to
+// OnePhase.
+func (s *Scratch) NodeLoads(n int) []Util {
+	nu := s.nodeBuf(n)
+	clear(nu)
+	return nu
+}
+
+// OnePhase returns a profile of one phase lasting d with the given node
+// loads.
+func (s *Scratch) OnePhase(d units.Seconds, nodeUtil []Util) *LoadProfile {
+	ph := Phase{Duration: d, NodeUtil: nodeUtil}
+	if s == nil {
+		return &LoadProfile{Phases: []Phase{ph}}
+	}
+	s.phases[0] = ph
+	s.profile.Phases = s.phases[:]
+	return &s.profile
+}
+
+// FromDistribution returns a one-phase profile lasting d where node i
+// carries a load scaled by its share of processes: a node running k of
+// its c cores at full tilt has CPU utilisation k/c. f maps a node's
+// process count to its components' utilisation; nodes without
+// processes idle.
 //
-// f must be a pure function of (procs, cores): PhaseFromDistribution
-// calls it only where the per-node process count changes from the
-// previous node's and reuses the last result otherwise, so a block or
-// cyclic distribution, which has at most two distinct non-zero counts,
-// costs at most a few calls however many nodes it spans.
-func PhaseFromDistribution(d units.Seconds, spec *Spec, dist []int, f func(procs, cores int) Util) Phase {
-	nu := make([]Util, len(dist))
+// f must be a pure function of (procs, cores): FromDistribution calls
+// it only where the per-node process count changes from the previous
+// node's and reuses the last result otherwise, so a block or cyclic
+// distribution, which has at most two distinct non-zero counts, costs
+// at most a few calls however many nodes it spans.
+func (s *Scratch) FromDistribution(d units.Seconds, spec *Spec, dist []int, f func(procs, cores int) Util) *LoadProfile {
+	nu := s.nodeBuf(len(dist))
 	cores := spec.Node.Cores()
 	prev, u := 0, Util{}
 	for i, p := range dist {
 		if p <= 0 {
+			nu[i] = Util{}
 			continue
 		}
 		if p != prev {
@@ -340,5 +404,5 @@ func PhaseFromDistribution(d units.Seconds, spec *Spec, dist []int, f func(procs
 		}
 		nu[i] = u
 	}
-	return Phase{Duration: d, NodeUtil: nu}
+	return s.OnePhase(d, nu)
 }

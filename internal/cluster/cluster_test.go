@@ -192,21 +192,35 @@ func TestLoadProfile(t *testing.T) {
 	}
 }
 
-func TestPhaseFromDistribution(t *testing.T) {
+// TestFromDistribution builds a block phase over two Fire nodes, first
+// with a nil scratch and then on a scratch whose previous profile
+// loaded every node, which the new phase must leave idle.
+func TestFromDistribution(t *testing.T) {
 	f := Fire()
-	dist, _ := f.Distribute(24, Block) // 16 + 8
-	ph := PhaseFromDistribution(10, f, dist, func(procs, cores int) Util {
-		return Util{CPU: float64(procs) / float64(cores)}
-	})
-	if ph.NodeUtil[0].CPU != 1 {
-		t.Errorf("node0 cpu = %v", ph.NodeUtil[0].CPU)
-	}
-	if ph.NodeUtil[1].CPU != 0.5 {
-		t.Errorf("node1 cpu = %v", ph.NodeUtil[1].CPU)
-	}
-	for i := 2; i < 8; i++ {
-		if ph.NodeUtil[i].CPU != 0 {
-			t.Errorf("idle node %d has cpu %v", i, ph.NodeUtil[i].CPU)
+	util := func(procs, cores int) Util { return Util{CPU: float64(procs) / float64(cores)} }
+	var sc Scratch
+	full, _ := sc.Distribute(f, f.TotalCores(), Cyclic)
+	sc.FromDistribution(10, f, full, util)
+	for _, s := range []*Scratch{nil, &sc} {
+		dist, _ := s.Distribute(f, 24, Block) // 16 + 8
+		lp := s.FromDistribution(10, f, dist, util)
+		if len(lp.Phases) != 1 || lp.Phases[0].Duration != 10 {
+			t.Fatalf("scratch %v: phases %+v, want one of 10 s", s != nil, lp.Phases)
+		}
+		nu := lp.Phases[0].NodeUtil
+		if len(nu) != f.Nodes {
+			t.Fatalf("scratch %v: %d node entries, want %d", s != nil, len(nu), f.Nodes)
+		}
+		if nu[0].CPU != 1 {
+			t.Errorf("scratch %v: node0 cpu = %v", s != nil, nu[0].CPU)
+		}
+		if nu[1].CPU != 0.5 {
+			t.Errorf("scratch %v: node1 cpu = %v", s != nil, nu[1].CPU)
+		}
+		for i := 2; i < f.Nodes; i++ {
+			if nu[i] != (Util{}) {
+				t.Errorf("scratch %v: idle node %d has load %+v", s != nil, i, nu[i])
+			}
 		}
 	}
 }

@@ -27,10 +27,12 @@ func referenceDistribute(s *Spec, procs int, pl Placement) []int {
 
 // TestDistributeMatchesReference checks every process count on every
 // named system, under both placements, against the one-at-a-time deal,
-// and checks that PhaseFromDistribution calls its util function once
-// per distinct non-zero node count and builds the same phase as calling
-// it for every node.
+// and checks that FromDistribution calls its util function once per
+// distinct non-zero node count and builds the same phase as calling it
+// for every node. One scratch serves every system in turn, so a phase
+// built over a larger or busier machine's must leave no load behind.
 func TestDistributeMatchesReference(t *testing.T) {
+	var sc Scratch
 	for _, name := range Names() {
 		s, err := ByName(name)
 		if err != nil {
@@ -47,21 +49,22 @@ func TestDistributeMatchesReference(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s %v %d procs: %v, reference %v", name, pl, procs, got, want)
 				}
-				checkPhaseCalls(t, s, got)
+				checkPhaseCalls(t, s, got, nil)
+				checkPhaseCalls(t, s, got, &sc)
 			}
 		}
 	}
 }
 
-// checkPhaseCalls builds a phase over dist with a counting util
+// checkPhaseCalls builds a phase over dist in sc with a counting util
 // function and compares it with one built node by node.
-func checkPhaseCalls(t *testing.T, s *Spec, dist []int) {
+func checkPhaseCalls(t *testing.T, s *Spec, dist []int, sc *Scratch) {
 	t.Helper()
 	util := func(procs, cores int) Util {
 		return Util{CPU: float64(procs) / float64(cores), Mem: 0.01 * float64(procs)}
 	}
 	calls := 0
-	ph := PhaseFromDistribution(1, s, dist, func(procs, cores int) Util {
+	lp := sc.FromDistribution(1, s, dist, func(procs, cores int) Util {
 		calls++
 		return util(procs, cores)
 	})
@@ -76,23 +79,24 @@ func checkPhaseCalls(t *testing.T, s *Spec, dist []int) {
 	if calls != len(distinct) {
 		t.Fatalf("%s %v: util function called %d times for %d distinct counts", s.Name, dist, calls, len(distinct))
 	}
-	if !reflect.DeepEqual(ph.NodeUtil, want) {
-		t.Fatalf("%s %v: phase %v, node by node %v", s.Name, dist, ph.NodeUtil, want)
+	if got := lp.Phases[0].NodeUtil; !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %v: phase %v, node by node %v", s.Name, dist, got, want)
 	}
 }
 
-// BenchmarkPhaseFromDistribution distributes every process count of
-// SystemG cyclically and builds its phase.
-func BenchmarkPhaseFromDistribution(b *testing.B) {
+// BenchmarkScratchFromDistribution distributes every process count of
+// SystemG cyclically and builds its profile on one scratch, as a sweep
+// worker does: once warm it allocates nothing.
+func BenchmarkScratchFromDistribution(b *testing.B) {
 	s := SystemG()
-	buf := make([]int, s.Nodes)
+	var sc Scratch
 	f := func(procs, cores int) Util { return Util{CPU: float64(procs) / float64(cores)} }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dist, err := s.DistributeInto(1+i%s.TotalCores(), Cyclic, buf)
+		dist, err := sc.Distribute(s, 1+i%s.TotalCores(), Cyclic)
 		if err != nil {
 			b.Fatal(err)
 		}
-		PhaseFromDistribution(1, s, dist, f)
+		sc.FromDistribution(1, s, dist, f)
 	}
 }

@@ -133,6 +133,10 @@ type ModelConfig struct {
 	Spec      *cluster.Spec
 	Procs     int
 	Placement cluster.Placement
+	// Scratch, when set, holds the distribution and the returned
+	// profile, which then lasts until Scratch's next use (see
+	// cluster.Scratch); nil allocates both.
+	Scratch *cluster.Scratch
 	// Eff is the sustained fraction of peak (tuned BLAS: 0.85-0.95; above
 	// HPL because there is no panel factorisation). 0 means 0.9.
 	Eff float64
@@ -178,7 +182,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	if fill < 0 || fill > 0.9 {
 		return nil, fmt.Errorf("dgemm: memory fill %v outside (0, 0.9]", fill)
 	}
-	dist, err := cfg.Spec.Distribute(cfg.Procs, cfg.Placement)
+	dist, err := cfg.Scratch.Distribute(cfg.Spec, cfg.Procs, cfg.Placement)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +208,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	flopsPerProc := blas.GemmFlops(n, n, n)
 	duration := flopsPerProc / rate
 	perf := units.FLOPS(float64(cfg.Procs) * rate)
-	phase := cluster.PhaseFromDistribution(units.Seconds(duration), cfg.Spec, dist,
+	profile := cfg.Scratch.FromDistribution(units.Seconds(duration), cfg.Spec, dist,
 		func(procs, cores int) cluster.Util {
 			share := float64(procs) / float64(cores)
 			memU := float64(procs) * rate * bytesPerFlop / cfg.Spec.Node.Memory.BandwidthBps
@@ -215,6 +219,6 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 		Procs:    cfg.Procs,
 		Perf:     perf,
 		Duration: units.Seconds(duration),
-		Profile:  &cluster.LoadProfile{Phases: []cluster.Phase{phase}},
+		Profile:  profile,
 	}, nil
 }

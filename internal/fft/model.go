@@ -15,6 +15,10 @@ type ModelConfig struct {
 	Spec      *cluster.Spec
 	Procs     int
 	Placement cluster.Placement
+	// Scratch, when set, holds the distribution and the returned
+	// profile, which then lasts until Scratch's next use (see
+	// cluster.Scratch); nil allocates both.
+	Scratch *cluster.Scratch
 	// MemFill sizes the distributed vector from the active memory; HPCC
 	// uses a modest fraction. 0 means 0.2.
 	MemFill float64
@@ -62,7 +66,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	if eff <= 0 || eff > 1 {
 		return nil, fmt.Errorf("fft: compute efficiency %v outside (0, 1]", eff)
 	}
-	dist, err := cfg.Spec.Distribute(cfg.Procs, cfg.Placement)
+	dist, err := cfg.Scratch.Distribute(cfg.Spec, cfg.Procs, cfg.Placement)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +112,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	total := tCompute + tComm
 	perf := units.FLOPS(flops / total)
 	computeFrac := tCompute / total
-	phase := cluster.PhaseFromDistribution(units.Seconds(total), cfg.Spec, dist,
+	profile := cfg.Scratch.FromDistribution(units.Seconds(total), cfg.Spec, dist,
 		func(procs, cores int) cluster.Util {
 			share := float64(procs) / float64(cores)
 			return cluster.Util{
@@ -122,6 +126,6 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 		Procs:    cfg.Procs,
 		Perf:     perf,
 		Duration: units.Seconds(total),
-		Profile:  &cluster.LoadProfile{Phases: []cluster.Phase{phase}},
+		Profile:  profile,
 	}, nil
 }

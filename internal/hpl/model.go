@@ -18,6 +18,10 @@ type ModelConfig struct {
 	Spec      *cluster.Spec
 	Procs     int
 	Placement cluster.Placement
+	// Scratch, when set, holds the distribution and the returned
+	// profile, which then lasts until Scratch's next use (see
+	// cluster.Scratch); nil allocates both.
+	Scratch *cluster.Scratch
 	// MemFill is the fraction of the active nodes' memory used for the
 	// matrix. Tuning practice goes to ~80%; sweep runs use less so the
 	// three suite benchmarks have comparable durations.
@@ -91,7 +95,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 		return nil, fmt.Errorf("hpl: overlap %v outside [0, 1)", cfg.Overlap)
 	}
 	spec := cfg.Spec
-	dist, err := spec.Distribute(cfg.Procs, cfg.Placement)
+	dist, err := cfg.Scratch.Distribute(spec, cfg.Procs, cfg.Placement)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +174,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	// memory utilisation from the dgemm streaming demand.
 	computeFrac := tCompute / tTotal
 	commFrac := tComm / tTotal
-	phase := cluster.PhaseFromDistribution(units.Seconds(tTotal), spec, dist,
+	profile := cfg.Scratch.FromDistribution(units.Seconds(tTotal), spec, dist,
 		func(procs, cores int) cluster.Util {
 			share := float64(procs) / float64(cores)
 			memU := float64(procs) * corePeak * cfg.GemmEff * memPenalty * bytesPerFlop /
@@ -181,7 +185,6 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 				Net: math.Min(1, commFrac*share),
 			}
 		})
-	profile := &cluster.LoadProfile{Phases: []cluster.Phase{phase}}
 
 	return &ModelResult{
 		N:           n,

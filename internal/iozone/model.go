@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -12,17 +11,38 @@ import (
 	"repro/internal/units"
 )
 
-// desScratch is a reusable discrete-event stack: an engine plus the
-// backend bound to it. Sweeps call Simulate once per cell, and building
-// the stack fresh each time dominated the cell's allocation budget;
-// Reset/Reconfigure restore both to freshly-constructed state, so a
-// recycled stack simulates bit-identically to a new one.
-type desScratch struct {
+// Stack is a reusable discrete-event stack for Simulate: an engine
+// plus the shared-storage backend bound to it. Sweeps call Simulate
+// once per cell, and building the stack fresh each time dominated the
+// cell's allocation budget; Reset/Reconfigure restore both to
+// freshly-constructed state, so a recycled stack simulates
+// bit-identically to a new one. The zero value is ready to use; a
+// Stack is not safe for concurrent use.
+type Stack struct {
 	eng *sim.Engine
 	be  *storage.Backend
 }
 
-var desPool = sync.Pool{New: func() any { return &desScratch{} }}
+// ready returns the stack's engine and backend reset for a run against
+// st, building them on first use; a nil Stack builds a fresh pair.
+func (sk *Stack) ready(st cluster.StorageSpec) (*sim.Engine, *storage.Backend, error) {
+	if sk == nil || sk.eng == nil {
+		eng := sim.NewEngine(0)
+		be, err := storage.NewBackend(eng, st.AggregateBps, st.PerClientBps)
+		if err != nil {
+			return nil, nil, err
+		}
+		if sk != nil {
+			sk.eng, sk.be = eng, be
+		}
+		return eng, be, nil
+	}
+	sk.eng.Reset(0)
+	if err := sk.be.Reconfigure(st.AggregateBps, st.PerClientBps); err != nil {
+		return nil, nil, err
+	}
+	return sk.eng, sk.be, nil
+}
 
 // ModelConfig drives the simulated-cluster IOzone write test.
 type ModelConfig struct {
@@ -39,6 +59,12 @@ type ModelConfig struct {
 	// ClientOverhead is the fraction of per-client protocol overhead
 	// (metadata round trips, commit barriers) reducing effective rate.
 	ClientOverhead float64
+	// Scratch, when set, holds the returned profile, which then lasts
+	// until Scratch's next use (see cluster.Scratch); nil allocates it.
+	Scratch *cluster.Scratch
+	// Stack, when set, is the discrete-event stack a shared-backend run
+	// reuses; nil builds a fresh one.
+	Stack *Stack
 }
 
 // DefaultModelConfig returns the configuration used by the paper
@@ -101,22 +127,10 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	var makespan float64
 	var engStats sim.Stats
 	if shared {
-		sc := desPool.Get().(*desScratch)
-		defer desPool.Put(sc)
-		if sc.eng == nil {
-			freshEng := sim.NewEngine(0)
-			be, err := storage.NewBackend(freshEng, cfg.Spec.Storage.AggregateBps, cfg.Spec.Storage.PerClientBps)
-			if err != nil {
-				return nil, err
-			}
-			sc.eng, sc.be = freshEng, be
-		} else {
-			sc.eng.Reset(0)
-			if err := sc.be.Reconfigure(cfg.Spec.Storage.AggregateBps, cfg.Spec.Storage.PerClientBps); err != nil {
-				return nil, err
-			}
+		eng, be, err := cfg.Stack.ready(cfg.Spec.Storage)
+		if err != nil {
+			return nil, err
 		}
-		eng, be := sc.eng, sc.be
 		for i := 0; i < cfg.Nodes; i++ {
 			if err := be.SubmitWrite(fileBytes, nil); err != nil {
 				return nil, err
@@ -145,10 +159,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	base := procs / cfg.Nodes
 	extra := procs % cfg.Nodes
 	cores := cfg.Spec.Node.Cores()
-	phase := cluster.Phase{
-		Duration: units.Seconds(makespan),
-		NodeUtil: make([]cluster.Util, cfg.Spec.Nodes),
-	}
+	nodeUtil := cfg.Scratch.NodeLoads(cfg.Spec.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		// Round-robin process placement: the first procs%nodes client
 		// nodes carry one extra process, and every client runs at least
@@ -171,13 +182,13 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 		} else {
 			u.Disk = perNodeRate / cfg.Spec.Node.Disk.BandwidthBps
 		}
-		phase.NodeUtil[i] = u.Clamp()
+		nodeUtil[i] = u.Clamp()
 	}
 	return &ModelResult{
 		Nodes:     cfg.Nodes,
 		Aggregate: units.BytesPerSec(agg),
 		Duration:  units.Seconds(makespan),
-		Profile:   &cluster.LoadProfile{Phases: []cluster.Phase{phase}},
+		Profile:   cfg.Scratch.OnePhase(units.Seconds(makespan), nodeUtil),
 		Shared:    shared,
 		Engine:    engStats,
 	}, nil

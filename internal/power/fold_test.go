@@ -259,9 +259,10 @@ func BenchmarkClusterPower(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ph := cluster.PhaseFromDistribution(1, spec, dist, func(procs, cores int) cluster.Util {
+	var sc *cluster.Scratch
+	ph := sc.FromDistribution(1, spec, dist, func(procs, cores int) cluster.Util {
 		return cluster.Util{CPU: float64(procs) / float64(cores), Mem: 0.5}
-	})
+	}).Phases[0]
 	b.Run("runs", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -14,6 +14,10 @@ type ModelConfig struct {
 	Spec      *cluster.Spec
 	Procs     int
 	Placement cluster.Placement
+	// Scratch, when set, holds the distribution and the returned
+	// profile, which then lasts until Scratch's next use (see
+	// cluster.Scratch); nil allocates both.
+	Scratch *cluster.Scratch
 	// MemFill sizes the matrix from the active memory (two N×N matrices).
 	// 0 means 0.3.
 	MemFill float64
@@ -57,7 +61,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	if cfg.LocalFrac < 0 || cfg.LocalFrac > 1 {
 		return nil, fmt.Errorf("ptrans: local fraction %v outside [0, 1]", cfg.LocalFrac)
 	}
-	dist, err := cfg.Spec.Distribute(cfg.Procs, cfg.Placement)
+	dist, err := cfg.Scratch.Distribute(cfg.Spec, cfg.Procs, cfg.Placement)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +104,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	if duration > 0 {
 		netFrac = nicTime / duration
 	}
-	phase := cluster.PhaseFromDistribution(units.Seconds(duration), cfg.Spec, dist,
+	profile := cfg.Scratch.FromDistribution(units.Seconds(duration), cfg.Spec, dist,
 		func(procs, cores int) cluster.Util {
 			share := float64(procs) / float64(cores)
 			return cluster.Util{
@@ -114,6 +118,6 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 		Procs:    cfg.Procs,
 		Rate:     units.BytesPerSec(rate),
 		Duration: units.Seconds(duration),
-		Profile:  &cluster.LoadProfile{Phases: []cluster.Phase{phase}},
+		Profile:  profile,
 	}, nil
 }

@@ -14,6 +14,10 @@ type ModelConfig struct {
 	Spec      *cluster.Spec
 	Procs     int
 	Placement cluster.Placement
+	// Scratch, when set, holds the distribution and the returned
+	// profile, which then lasts until Scratch's next use (see
+	// cluster.Scratch); nil allocates both.
+	Scratch *cluster.Scratch
 	// MemLatency is the average DRAM random-access latency. 0 means 90 ns.
 	MemLatency float64
 	// MLP is the memory-level parallelism one core sustains (outstanding
@@ -74,24 +78,18 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	if fill < 0 || fill > 0.9 {
 		return nil, fmt.Errorf("randomaccess: table fill %v outside (0, 0.9]", fill)
 	}
-	dist, err := cfg.Spec.Distribute(cfg.Procs, cfg.Placement)
+	dist, err := cfg.Scratch.Distribute(cfg.Spec, cfg.Procs, cfg.Placement)
 	if err != nil {
 		return nil, err
 	}
 	perProcRate := mlp / lat // updates/s one core can retire
 	var total float64
-	rates := make([]float64, len(dist))
-	for i, k := range dist {
-		if k == 0 {
-			continue
-		}
+	for _, k := range dist {
 		nodeRate := float64(k) * perProcRate
 		// One update touches a cache line: bandwidth ceiling.
-		cap := cfg.Spec.Node.Memory.BandwidthBps / 64
-		if nodeRate > cap {
+		if cap := cfg.Spec.Node.Memory.BandwidthBps / 64; nodeRate > cap {
 			nodeRate = cap
 		}
-		rates[i] = nodeRate
 		total += nodeRate
 	}
 	if total <= 0 {
@@ -103,7 +101,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	updates := float64(upw) * words
 	duration := updates / total
 
-	phase := cluster.PhaseFromDistribution(units.Seconds(duration), cfg.Spec, dist,
+	profile := cfg.Scratch.FromDistribution(units.Seconds(duration), cfg.Spec, dist,
 		func(procs, cores int) cluster.Util {
 			k := float64(procs)
 			nodeRate := k * perProcRate
@@ -120,6 +118,6 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 		Procs:    cfg.Procs,
 		GUPS:     total / 1e9,
 		Duration: units.Seconds(duration),
-		Profile:  &cluster.LoadProfile{Phases: []cluster.Phase{phase}},
+		Profile:  profile,
 	}, nil
 }

@@ -15,6 +15,10 @@ type ModelConfig struct {
 	Procs     int
 	Placement cluster.Placement
 	Kernel    Kernel
+	// Scratch, when set, holds the distribution and the returned
+	// profile, which then lasts until Scratch's next use (see
+	// cluster.Scratch); nil allocates both.
+	Scratch *cluster.Scratch
 	// SatProcs is the number of processes per node needed to saturate the
 	// node's memory bandwidth (memory controllers saturate long before the
 	// core count; 3-5 on commodity parts).
@@ -51,7 +55,6 @@ type ModelResult struct {
 	Procs     int
 	Kernel    Kernel
 	Aggregate units.BytesPerSec // cluster-wide sustained rate
-	PerNode   []units.BytesPerSec
 	Duration  units.Seconds
 	Profile   *cluster.LoadProfile
 }
@@ -92,7 +95,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	if cfg.Contention < 0 || cfg.Contention > 1 {
 		return nil, fmt.Errorf("stream: contention %v outside [0, 1]", cfg.Contention)
 	}
-	dist, err := cfg.Spec.Distribute(cfg.Procs, cfg.Placement)
+	dist, err := cfg.Scratch.Distribute(cfg.Spec, cfg.Procs, cfg.Placement)
 	if err != nil {
 		return nil, err
 	}
@@ -105,30 +108,23 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 		trials = 3800
 	}
 
-	perNode := make([]units.BytesPerSec, len(dist))
-	var agg float64
-	for i, k := range dist {
-		bw := nodeBandwidth(cfg.Spec, cfg, k)
-		perNode[i] = units.BytesPerSec(bw)
-		agg += bw
-	}
-	if agg <= 0 {
-		return nil, errors.New("stream: zero aggregate bandwidth")
-	}
-
 	// Duration: every node processes its processes' working sets at its
 	// sustained rate; the slowest node sets the makespan. Traffic per
 	// process per trial = kernel traffic across the array.
 	perProcTraffic := arrBytes / 3 * float64(cfg.Kernel.BytesPerElement()) / 8
-	makespan := 0.0
-	for i, k := range dist {
+	var agg, makespan float64
+	for _, k := range dist {
 		if k == 0 {
 			continue
 		}
-		t := float64(trials) * float64(k) * perProcTraffic / float64(perNode[i])
-		if t > makespan {
+		bw := nodeBandwidth(cfg.Spec, cfg, k)
+		agg += bw
+		if t := float64(trials) * float64(k) * perProcTraffic / bw; t > makespan {
 			makespan = t
 		}
+	}
+	if agg <= 0 {
+		return nil, errors.New("stream: zero aggregate bandwidth")
 	}
 
 	// Load profile: memory utilisation = achieved/sustainable bandwidth;
@@ -136,7 +132,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 	// memory, drawing well below dgemm power (~45% of active-core power on
 	// measured systems).
 	const streamCPUFactor = 0.45
-	phase := cluster.PhaseFromDistribution(units.Seconds(makespan), cfg.Spec, dist,
+	profile := cfg.Scratch.FromDistribution(units.Seconds(makespan), cfg.Spec, dist,
 		func(procs, cores int) cluster.Util {
 			bw := nodeBandwidth(cfg.Spec, cfg, procs)
 			return cluster.Util{
@@ -148,8 +144,7 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 		Procs:     cfg.Procs,
 		Kernel:    cfg.Kernel,
 		Aggregate: units.BytesPerSec(agg),
-		PerNode:   perNode,
 		Duration:  units.Seconds(makespan),
-		Profile:   &cluster.LoadProfile{Phases: []cluster.Phase{phase}},
+		Profile:   profile,
 	}, nil
 }

@@ -119,9 +119,10 @@ type benchStep struct {
 }
 
 // simulate runs the step's performance model against a (possibly
-// fault-degraded) spec under cfg's environment.
-func (st *benchStep) simulate(cfg *Config, spec *cluster.Spec) (simulated, error) {
-	sm, err := st.w.Simulate(spec, bench.Env{Procs: cfg.Procs, Placement: cfg.Placement})
+// fault-degraded) spec under cfg's environment, building its load
+// profile in work: the profile lasts until the next simulate on work.
+func (st *benchStep) simulate(cfg *Config, spec *cluster.Spec, work *bench.Scratch) (simulated, error) {
+	sm, err := st.w.Simulate(spec, bench.Env{Procs: cfg.Procs, Placement: cfg.Placement, Scratch: work})
 	if err != nil {
 		return simulated{}, err
 	}
@@ -130,7 +131,7 @@ func (st *benchStep) simulate(cfg *Config, spec *cluster.Spec) (simulated, error
 
 // runSuite executes cfg's suite under its fault plan and retry policy,
 // recycling sc's buffers. Every suite run takes this path: the sweep
-// scheduler passes a worker's scratch, Run a fresh one.
+// scheduler passes a worker's scratch, Run a spare one.
 func runSuite(cfg Config, sc *cellScratch) (*Result, error) {
 	steps, err := sc.stepsFor(&cfg)
 	if err != nil {
@@ -197,7 +198,7 @@ func runSuite(cfg Config, sc *cellScratch) (*Result, error) {
 			}
 		}
 		benchStart := clock
-		run, err := runStep(&cfg, spec, model, meter, meterCfg, &sc.repairer, st, &clock)
+		run, err := runStep(&cfg, spec, model, meter, meterCfg, sc, st, &clock)
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +279,7 @@ func statusLabel(s Status) string {
 // so the recorded spans tile the timeline the way the simulated campaign
 // spent it.
 func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
-	meter *power.Meter, meterCfg power.MeterConfig, repairer *series.Repairer,
+	meter *power.Meter, meterCfg power.MeterConfig, sc *cellScratch,
 	st benchStep, clock *units.Seconds) (BenchmarkRun, error) {
 	rec := cfg.Trace
 	var wasted units.Seconds
@@ -322,7 +323,7 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 			}
 			*clock += delay
 		}
-		sm, err := st.simulate(cfg, spec)
+		sm, err := st.simulate(cfg, spec, &sc.work)
 		if err != nil {
 			if errors.Is(err, sim.ErrEventLimit) {
 				// An exhausted event budget is a timeout, not a bug.
@@ -355,7 +356,7 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 			continue
 		}
 		meter.SetOrigin(*clock)
-		run, err := measureStep(cfg, model, meter, meterCfg, repairer, st, sm, *clock)
+		run, err := measureStep(cfg, model, meter, meterCfg, &sc.repairer, st, sm, *clock)
 		if err != nil {
 			return BenchmarkRun{}, err
 		}
@@ -462,7 +463,9 @@ func failedMeasurement(st benchStep) (m core.Measurement) {
 }
 
 // stretchProfile scales a load profile's time axis by factor (a straggler
-// slows the whole bulk-synchronous run down).
+// slows the whole bulk-synchronous run down). The result shares lp's
+// node loads, so it is valid only as long as lp is: within the attempt
+// whose model built lp.
 func stretchProfile(lp *cluster.LoadProfile, factor float64) *cluster.LoadProfile {
 	out := &cluster.LoadProfile{Phases: make([]cluster.Phase, len(lp.Phases))}
 	for i, ph := range lp.Phases {

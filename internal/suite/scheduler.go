@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/power"
@@ -17,11 +18,11 @@ import (
 // cellScratch is the reusable state a suite run draws its buffers from.
 // Each sweep worker owns one, so buffers survive from one cell to the
 // next on the same worker and steady-state cells stop paying
-// construction costs; Run uses a fresh one. A worker takes its scratch
-// from the spare list and returns it when it exits, so the buffers also
-// survive from one campaign to the next. A scratch is used by one
-// worker at a time, and reusing one never changes results — it only
-// recycles storage the runner has already drained.
+// construction costs. A worker takes its scratch from the spare list
+// and returns it when it exits, so the buffers also survive from one
+// campaign to the next; Run borrows one the same way. A scratch is used
+// by one worker at a time, and reusing one never changes results — it
+// only recycles storage the runner has already drained.
 type cellScratch struct {
 	meter *power.Meter
 	// repairer repairs faulty meter traces into reused buffers; the
@@ -39,6 +40,11 @@ type cellScratch struct {
 	// dist is the process-distribution buffer recycled across cells; the
 	// runner folds it into scalars before the next cell reuses it.
 	dist []int
+	// work is where the workload models build their distributions, load
+	// profiles and discrete-event stacks. A profile built in it lives
+	// for one attempt: the runner meters it (stretching it first for a
+	// straggler) before the next benchmark's model overwrites it.
+	work bench.Scratch
 }
 
 // spares holds the scratch of workers that have exited, for the workers

@@ -222,8 +222,8 @@ func TestParallelSweepSharedJournal(t *testing.T) {
 // key the worker's scratch caches on — spec (the power model), benchmark
 // list (the steps), placement (the process distribution) and meter
 // faults (the meter's configuration and the repairer) — back to back on
-// one worker, and requires each cell to serialise exactly like a
-// standalone Run of the same Config.
+// one worker, and requires each cell to serialise exactly like the same
+// Config run on a fresh scratch.
 func TestHeterogeneousCellsShareOneScratch(t *testing.T) {
 	testbed := cluster.Testbed()
 	configure := func(procs int) (Config, error) {
@@ -250,7 +250,7 @@ func TestHeterogeneousCellsShareOneScratch(t *testing.T) {
 	}
 	for i, procs := range axis {
 		cfg, _ := configure(procs)
-		alone, err := Run(cfg)
+		alone, err := runSuite(cfg, new(cellScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,8 +259,66 @@ func TestHeterogeneousCellsShareOneScratch(t *testing.T) {
 		}
 		got, want := marshalResults(t, rs[i:i+1]), marshalResults(t, []*Result{alone})
 		if !bytes.Equal(got, want) {
-			t.Errorf("p=%d: cell on a shared scratch differs from a standalone Run:\n%s\nwant\n%s", procs, got, want)
+			t.Errorf("p=%d: cell on a shared scratch differs from a fresh scratch's:\n%s\nwant\n%s", procs, got, want)
 		}
+	}
+}
+
+// TestConcurrentRunsBorrowSpares calls Run from several goroutines at
+// once over cells that differ in system, benchmark list, placement and
+// fault plan, so each borrowed scratch moves between machines and
+// suites. Every result must serialise like the same Config run on a
+// fresh scratch; under -race it also checks the spare list's hand-over
+// between concurrent Runs.
+func TestConcurrentRunsBorrowSpares(t *testing.T) {
+	faulty := DefaultConfig(cluster.Fire(), 9)
+	faulty.Benchmarks = []string{BenchHPL, "beff", BenchIOzone}
+	faulty.Placement = cluster.Block
+	faulty.Faults = fireFaultyPlan()
+	faulty.Retry = RetryPolicy{MaxAttempts: 3, Backoff: 30}
+	extendedG := DefaultConfig(cluster.SystemG(), 700)
+	extendedG.Benchmarks = ExtendedOrder
+	extendedFire := SeededConfig(cluster.Fire(), 128, 5)
+	extendedFire.Benchmarks = ExtendedOrder
+	configs := []Config{extendedG, faulty, DefaultConfig(cluster.Testbed(), 4), extendedFire}
+	want := make([][]byte, len(configs))
+	for i, cfg := range configs {
+		r, err := runSuite(cfg, new(cellScratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = marshalResults(t, []*Result{r})
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range configs {
+				i := (g + k) % len(configs)
+				r, err := Run(configs[i])
+				if err != nil {
+					errs <- err
+					return
+				}
+				got, err := json.MarshalIndent([]*Result{r}, "", "  ")
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, want[i]) {
+					errs <- fmt.Errorf("goroutine %d: config %d on a borrowed scratch differs from a fresh scratch's", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

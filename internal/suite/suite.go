@@ -221,8 +221,12 @@ func (r *Result) Benchmarks() []string {
 
 // Run executes the configured benchmark suite at one process count — the
 // paper's three benchmarks unless Config.Benchmarks names another set.
+// It borrows a scratch from the sweep workers' spare list, so repeated
+// Runs recycle their buffers the way a sweep's cells do.
 func Run(cfg Config) (*Result, error) {
-	return runSuite(cfg, new(cellScratch))
+	sc := takeScratch()
+	defer returnScratch(sc)
+	return runSuite(cfg, sc)
 }
 
 // Sweep runs the suite at each process count and returns the results in
