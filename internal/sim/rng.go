@@ -34,15 +34,102 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Norm returns a standard normal variate via the Box-Muller transform.
+// Norm returns a standard normal variate by the ziggurat method of
+// Marsaglia and Tsang ("The Ziggurat Method for Generating Random
+// Variables", J. Stat. Softw. 5(8), 2000), with 128 layers. About 99% of
+// draws cost one Uint64, a comparison and a multiply: the low 7 bits pick
+// a layer and the high 32 bits are a signed abscissa inside it. The rest
+// fall in a layer's wedge, tested against the density, or in the base
+// layer's tail beyond zigR.
 func (r *RNG) Norm() float64 {
-	// Guard u1 away from zero so Log is finite.
-	u1 := r.Float64()
-	if u1 < 1e-300 {
-		u1 = 1e-300
+	u := r.Uint64()
+	i := u & zigMask
+	j := int32(u >> 32)
+	if abs32(j) < zigK[i] {
+		return float64(j) * zigW[i]
 	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	return r.normSlow(i, j)
+}
+
+// normSlow finishes a draw whose abscissa fell outside its layer's
+// rectangle: in the base layer it draws from the tail, in any other it
+// accepts a point under the density and otherwise starts a fresh draw.
+func (r *RNG) normSlow(i uint64, j int32) float64 {
+	for {
+		if i == 0 {
+			// Marsaglia's exponential tail. 1-Float64 is in (0, 1], so
+			// Log never sees 0.
+			for {
+				x := -math.Log(1-r.Float64()) / zigR
+				y := -math.Log(1 - r.Float64())
+				if y+y >= x*x {
+					if j < 0 {
+						return -zigR - x
+					}
+					return zigR + x
+				}
+			}
+		}
+		x := float64(j) * zigW[i]
+		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-0.5*x*x) {
+			return x
+		}
+		u := r.Uint64()
+		i, j = u&zigMask, int32(u>>32)
+		if abs32(j) < zigK[i] {
+			return float64(j) * zigW[i]
+		}
+	}
+}
+
+// abs32 returns |j| as a uint32, so that |MinInt32| = 2^31 is exact.
+func abs32(j int32) uint32 {
+	if j < 0 {
+		return -uint32(j)
+	}
+	return uint32(j)
+}
+
+// The ziggurat's 128 layers have equal area zigV under the standard
+// normal density f(x) = exp(-x²/2) (unnormalised). Layer i ≥ 1 spans
+// [0, x_i] between heights f(x_i) and f(x_{i-1}); the base layer 0 is
+// the rectangle [0, zigR]×[0, f(zigR)] plus the tail beyond zigR, seen
+// as a rectangle of width zigV/f(zigR). x_127 = zigR and x_0 = 0.
+const (
+	zigLayers = 128
+	zigMask   = zigLayers - 1
+	zigR      = 3.442619855899
+	zigV      = 9.91256303526217e-3
+	zigScale  = 1 << 31 // the abscissa is a signed 32-bit integer
+)
+
+// The layer tables, built by init from the closed form and never written
+// again: zigK[i] is the largest |j| whose point lies inside the layer
+// below it (so the draw is accepted at once), zigW[i] scales j to x, and
+// zigF[i] = f(x_i).
+var (
+	zigK [zigLayers]uint32
+	zigW [zigLayers]float64
+	zigF [zigLayers]float64
+)
+
+func init() {
+	f := func(x float64) float64 { return math.Exp(-0.5 * x * x) }
+	x := zigR
+	q := zigV / f(zigR) // the base layer's width, tail included
+	zigK[0] = uint32(zigR / q * zigScale)
+	zigK[1] = 0
+	zigW[0] = q / zigScale
+	zigW[zigMask] = zigR / zigScale
+	zigF[0] = 1
+	zigF[zigMask] = f(zigR)
+	for i := zigMask - 1; i >= 1; i-- {
+		next := math.Sqrt(-2 * math.Log(zigV/x+f(x)))
+		zigK[i+1] = uint32(next / x * zigScale)
+		x = next
+		zigF[i] = f(x)
+		zigW[i] = x / zigScale
+	}
 }
 
 // NormAt returns a normal variate with the given mean and standard deviation.

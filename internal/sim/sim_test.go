@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -182,24 +183,119 @@ func TestRNGUniformMean(t *testing.T) {
 	}
 }
 
+// The normal sampler is pinned by its distribution, not its bits: each
+// check runs at three fixed seeds over normDraws draws.
+const normDraws = 1000000
+
+var normSeeds = []uint64{1, 9, 42}
+
+func drawNorms(seed uint64) []float64 {
+	r := NewRNG(seed)
+	xs := make([]float64, normDraws)
+	for i := range xs {
+		xs[i] = r.Norm()
+	}
+	return xs
+}
+
 func TestRNGNormMoments(t *testing.T) {
-	r := NewRNG(9)
-	const n = 200000
-	var sum, sq float64
-	for i := 0; i < n; i++ {
-		v := r.Norm()
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance = %v", variance)
+	for _, seed := range normSeeds {
+		var sum, sq float64
+		for _, v := range drawNorms(seed) {
+			sum += v
+			sq += v * v
+		}
+		mean := sum / normDraws
+		variance := sq/normDraws - mean*mean
+		// Five standard errors: 1/√n for the mean, √(2/n) for the variance.
+		if math.Abs(mean) > 5/math.Sqrt(normDraws) {
+			t.Errorf("seed %d: mean = %v", seed, mean)
+		}
+		if math.Abs(variance-1) > 5*math.Sqrt(2.0/normDraws) {
+			t.Errorf("seed %d: variance = %v", seed, variance)
+		}
 	}
 }
+
+// TestRNGNormKolmogorovSmirnov compares the empirical distribution with
+// Φ; 1.95/√n is the two-sided critical value at α = 0.001.
+func TestRNGNormKolmogorovSmirnov(t *testing.T) {
+	for _, seed := range normSeeds {
+		xs := drawNorms(seed)
+		sort.Float64s(xs)
+		d := 0.0
+		for i, x := range xs {
+			phi := 0.5 * math.Erfc(-x/math.Sqrt2)
+			d = max(d, float64(i+1)/normDraws-phi, phi-float64(i)/normDraws)
+		}
+		if limit := 1.95 / math.Sqrt(normDraws); d >= limit {
+			t.Errorf("seed %d: KS statistic %v, critical value %v", seed, d, limit)
+		}
+	}
+}
+
+func TestRNGNormTails(t *testing.T) {
+	p := math.Erfc(3 / math.Sqrt2) // P(|Z| > 3)
+	sigma := math.Sqrt(p * (1 - p) / normDraws)
+	for _, seed := range normSeeds {
+		beyond3, beyondR := 0, 0
+		for _, v := range drawNorms(seed) {
+			if math.Abs(v) > 3 {
+				beyond3++
+			}
+			if math.Abs(v) > zigR {
+				beyondR++
+			}
+		}
+		if freq := float64(beyond3) / normDraws; math.Abs(freq-p) > 4*sigma {
+			t.Errorf("seed %d: P(|Z|>3) = %v, want %v ± %v", seed, freq, p, 4*sigma)
+		}
+		// Draws beyond R come only from the base layer's tail branch.
+		if beyondR == 0 {
+			t.Errorf("seed %d: no draw beyond R = %v", seed, zigR)
+		}
+	}
+}
+
+func TestZigguratTables(t *testing.T) {
+	r := zigR // a variable, so -r*r/2 rounds as init's does
+	if zigF[0] != 1 || zigF[zigMask] != math.Exp(-0.5*r*r) {
+		t.Errorf("f[0] = %v, f[127] = %v", zigF[0], zigF[zigMask])
+	}
+	for i := 1; i < zigLayers; i++ {
+		// x_i rises and f(x_i) falls from the top layer to the base.
+		if zigF[i] >= zigF[i-1] {
+			t.Errorf("f not decreasing at %d: %v >= %v", i, zigF[i], zigF[i-1])
+		}
+		if i > 1 && zigW[i] <= zigW[i-1] {
+			t.Errorf("w not increasing at %d: %v <= %v", i, zigW[i], zigW[i-1])
+		}
+		// A point of layer i is accepted at once below x_{i-1}.
+		if want := uint32(zigW[i-1] / zigW[i] * zigScale); i > 1 && zigK[i] != want {
+			t.Errorf("k[%d] = %d, want %d", i, zigK[i], want)
+		}
+		// Every layer above the base has area V: x_i·(f(x_{i-1}) − f(x_i)).
+		area := zigW[i] * zigScale * (zigF[i-1] - zigF[i])
+		if math.Abs(area/zigV-1) > 1e-8 {
+			t.Errorf("layer %d has area %v, want %v", i, area, zigV)
+		}
+	}
+	if zigK[1] != 0 {
+		t.Errorf("k[1] = %d, want 0: x_0 = 0", zigK[1])
+	}
+}
+
+// BenchmarkNorm times one standard normal draw.
+func BenchmarkNorm(b *testing.B) {
+	r := NewRNG(1)
+	sum := 0.0
+	for b.Loop() {
+		sum += r.Norm()
+	}
+	normSink = sum
+}
+
+var normSink float64
 
 func TestRNGFork(t *testing.T) {
 	parent := NewRNG(5)
