@@ -13,22 +13,24 @@ import (
 )
 
 // goldenTestbed pins the Testbed suite output bit-for-bit. These numbers
-// were captured from the pre-resilience pipeline; an empty fault plan and a
-// zero RetryPolicy must reproduce them exactly — the resilience machinery
-// is required to be invisible when unused.
+// were captured from the pre-resilience pipeline, and recaptured from this
+// test's failure message when the normal sampler became a ziggurat
+// (DESIGN.md §7); an empty fault plan and a zero RetryPolicy must reproduce
+// them exactly — the resilience machinery is required to be invisible when
+// unused.
 var goldenTestbed = map[int]map[string]struct {
 	perf, power, time, energy, peak float64
 	samples                         int
 }{
 	4: {
-		"HPL":    {13.700323379650401, 297.7675731080817, 516.7973302448188, 153885.48681573552, 299.40000000000003, 518},
-		"STREAM": {10000, 282.25416376026055, 816.04378624, 230331.756476928, 283.90000000000003, 818},
-		"IOzone": {114, 253.30358333333334, 157.89473684210526, 39995.30263157895, 254.60000000000002, 159},
+		"HPL":    {13.700323379650401, 297.7374826518649, 516.7973302448188, 153869.93614829684, 299.2, 518},
+		"STREAM": {10000, 282.225262523325, 816.04378624, 230308.1718021121, 283.7, 818},
+		"IOzone": {114, 253.22898333333328, 157.89473684210526, 39983.523684210515, 254.70000000000002, 159},
 	},
 	8: {
-		"HPL":    {27.216958367566324, 344.30610035254847, 735.8066016138274, 253342.7016153181, 346.1, 737},
-		"STREAM": {15500, 309.46983924984545, 1052.9597241806453, 325859.27657874586, 311.20000000000005, 1054},
-		"IOzone": {190, 257.3629444444445, 189.47368421052633, 48763.50526315791, 258.6, 191},
+		"HPL":    {27.216958367566324, 344.289726009657, 735.8066016138274, 253330.65326572146, 346.1, 737},
+		"STREAM": {15500, 309.4606500716782, 1052.9597241806453, 325849.6007442374, 311.20000000000005, 1054},
+		"IOzone": {190, 257.34559722222224, 189.47368421052633, 48760.21842105264, 259.1, 191},
 	},
 }
 
@@ -55,7 +57,7 @@ func TestEmptyFaultPlanReproducesGoldenNumbers(t *testing.T) {
 				float64(b.PeakPower) != w.peak || b.Samples != w.samples {
 				t.Errorf("p=%d %s drifted from golden values:\n got  %v %v %v %v %v %d\n want %v %v %v %v %v %d",
 					procs, m.Benchmark,
-					m.Performance, m.Power, m.Time, m.Energy, b.PeakPower, b.Samples,
+					m.Performance, float64(m.Power), float64(m.Time), float64(m.Energy), float64(b.PeakPower), b.Samples,
 					w.perf, w.power, w.time, w.energy, w.peak, w.samples)
 			}
 			if b.Status != StatusOK || b.Retries != 0 || b.WastedTime != 0 {
