@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/beff"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
@@ -57,6 +58,7 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "suite.Run untraced", runs: 20, ceiling: 5, setup: setupSuiteRun(false)},
 		{name: "suite.Run traced", runs: 20, ceiling: 96, setup: setupSuiteRun(true)},
 		{name: "suite.Run extended SystemG cell warm", runs: 20, ceiling: 9, setup: setupExtendedCell(cluster.SystemG())},
+		{name: "beff.Simulate warm scratch", runs: 100, ceiling: 1, setup: setupBeffSimulate},
 		{name: "suite.SaveJSON", runs: 20, ceiling: 4, setup: setupSaveJSON},
 	}
 	for _, c := range cases {
@@ -339,6 +341,19 @@ func setupExtendedCell(spec *cluster.Spec) func(t *testing.T) func() {
 			if _, err := suite.Run(cfg); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// setupBeffSimulate costs b_eff's ring on SystemG at 700 processes in a
+// warm scratch, as a sweep worker does: the cross-node edge counts have
+// a closed form, so only the ModelResult is allocated.
+func setupBeffSimulate(t *testing.T) func() {
+	cfg := beff.DefaultModelConfig(cluster.SystemG(), 700)
+	cfg.Scratch = new(cluster.Scratch)
+	return func() {
+		if _, err := beff.Simulate(cfg); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

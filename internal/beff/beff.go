@@ -154,15 +154,15 @@ type SpecResult struct {
 // FromSpec derives the effective fabric numbers from a cluster spec: the
 // per-link figures with a protocol-efficiency haircut, and a ring that
 // drives every node's link simultaneously.
-func FromSpec(spec *cluster.Spec) (*SpecResult, error) {
+func FromSpec(spec *cluster.Spec) (SpecResult, error) {
 	if spec == nil {
-		return nil, errors.New("beff: nil spec")
+		return SpecResult{}, errors.New("beff: nil spec")
 	}
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return SpecResult{}, err
 	}
 	const protoEff = 0.85
-	return &SpecResult{
+	return SpecResult{
 		Latency:       units.Seconds(spec.Interconnect.LatencySec),
 		Bandwidth:     units.BytesPerSec(spec.Interconnect.LinkBps * protoEff),
 		RingBandwidth: units.BytesPerSec(spec.Interconnect.LinkBps * protoEff * float64(spec.Nodes)),

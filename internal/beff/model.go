@@ -44,23 +44,28 @@ type ModelResult struct {
 	Profile   *cluster.LoadProfile
 }
 
-// rankNodes reconstructs the rank→node map behind a distribution, using
-// the same assignment order as cluster.Distribute: block fills nodes
-// contiguously, cyclic deals rank r to node r mod nodes.
-func rankNodes(dist []int, procs int, pl cluster.Placement) []int {
-	nodes := make([]int, 0, procs)
-	if pl == cluster.Cyclic {
-		for r := 0; r < procs; r++ {
-			nodes = append(nodes, r%len(dist))
+// crossing returns how many ring edges leave node j of the distribution:
+// rank r's message crosses iff its successor (r+1) mod procs lives on
+// another node. Block placement fills nodes contiguously, so only a
+// node's last rank sends off the node, and not even that one when the
+// node holds every rank. Cyclic placement deals rank r to node r mod
+// nodes, so on two or more nodes every edge crosses except the wrap from
+// rank procs-1 back to rank 0 when both sit on node 0.
+func crossing(dist []int, j, procs int, pl cluster.Placement) int {
+	k := dist[j]
+	switch {
+	case k == 0 || len(dist) == 1:
+		return 0
+	case pl == cluster.Cyclic:
+		if j == 0 && (procs-1)%len(dist) == 0 {
+			return k - 1
 		}
-		return nodes
+		return k
+	case k == procs:
+		return 0
+	default:
+		return 1
 	}
-	for j, k := range dist {
-		for i := 0; i < k; i++ {
-			nodes = append(nodes, j)
-		}
-	}
-	return nodes
 }
 
 // Simulate costs the natural-ring exchange: per round every rank sends
@@ -103,28 +108,19 @@ func Simulate(cfg ModelConfig) (*ModelResult, error) {
 		return nil, err
 	}
 
-	// Per-node count of ring edges leaving the node: rank r's message
-	// crosses iff its successor (r+1) mod procs lives elsewhere.
-	ranks := rankNodes(dist, cfg.Procs, cfg.Placement)
-	cross := make([]int, len(dist))
-	totalCross := 0
-	for r, node := range ranks {
-		if ranks[(r+1)%cfg.Procs] != node {
-			cross[node]++
-			totalCross++
-		}
-	}
-
 	// Round time: the busiest NIC against the fabric's effective
 	// bandwidth, the busiest memory system for on-node hops, plus one
 	// latency of startup.
 	var nicTime, memTime float64
+	totalCross := 0
 	for j, k := range dist {
 		if k == 0 {
 			continue
 		}
-		nicTime = math.Max(nicTime, float64(cross[j])*msg/float64(fabric.Bandwidth))
-		local := k - cross[j]
+		cross := crossing(dist, j, cfg.Procs, cfg.Placement)
+		totalCross += cross
+		nicTime = math.Max(nicTime, float64(cross)*msg/float64(fabric.Bandwidth))
+		local := k - cross
 		memTime = math.Max(memTime, float64(local)*msg/cfg.Spec.Node.Memory.BandwidthBps)
 	}
 	roundTime := float64(fabric.Latency) + math.Max(nicTime, memTime)

@@ -112,3 +112,56 @@ func TestMoreRanksMoveMoreBytes(t *testing.T) {
 			small.RingRate, large.RingRate)
 	}
 }
+
+// rankNodes reconstructs the rank→node map behind a distribution, using
+// the same assignment order as cluster.Distribute: block fills nodes
+// contiguously, cyclic deals rank r to node r mod nodes. It is the
+// oracle for crossing's closed form.
+func rankNodes(dist []int, procs int, pl cluster.Placement) []int {
+	nodes := make([]int, 0, procs)
+	if pl == cluster.Cyclic {
+		for r := 0; r < procs; r++ {
+			nodes = append(nodes, r%len(dist))
+		}
+		return nodes
+	}
+	for j, k := range dist {
+		for i := 0; i < k; i++ {
+			nodes = append(nodes, j)
+		}
+	}
+	return nodes
+}
+
+// TestCrossingMatchesRankMap checks the closed-form count of ring edges
+// leaving each node against a walk over every rank, on every named
+// system, under both placements, at every process count.
+func TestCrossingMatchesRankMap(t *testing.T) {
+	for _, name := range cluster.Names() {
+		spec, err := cluster.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range []cluster.Placement{cluster.Block, cluster.Cyclic} {
+			for procs := 1; procs <= spec.TotalCores(); procs++ {
+				dist, err := spec.Distribute(procs, pl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ranks := rankNodes(dist, procs, pl)
+				want := make([]int, len(dist))
+				for r, node := range ranks {
+					if ranks[(r+1)%procs] != node {
+						want[node]++
+					}
+				}
+				for j := range dist {
+					if got := crossing(dist, j, procs, pl); got != want[j] {
+						t.Fatalf("%s %v procs=%d node %d: crossing = %d, rank walk %d",
+							name, pl, procs, j, got, want[j])
+					}
+				}
+			}
+		}
+	}
+}

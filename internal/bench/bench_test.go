@@ -198,8 +198,7 @@ func TestOrders(t *testing.T) {
 // BenchmarkWorkloadSimulate runs each workload on SystemG at 700
 // processes, cyclic, on one reused Scratch as a sweep worker does and
 // without one as a caller that keeps its profiles does. A warm scratch
-// leaves each model one allocation, its ModelResult; b_eff also builds
-// its rank-to-node map and per-node edge counts.
+// leaves each model one allocation, its ModelResult.
 func BenchmarkWorkloadSimulate(b *testing.B) {
 	spec := cluster.SystemG()
 	for _, name := range bench.Names() {
