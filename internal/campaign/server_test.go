@@ -128,7 +128,11 @@ func TestServerJobLifecycleOverHTTP(t *testing.T) {
 	srv, _ := startTestServer(t, ManagerConfig{})
 	base := "http://" + srv.Addr()
 
-	code, body := httpJSON(t, http.MethodPost, base+"/jobs", fastJob())
+	// The pause holds the job's one cell back, so it cannot be done by
+	// the time the handler encodes its reply; fastJob alone could be.
+	paced := fastJob()
+	paced.CellPauseMS = 200
+	code, body := httpJSON(t, http.MethodPost, base+"/jobs", paced)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /jobs: %d %s", code, body)
 	}
