@@ -104,9 +104,9 @@ const (
 )
 
 // The layer tables, built by init from the closed form and never written
-// again: zigK[i] is the largest |j| whose point lies inside the layer
-// below it (so the draw is accepted at once), zigW[i] scales j to x, and
-// zigF[i] = f(x_i).
+// again. zigW[i] scales j to x, and zigF[i] = f(x_i). zigK[i] bounds the
+// |j| whose point lies where layer i is wholly under the density (left of
+// x_{i-1}, or of zigR in the base layer), so the draw is accepted at once.
 var (
 	zigK [zigLayers]uint32
 	zigW [zigLayers]float64

@@ -238,21 +238,25 @@ func TestRNGNormTails(t *testing.T) {
 	p := math.Erfc(3 / math.Sqrt2) // P(|Z| > 3)
 	sigma := math.Sqrt(p * (1 - p) / normDraws)
 	for _, seed := range normSeeds {
-		beyond3, beyondR := 0, 0
+		beyond3, above, below := 0, 0, 0
 		for _, v := range drawNorms(seed) {
 			if math.Abs(v) > 3 {
 				beyond3++
 			}
-			if math.Abs(v) > zigR {
-				beyondR++
+			if v > zigR {
+				above++
+			}
+			if v < -zigR {
+				below++
 			}
 		}
 		if freq := float64(beyond3) / normDraws; math.Abs(freq-p) > 4*sigma {
 			t.Errorf("seed %d: P(|Z|>3) = %v, want %v ± %v", seed, freq, p, 4*sigma)
 		}
-		// Draws beyond R come only from the base layer's tail branch.
-		if beyondR == 0 {
-			t.Errorf("seed %d: no draw beyond R = %v", seed, zigR)
+		// Draws beyond ±R come only from the base layer's tail branch,
+		// which must give both signs.
+		if above == 0 || below == 0 {
+			t.Errorf("seed %d: %d draws above R = %v and %d below -R", seed, above, zigR, below)
 		}
 	}
 }
