@@ -293,7 +293,7 @@ func TestZigguratTables(t *testing.T) {
 func BenchmarkNorm(b *testing.B) {
 	r := NewRNG(1)
 	sum := 0.0
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		sum += r.Norm()
 	}
 	normSink = sum
