@@ -18,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/power"
+	"repro/internal/report"
 	"repro/internal/series"
 	"repro/internal/sim"
 	"repro/internal/suite"
@@ -87,6 +88,21 @@ func TestAllocCeilings(t *testing.T) {
 		}
 		if small, large := allocs(100), allocs(10000); small != large {
 			t.Errorf("%v allocs for 100 records, %v for 10000: the writer allocates per record", small, large)
+		}
+	})
+	// The run report formats every cell into one buffer sized up front,
+	// so it must allocate as often for 1000 rows as for 10.
+	t.Run("report.RunReport.Render flat in rows", func(t *testing.T) {
+		allocs := func(n int) float64 {
+			r := runReport(n)
+			return testing.AllocsPerRun(10, func() {
+				if err := r.Render(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(10), allocs(1000); small != large {
+			t.Errorf("%v allocs for 10 rows, %v for 1000: the report allocates per row", small, large)
 		}
 	})
 	// A warm cell builds its node loads in the worker's scratch, so its
@@ -297,6 +313,26 @@ func chromeTraceRecords(n int) ([]obs.Span, []obs.Event) {
 		events[i] = obs.Event{Track: tracks[i%3], Name: "repair: gap filled", At: at, Attrs: attrs(i)}
 	}
 	return spans, events
+}
+
+// runReport builds a run report of n rows, every third one repaired,
+// with a percentile row per benchmark and the suite's summary keys.
+func runReport(n int) *report.RunReport {
+	benches := []string{"HPL", "STREAM", "IOzone"}
+	r := &report.RunReport{Title: "greenbench campaign: Fire"}
+	for i := 0; i < n; i++ {
+		r.Rows = append(r.Rows, report.RunRow{
+			System: "Fire", Procs: 8 * (i + 1), Bench: benches[i%3], Status: "recovered",
+			Perf: 62.85 + float64(i), Metric: "GFLOPS", MeanWatts: 1578.0123, PeakWatts: 1579.5,
+			Seconds: 318.638, WastedSeconds: 31, EnergyJ: 1.01206e+06, Retries: i % 4,
+			GapsFilled: 15 * (i % 3), OutliersRejected: 7 * (i % 3),
+		})
+	}
+	for _, b := range benches {
+		r.Percentiles = append(r.Percentiles, report.PercentileRow{Bench: b, Count: uint64(n), P50: 510, P95: 540.5, P99: 544})
+	}
+	r.Summary = []report.KV{{Key: "runs", Value: "3"}, {Key: "virtual time", Value: "1256 s productive + 330 s wasted"}}
+	return r
 }
 
 // setupChromeTrace encodes a 1000-record trace to io.Discard: the

@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple column-aligned text table.
@@ -23,51 +26,165 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Render writes the table to w.
+// Render writes the table to w: the title line when there is one, the
+// headers, a rule of dashes under each column, then the rows. A row
+// longer than the headers adds columns; a shorter one is padded with
+// empty cells.
 func (t *Table) Render(w io.Writer) error {
-	cols := len(t.Headers)
+	cols, size := len(t.Headers), 0
 	for _, r := range t.Rows {
-		if len(r) > cols {
-			cols = len(r)
+		cols = max(cols, len(r))
+		for _, c := range r {
+			size += len(c)
 		}
 	}
-	widths := make([]int, cols)
-	measure := func(cells []string) {
-		for i, c := range cells {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
+	for _, c := range t.Headers {
+		size += len(c)
 	}
-	measure(t.Headers)
+	var c cells
+	c.grow(len(t.Rows)+1, cols, size)
+	c.row(t.Headers)
 	for _, r := range t.Rows {
-		measure(r)
+		c.row(r)
 	}
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
-	}
-	line := func(cells []string) {
-		for i := 0; i < cols; i++ {
-			c := ""
-			if i < len(cells) {
-				c = cells[i]
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i]+2, c)
-		}
-		b.WriteString("\n")
-	}
-	line(t.Headers)
-	sep := make([]string, cols)
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, r := range t.Rows {
-		line(r)
-	}
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(c.appendTo(make([]byte, 0, c.size(t.Title)), t.Title))
 	return err
+}
+
+// cells is the one table writer behind Table.Render and RunReport.Render.
+// Each cell is formatted once, straight into buf; ends records where
+// each cell stops, rowEnds how many cells each row closes on, and widths
+// the longest cell of each column, in bytes.
+type cells struct {
+	buf     []byte
+	ends    []int
+	rowEnds []int
+	widths  []int
+	// multibyte is how many more bytes than runes the cells hold, so
+	// size can count the padding without decoding every cell again.
+	multibyte int
+}
+
+// grow makes room for rows more rows of up to cols cells holding at most
+// size bytes in all, so a table whose bounds are known up front is built
+// in a fixed number of allocations, however many rows it has.
+func (c *cells) grow(rows, cols, size int) {
+	c.buf = slices.Grow(c.buf, size)
+	c.ends = slices.Grow(c.ends, rows*cols)
+	c.rowEnds = slices.Grow(c.rowEnds, rows)
+	c.widths = slices.Grow(c.widths, cols)
+}
+
+// end closes the cell just appended to buf.
+func (c *cells) end() {
+	from, col := 0, len(c.ends)
+	if n := len(c.ends); n > 0 {
+		from = c.ends[n-1]
+	}
+	if n := len(c.rowEnds); n > 0 {
+		col -= c.rowEnds[n-1]
+	}
+	if col == len(c.widths) {
+		c.widths = append(c.widths, 0)
+	}
+	c.widths[col] = max(c.widths[col], len(c.buf)-from)
+	c.ends = append(c.ends, len(c.buf))
+}
+
+// text appends a cell holding s.
+func (c *cells) text(s string) {
+	c.buf = append(c.buf, s...)
+	c.multibyte += len(s) - utf8.RuneCountInString(s)
+	c.end()
+}
+
+// num appends a float cell, compact: six significant digits, no
+// trailing zeros.
+func (c *cells) num(v float64) {
+	c.buf = strconv.AppendFloat(c.buf, v, 'g', 6, 64)
+	c.end()
+}
+
+// integer appends an integer cell.
+func (c *cells) integer(v int64) {
+	c.buf = strconv.AppendInt(c.buf, v, 10)
+	c.end()
+}
+
+// count appends an unsigned integer cell.
+func (c *cells) count(v uint64) {
+	c.buf = strconv.AppendUint(c.buf, v, 10)
+	c.end()
+}
+
+// endRow closes the current row.
+func (c *cells) endRow() { c.rowEnds = append(c.rowEnds, len(c.ends)) }
+
+// row appends a row of text cells.
+func (c *cells) row(texts []string) {
+	for _, s := range texts {
+		c.text(s)
+	}
+	c.endRow()
+}
+
+// size returns the exact length of appendTo's output.
+func (c *cells) size(title string) int {
+	n := 0
+	if title != "" {
+		n = len(title) + 1
+	}
+	line := 1
+	for _, w := range c.widths {
+		line += w + 2
+	}
+	// A rule under the header row, and each cell padded to its
+	// column's width plus two, counted in runes.
+	return n + (len(c.rowEnds)+1)*line + c.multibyte
+}
+
+// appendTo appends the table to dst: the title line when title is not
+// empty, the first row as the header, a rule of dashes under each
+// column, then the other rows. Each cell is padded with spaces to its
+// column's width plus two, as fmt's %-*s pads: the widths count bytes
+// but the padding counts runes, so a cell holding multi-byte runes
+// takes more bytes than its column's ASCII cells.
+func (c *cells) appendTo(dst []byte, title string) []byte {
+	if title != "" {
+		dst = append(dst, title...)
+		dst = append(dst, '\n')
+	}
+	from := 0
+	for r, rowEnd := range c.rowEnds {
+		for col, w := range c.widths {
+			var cell []byte
+			if i := from + col; i < rowEnd {
+				start := 0
+				if i > 0 {
+					start = c.ends[i-1]
+				}
+				cell = c.buf[start:c.ends[i]]
+			}
+			dst = repeat(append(dst, cell...), ' ', w+2-utf8.RuneCount(cell))
+		}
+		dst = append(dst, '\n')
+		from = rowEnd
+		if r == 0 {
+			for _, w := range c.widths {
+				dst = repeat(repeat(dst, '-', w), ' ', 2)
+			}
+			dst = append(dst, '\n')
+		}
+	}
+	return dst
+}
+
+// repeat appends n copies of b to dst.
+func repeat(dst []byte, b byte, n int) []byte {
+	for ; n > 0; n-- {
+		dst = append(dst, b)
+	}
+	return dst
 }
 
 // CSV writes the table as comma-separated values (quoting cells that need

@@ -1,9 +1,9 @@
 package report
 
 import (
-	"fmt"
 	"io"
 	"strconv"
+	"unicode/utf8"
 )
 
 // RunRow is one benchmark of one suite run, flattened for the run report.
@@ -57,87 +57,112 @@ type RunReport struct {
 	Summary         []KV
 }
 
-// fnum renders a float compactly (no trailing zeros, full precision).
-func fnum(v float64) string {
-	return strconv.FormatFloat(v, 'g', 6, 64)
-}
+// runHeaders and percentileHeaders head the report's two tables.
+var (
+	runHeaders = []string{"system", "procs", "bench", "status", "perf", "metric",
+		"watts", "peak", "time_s", "wasted_s", "energy_J", "retries", "repairs"}
+	percentileHeaders = []string{"series", "count", "p50_s", "p95_s", "p99_s"}
+)
 
-// repairs renders the meter-repair cell.
-func repairs(gaps, outliers int) string {
-	if gaps == 0 && outliers == 0 {
-		return "-"
+// numBytes bounds the text of one number cell: an int64 or uint64 takes
+// at most 20 bytes, a float in 'g' form with six digits at most 13.
+const numBytes = 20
+
+// headerBytes returns the bytes in headers.
+func headerBytes(headers []string) int {
+	n := 0
+	for _, h := range headers {
+		n += len(h)
 	}
-	return fmt.Sprintf("%dg/%do", gaps, outliers)
+	return n
 }
 
-// Render writes the report as an aligned table followed by the summary.
+// Render writes the report as an aligned table, the percentile table
+// when there are percentiles, and the summary, in one write.
 func (r *RunReport) Render(w io.Writer) error {
-	t := Table{
-		Title: r.Title,
-		Headers: []string{"system", "procs", "bench", "status", "perf", "metric",
-			"watts", "peak", "time_s", "wasted_s", "energy_J", "retries", "repairs"},
-	}
+	var runs cells
+	size := headerBytes(runHeaders)
 	for _, row := range r.Rows {
-		t.AddRow(
-			row.System,
-			strconv.Itoa(row.Procs),
-			row.Bench,
-			row.Status,
-			fnum(row.Perf),
-			row.Metric,
-			fnum(row.MeanWatts),
-			fnum(row.PeakWatts),
-			fnum(row.Seconds),
-			fnum(row.WastedSeconds),
-			fnum(row.EnergyJ),
-			strconv.Itoa(row.Retries),
-			repairs(row.GapsFilled, row.OutliersRejected),
-		)
+		// Eight number cells and the repairs cell, "<gaps>g/<outliers>o".
+		size += len(row.System) + len(row.Bench) + len(row.Status) + len(row.Metric) + 10*numBytes + 3
 	}
-	if err := t.Render(w); err != nil {
-		return err
+	runs.grow(len(r.Rows)+1, len(runHeaders), size)
+	runs.row(runHeaders)
+	for _, row := range r.Rows {
+		runs.text(row.System)
+		runs.integer(int64(row.Procs))
+		runs.text(row.Bench)
+		runs.text(row.Status)
+		runs.num(row.Perf)
+		runs.text(row.Metric)
+		runs.num(row.MeanWatts)
+		runs.num(row.PeakWatts)
+		runs.num(row.Seconds)
+		runs.num(row.WastedSeconds)
+		runs.num(row.EnergyJ)
+		runs.integer(int64(row.Retries))
+		if row.GapsFilled == 0 && row.OutliersRejected == 0 {
+			runs.text("-")
+		} else {
+			runs.buf = strconv.AppendInt(runs.buf, int64(row.GapsFilled), 10)
+			runs.buf = append(runs.buf, 'g', '/')
+			runs.buf = strconv.AppendInt(runs.buf, int64(row.OutliersRejected), 10)
+			runs.buf = append(runs.buf, 'o')
+			runs.end()
+		}
+		runs.endRow()
+	}
+	n := runs.size(r.Title)
+
+	var pcts cells
+	title := r.PercentileTitle
+	if title == "" {
+		title = "attempt seconds (virtual)"
 	}
 	if len(r.Percentiles) > 0 {
-		title := r.PercentileTitle
-		if title == "" {
-			title = "attempt seconds (virtual)"
-		}
-		pt := Table{
-			Title:   title,
-			Headers: []string{"series", "count", "p50_s", "p95_s", "p99_s"},
-		}
+		size := headerBytes(percentileHeaders)
 		for _, row := range r.Percentiles {
-			pt.AddRow(
-				row.Bench,
-				strconv.FormatUint(row.Count, 10),
-				fnum(row.P50),
-				fnum(row.P95),
-				fnum(row.P99),
-			)
+			size += len(row.Bench) + 4*numBytes
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
+		pcts.grow(len(r.Percentiles)+1, len(percentileHeaders), size)
+		pcts.row(percentileHeaders)
+		for _, row := range r.Percentiles {
+			pcts.text(row.Bench)
+			pcts.count(row.Count)
+			pcts.num(row.P50)
+			pcts.num(row.P95)
+			pcts.num(row.P99)
+			pcts.endRow()
 		}
-		if err := pt.Render(w); err != nil {
-			return err
-		}
+		n += 1 + pcts.size(title)
 	}
-	if len(r.Summary) == 0 {
-		return nil
-	}
+
+	// The summary: each key padded to the longest, counted as the
+	// tables count, then two spaces and the value.
 	width := 0
 	for _, kv := range r.Summary {
-		if len(kv.Key) > width {
-			width = len(kv.Key)
-		}
+		width = max(width, len(kv.Key))
 	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
+	if len(r.Summary) > 0 {
+		n++
 	}
 	for _, kv := range r.Summary {
-		if _, err := fmt.Fprintf(w, "%-*s  %s\n", width, kv.Key, kv.Value); err != nil {
-			return err
-		}
+		n += width + 2 + len(kv.Key) - utf8.RuneCountInString(kv.Key) + len(kv.Value) + 1
 	}
-	return nil
+
+	out := runs.appendTo(make([]byte, 0, n), r.Title)
+	if len(r.Percentiles) > 0 {
+		out = pcts.appendTo(append(out, '\n'), title)
+	}
+	if len(r.Summary) > 0 {
+		out = append(out, '\n')
+	}
+	for _, kv := range r.Summary {
+		out = append(out, kv.Key...)
+		out = repeat(out, ' ', width+2-utf8.RuneCountInString(kv.Key))
+		out = append(out, kv.Value...)
+		out = append(out, '\n')
+	}
+	_, err := w.Write(out)
+	return err
 }
