@@ -16,37 +16,101 @@
 package obs
 
 import (
+	"math"
 	"strconv"
 
 	"repro/internal/units"
 )
 
 // Attr is one key/value attribute on a span or event. Attributes are an
-// ordered slice (not a map) and carry pre-formatted string values, so
-// every encoding of the same record is byte-identical.
+// ordered slice (not a map), so every encoding of the same record is
+// byte-identical.
+//
+// A string attribute (Str) keeps its text in Value. A numeric one keeps
+// its number's bits in num and its format in Value, "d" or "g", and is
+// turned into text only where it is written: the Chrome trace appends
+// it, and JSON goes through MarshalJSON. Recording one allocates
+// nothing. num is zero on every string attribute, including one decoded
+// from JSON, so a number whose bits are zero is kept as the string "0",
+// which is its text. Text returns the text of either kind.
 type Attr struct {
 	Key   string `json:"k"`
 	Value string `json:"v"`
+	num   uint64
 }
+
+// The formats a numeric Attr keeps in Value.
+const (
+	formatInt   = "d"
+	formatFloat = "g"
+)
 
 // Str builds a string attribute.
 func Str(key, value string) Attr { return Attr{Key: key, Value: value} }
 
 // Int builds an integer attribute.
-func Int(key string, v int) Attr { return Attr{Key: key, Value: strconv.Itoa(v)} }
+func Int(key string, v int) Attr { return Int64(key, int64(v)) }
 
 // Int64 builds a 64-bit integer attribute.
-func Int64(key string, v int64) Attr {
-	return Attr{Key: key, Value: strconv.FormatInt(v, 10)}
-}
+func Int64(key string, v int64) Attr { return number(key, formatInt, uint64(v)) }
 
 // F64 builds a float attribute with Go's shortest round-trip formatting.
-func F64(key string, v float64) Attr {
-	return Attr{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64)}
-}
+func F64(key string, v float64) Attr { return number(key, formatFloat, math.Float64bits(v)) }
 
 // Secs builds a virtual-time attribute in seconds.
 func Secs(key string, v units.Seconds) Attr { return F64(key, float64(v)) }
+
+func number(key, format string, bits uint64) Attr {
+	if bits == 0 {
+		return Attr{Key: key, Value: "0"}
+	}
+	return Attr{Key: key, Value: format, num: bits}
+}
+
+// Text returns the attribute's value as the trace and JSON write it.
+//
+//greenvet:allow unusedexport -- tests in other packages read attribute values through it
+func (a Attr) Text() string {
+	if a.num == 0 {
+		return a.Value
+	}
+	return string(a.appendText(make([]byte, 0, 24)))
+}
+
+// appendText appends the attribute's value, unquoted, to dst.
+func (a Attr) appendText(dst []byte) []byte {
+	switch {
+	case a.num == 0:
+		return append(dst, a.Value...)
+	case a.Value == formatInt:
+		return strconv.AppendInt(dst, int64(a.num), 10)
+	default:
+		return strconv.AppendFloat(dst, math.Float64frombits(a.num), 'g', -1, 64)
+	}
+}
+
+// appendValue appends the attribute's value to dst as a JSON string
+// literal, escaped as AppendJSONString escapes with html. A number's text
+// needs no escaping.
+func (a Attr) appendValue(dst []byte, html bool) []byte {
+	if a.num == 0 {
+		return AppendJSONString(dst, a.Value, html)
+	}
+	return append(a.appendText(append(dst, '"')), '"')
+}
+
+// MarshalJSON encodes the attribute as {"k":…,"v":"…"}, the value always
+// a string: the bytes encoding/json writes for a struct of the two
+// string fields. encoding/json applies its own HTML escaping to the
+// result, so the value is escaped without it here.
+//
+//greenvet:allow unusedexport -- encoding/json calls it through json.Marshaler for journals and live events
+func (a Attr) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, len(a.Key)+len(a.Value)+32)
+	b = AppendJSONString(append(b, `{"k":`...), a.Key, false)
+	b = a.appendValue(append(b, `,"v":`...), false)
+	return append(b, '}'), nil
+}
 
 // Span is a closed interval of virtual time on a named track — one
 // benchmark, one retry attempt, one meter window, one MPI rank.

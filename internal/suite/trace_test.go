@@ -182,7 +182,7 @@ func TestRepairEventPerWindow(t *testing.T) {
 		}
 		attrs := map[string]string{}
 		for _, a := range e.Attrs {
-			attrs[a.Key] = a.Value
+			attrs[a.Key] = a.Text()
 		}
 		if events[attrs["bench"]] != nil {
 			t.Errorf("%s: more than one repair event", attrs["bench"])
