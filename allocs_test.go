@@ -57,7 +57,7 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "series.Repairer.Repair warm", runs: 50, ceiling: 0, setup: setupRepairerWarm},
 		{name: "obs.WriteChromeTrace", runs: 20, ceiling: 5, setup: setupChromeTrace},
 		{name: "suite.Run untraced", runs: 20, ceiling: 5, setup: setupSuiteRun(false)},
-		{name: "suite.Run traced", runs: 20, ceiling: 96, setup: setupSuiteRun(true)},
+		{name: "suite.Run traced", runs: 20, ceiling: 42, setup: setupSuiteRun(true)},
 		{name: "suite.Run extended SystemG cell warm", runs: 20, ceiling: 9, setup: setupExtendedCell(cluster.SystemG())},
 		{name: "beff.Simulate warm scratch", runs: 100, ceiling: 1, setup: setupBeffSimulate},
 		{name: "suite.SaveJSON", runs: 20, ceiling: 4, setup: setupSaveJSON},

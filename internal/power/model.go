@@ -466,12 +466,11 @@ func (mt *Meter) sampleBuffer(n int) *series.Trace {
 // record reports one sampling window to the meter's recorder: a span on
 // the meter track and the window's counters.
 func (mt *Meter) record(start, end units.Seconds, fold series.Fold, dropped, glitched int) {
-	attrs := []obs.Attr{
-		obs.Int("samples", fold.Len()),
-		obs.Int("dropped", dropped),
-		obs.Int("glitched", glitched),
-		obs.Secs("interval", mt.cfg.Interval),
-	}
+	attrs := make([]obs.Attr, 4, 5)
+	attrs[0] = obs.Int("samples", fold.Len())
+	attrs[1] = obs.Int("dropped", dropped)
+	attrs[2] = obs.Int("glitched", glitched)
+	attrs[3] = obs.Secs("interval", mt.cfg.Interval)
 	// Mean window power rides along so live-plane consumers can show
 	// watts without re-integrating the trace. Derived purely from the
 	// already-sampled series: determinism is untouched.

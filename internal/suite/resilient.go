@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/bench"
 	"repro/internal/cluster"
@@ -116,6 +117,9 @@ type benchStep struct {
 	name   string
 	metric string
 	w      bench.Workload
+	// attemptHist names the step's attempt-duration histogram,
+	// attemptSecondsPrefix plus the name.
+	attemptHist string
 }
 
 // simulate runs the step's performance model against a (possibly
@@ -245,13 +249,13 @@ func runSuite(cfg Config, sc *cellScratch) (*Result, error) {
 	if rec != nil {
 		rec.Span(obs.Span{
 			Track: obs.TrackSuite,
-			Name:  fmt.Sprintf("run p=%d", cfg.Procs),
+			Name:  sc.runName(cfg.Procs),
 			End:   clock,
 			Attrs: []obs.Attr{
 				obs.Str("system", res.System),
 				obs.Int("procs", res.Procs),
 				obs.Str("placement", res.Placement),
-				obs.Str("degraded", fmt.Sprintf("%t", res.Degraded)),
+				obs.Str("degraded", strconv.FormatBool(res.Degraded)),
 			},
 		})
 		rec.Count("suite.runs", 1)
@@ -283,28 +287,27 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 	st benchStep, clock *units.Seconds) (BenchmarkRun, error) {
 	rec := cfg.Trace
 	var wasted units.Seconds
-	var lastErr error
+	var last attemptFailure
 	attempts := cfg.Retry.attempts()
 	// attemptSpan charges elapsed to the campaign clock and records the
 	// attempt's span with its outcome.
 	attemptSpan := func(attempt int, elapsed units.Seconds, outcome string, extra ...obs.Attr) {
 		if rec != nil {
-			attrs := append([]obs.Attr{
-				obs.Str("outcome", outcome),
-				obs.Int("procs", cfg.Procs),
-			}, extra...)
+			attrs := make([]obs.Attr, 2, 2+len(extra))
+			attrs[0] = obs.Str("outcome", outcome)
+			attrs[1] = obs.Int("procs", cfg.Procs)
 			rec.Span(obs.Span{
 				Track: st.name,
-				Name:  fmt.Sprintf("%s%d", obs.AttemptPrefix, attempt+1),
+				Name:  sc.attemptName(attempt + 1),
 				Start: *clock,
 				End:   *clock + elapsed,
-				Attrs: attrs,
+				Attrs: append(attrs, extra...),
 			})
 			rec.Count("suite.attempts", 1)
 			rec.Observe("suite.attempt_seconds", float64(elapsed))
 			// Per-benchmark histogram: the run report surfaces its
 			// p50/p95/p99 per benchmark row.
-			rec.Observe("suite.attempt_seconds."+st.name, float64(elapsed))
+			rec.Observe(st.attemptHist, float64(elapsed))
 		}
 		*clock += elapsed
 	}
@@ -328,7 +331,7 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 			if errors.Is(err, sim.ErrEventLimit) {
 				// An exhausted event budget is a timeout, not a bug.
 				wasted += cfg.Retry.Timeout
-				lastErr = fmt.Errorf("attempt %d: event budget exhausted: %v", attempt+1, err)
+				last = attemptFailure{attempt: attempt, err: err}
 				attemptSpan(attempt, cfg.Retry.Timeout, "event-budget", obs.Str("error", err.Error()))
 				continue
 			}
@@ -343,15 +346,13 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 		inj.Record(rec, st.name, attempt, *clock, dur)
 		if cfg.Retry.Timeout > 0 && dur > cfg.Retry.Timeout {
 			wasted += cfg.Retry.Timeout
-			lastErr = fmt.Errorf("attempt %d: runtime %v exceeds timeout %v (slowdown ×%.2f)",
-				attempt+1, dur, cfg.Retry.Timeout, inj.Slowdown)
+			last = attemptFailure{attempt: attempt, dur: dur, timeout: cfg.Retry.Timeout, slowdown: inj.Slowdown}
 			attemptSpan(attempt, cfg.Retry.Timeout, "timeout", obs.F64("slowdown", inj.Slowdown))
 			continue
 		}
 		if inj.CrashAt >= 0 && inj.CrashAt < dur {
 			wasted += inj.CrashAt
-			lastErr = fmt.Errorf("attempt %d: node %d crashed at t=%v of %v",
-				attempt+1, inj.CrashNode, inj.CrashAt, dur)
+			last = attemptFailure{attempt: attempt, dur: dur, node: inj.CrashNode, crashAt: inj.CrashAt}
 			attemptSpan(attempt, inj.CrashAt, "crashed", obs.Int("node", inj.CrashNode))
 			continue
 		}
@@ -365,24 +366,24 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 		if attempt > 0 {
 			run.Status = StatusRecovered
 		}
-		if rec == nil {
-			// Attribute values are rendered eagerly (FormatFloat and
-			// friends), so an untraced run must not build them at all.
+		switch {
+		case rec == nil:
+			// An untraced run builds no attributes at all.
 			attemptSpan(attempt, dur, "ok")
-			return run, nil
-		}
-		okAttrs := []obs.Attr{
-			obs.F64("perf", run.Measurement.Performance),
-			obs.Str("metric", run.Measurement.Metric),
-			obs.F64("mean_watts", float64(run.Measurement.Power)),
-		}
-		if sm.engine != nil {
-			okAttrs = append(okAttrs,
+		case sm.engine == nil:
+			attemptSpan(attempt, dur, "ok",
+				obs.F64("perf", run.Measurement.Performance),
+				obs.Str("metric", run.Measurement.Metric),
+				obs.F64("mean_watts", float64(run.Measurement.Power)))
+		default:
+			attemptSpan(attempt, dur, "ok",
+				obs.F64("perf", run.Measurement.Performance),
+				obs.Str("metric", run.Measurement.Metric),
+				obs.F64("mean_watts", float64(run.Measurement.Power)),
 				obs.Int64("engine_events", int64(sm.engine.Events)),
 				obs.Int("engine_peak_queue", sm.engine.PeakQueueDepth),
 				obs.Int64("engine_headroom", int64(sm.engine.Headroom)))
 		}
-		attemptSpan(attempt, dur, "ok", okAttrs...)
 		return run, nil
 	}
 	return BenchmarkRun{
@@ -390,8 +391,34 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 		Status:      StatusFailed,
 		Retries:     attempts - 1,
 		WastedTime:  wasted,
-		Error:       lastErr.Error(),
+		Error:       last.String(),
 	}, nil
+}
+
+// attemptFailure is why a benchmark's latest attempt failed: an
+// exhausted event budget (err set), a timeout (timeout set) or a node
+// crash. Its text is read only when the benchmark runs out of attempts,
+// so it is formatted then.
+type attemptFailure struct {
+	attempt      int
+	err          error
+	dur, timeout units.Seconds
+	slowdown     float64
+	node         int
+	crashAt      units.Seconds
+}
+
+func (f attemptFailure) String() string {
+	switch {
+	case f.err != nil:
+		return fmt.Sprintf("attempt %d: event budget exhausted: %v", f.attempt+1, f.err)
+	case f.timeout > 0:
+		return fmt.Sprintf("attempt %d: runtime %v exceeds timeout %v (slowdown ×%.2f)",
+			f.attempt+1, f.dur, f.timeout, f.slowdown)
+	default:
+		return fmt.Sprintf("attempt %d: node %d crashed at t=%v of %v",
+			f.attempt+1, f.node, f.crashAt, f.dur)
+	}
 }
 
 // measureStep meters a successful attempt: sample the load profile, repair

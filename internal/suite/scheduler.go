@@ -45,6 +45,10 @@ type cellScratch struct {
 	// for one attempt: the runner meters it (stretching it first for a
 	// straggler) before the next benchmark's model overwrites it.
 	work bench.Scratch
+	// attemptNames and runNames keep the traced span names the runner
+	// has built, by attempt number and by process count.
+	attemptNames []string
+	runNames     map[int]string
 }
 
 // spares holds the scratch of workers that have exited, for the workers

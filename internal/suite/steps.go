@@ -1,6 +1,11 @@
 package suite
 
-import "repro/internal/bench"
+import (
+	"strconv"
+
+	"repro/internal/bench"
+	"repro/internal/obs"
+)
 
 // defaultBenchmarks is the paper's suite, resolved once: benchmarks()
 // is on the per-cell hot path and must not rebuild the default list.
@@ -35,11 +40,35 @@ func (sc *cellScratch) stepsFor(cfg *Config) ([]benchStep, error) {
 	steps := make([]benchStep, 0, len(resolved))
 	for _, name := range resolved {
 		w, _ := bench.Lookup(name)
-		steps = append(steps, benchStep{name: w.Name(), metric: w.Metric(), w: w})
+		steps = append(steps, benchStep{name: w.Name(), metric: w.Metric(), w: w,
+			attemptHist: attemptSecondsPrefix + w.Name()})
 	}
 	sc.steps = steps
 	sc.stepNames = append(sc.stepNames[:0], names...)
 	return steps, nil
+}
+
+// attemptName returns the span name of attempt n, "attempt n". The
+// scratch keeps each name it builds, so a warm worker builds none.
+func (sc *cellScratch) attemptName(n int) string {
+	for len(sc.attemptNames) < n {
+		sc.attemptNames = append(sc.attemptNames, obs.AttemptPrefix+strconv.Itoa(len(sc.attemptNames)+1))
+	}
+	return sc.attemptNames[n-1]
+}
+
+// runName returns the span name of a suite run at procs processes,
+// "run p=procs", kept like attemptName's.
+func (sc *cellScratch) runName(procs int) string {
+	name, ok := sc.runNames[procs]
+	if !ok {
+		if sc.runNames == nil {
+			sc.runNames = map[int]string{}
+		}
+		name = "run p=" + strconv.Itoa(procs)
+		sc.runNames[procs] = name
+	}
+	return name
 }
 
 // sameNames reports whether two benchmark lists are elementwise equal.
