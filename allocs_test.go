@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/beff"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/power"
@@ -61,6 +62,7 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "suite.Run extended SystemG cell warm", runs: 20, ceiling: 9, setup: setupExtendedCell(cluster.SystemG())},
 		{name: "beff.Simulate warm scratch", runs: 100, ceiling: 1, setup: setupBeffSimulate},
 		{name: "suite.SaveJSON", runs: 20, ceiling: 4, setup: setupSaveJSON},
+		{name: "core.ComputeWith three benchmarks", runs: 100, ceiling: 5, setup: setupComputeWith},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -333,6 +335,24 @@ func runReport(n int) *report.RunReport {
 	}
 	r.Summary = []report.KV{{Key: "runs", Value: "3"}, {Key: "virtual time", Value: "1256 s productive + 330 s wasted"}}
 	return r
+}
+
+// setupComputeWith evaluates TGI over the paper's three benchmarks
+// against a reference, the call cmd/tgi, green500 and paper make.
+func setupComputeWith(t *testing.T) func() {
+	ms := func(scale float64) []core.Measurement {
+		return []core.Measurement{
+			{Benchmark: "HPL", Metric: "GFLOPS", Performance: 62.85 * scale, Power: 1578, Time: 318.6},
+			{Benchmark: "STREAM", Metric: "MBPS", Performance: 25000 * scale, Power: 1550, Time: 652.8},
+			{Benchmark: "IOzone", Metric: "MBPS", Performance: 410 * scale, Power: 1490, Time: 505.3},
+		}
+	}
+	test, ref := ms(1), ms(16)
+	return func() {
+		if _, err := core.ComputeWith(core.PerfPerWatt, test, ref, core.ArithmeticMean, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // setupChromeTrace encodes a 1000-record trace to io.Discard: the

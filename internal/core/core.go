@@ -259,7 +259,17 @@ func ComputeWith(ee EEFunc, test, ref []Measurement, s Scheme, custom []float64)
 		refBy[r.Benchmark] = r
 	}
 	seen := make(map[string]bool, len(test))
-	c := &Components{Scheme: s}
+	n := len(test)
+	// One backing array holds EE, RefEE and REE, each capped at n so an
+	// append to one cannot run into the next.
+	vals := make([]float64, 3*n)
+	c := &Components{
+		Benchmarks: make([]string, 0, n),
+		EE:         vals[:0:n],
+		RefEE:      vals[n : n : 2*n],
+		REE:        vals[2*n : 2*n : 3*n],
+		Scheme:     s,
+	}
 	for _, m := range test {
 		if seen[m.Benchmark] {
 			return nil, fmt.Errorf("core: duplicate measurement for %q", m.Benchmark)
