@@ -12,6 +12,9 @@
 // exiting, so CI can run it as an end-to-end test of the exporters:
 //
 //	go run ./examples/traced -dir /tmp/traced
+//
+// Without -dir it writes into a new temporary directory and prints its
+// path, so a run leaves nothing in the working directory.
 package main
 
 import (
@@ -28,9 +31,16 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", ".", "directory for the emitted artefacts")
+	dir := flag.String("dir", "", "directory for the emitted artefacts (default: a new temporary directory)")
 	flag.Parse()
-	if err := os.MkdirAll(*dir, 0o755); err != nil {
+	if *dir == "" {
+		tmp, err := os.MkdirTemp("", "traced-")
+		if err != nil {
+			log.Fatal(err)
+		}
+		*dir = tmp
+		fmt.Printf("artefacts go to %s\n", tmp)
+	} else if err := os.MkdirAll(*dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
 
