@@ -366,24 +366,23 @@ func runStep(cfg *Config, spec *cluster.Spec, model *power.Model,
 		if attempt > 0 {
 			run.Status = StatusRecovered
 		}
-		switch {
-		case rec == nil:
+		if rec == nil {
 			// An untraced run builds no attributes at all.
 			attemptSpan(attempt, dur, "ok")
-		case sm.engine == nil:
-			attemptSpan(attempt, dur, "ok",
-				obs.F64("perf", run.Measurement.Performance),
-				obs.Str("metric", run.Measurement.Metric),
-				obs.F64("mean_watts", float64(run.Measurement.Power)))
-		default:
-			attemptSpan(attempt, dur, "ok",
-				obs.F64("perf", run.Measurement.Performance),
-				obs.Str("metric", run.Measurement.Metric),
-				obs.F64("mean_watts", float64(run.Measurement.Power)),
+			return run, nil
+		}
+		var okAttrs [6]obs.Attr // attemptSpan copies them
+		extra := append(okAttrs[:0],
+			obs.F64("perf", run.Measurement.Performance),
+			obs.Str("metric", run.Measurement.Metric),
+			obs.F64("mean_watts", float64(run.Measurement.Power)))
+		if sm.engine != nil {
+			extra = append(extra,
 				obs.Int64("engine_events", int64(sm.engine.Events)),
 				obs.Int("engine_peak_queue", sm.engine.PeakQueueDepth),
 				obs.Int64("engine_headroom", int64(sm.engine.Headroom)))
 		}
+		attemptSpan(attempt, dur, "ok", extra...)
 		return run, nil
 	}
 	return BenchmarkRun{
