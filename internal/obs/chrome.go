@@ -59,7 +59,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []Event) error {
 			}
 			buf = AppendJSONString(buf, a.Key, false)
 			buf = append(buf, ": "...)
-			buf = a.appendValue(buf, false)
+			buf = a.AppendValue(buf, false)
 		}
 		buf = append(buf, "}}"...)
 	}

@@ -28,9 +28,9 @@ import (
 //
 // A string attribute (Str) keeps its text in Value. A numeric one keeps
 // its number's bits in num and its format in Value, "d" or "g", and is
-// turned into text only where it is written: the Chrome trace appends
-// it, and JSON goes through MarshalJSON. Recording one allocates
-// nothing. num is zero on every string attribute, including one decoded
+// turned into text only where it is written: the Chrome trace and the
+// journal append it (AppendValue), and other JSON goes through
+// MarshalJSON. Recording one allocates nothing. num is zero on every string attribute, including one decoded
 // from JSON, so a number whose bits are zero is kept as the string "0",
 // which is its text. Text returns the text of either kind.
 type Attr struct {
@@ -89,10 +89,10 @@ func (a Attr) appendText(dst []byte) []byte {
 	}
 }
 
-// appendValue appends the attribute's value to dst as a JSON string
-// literal, escaped as AppendJSONString escapes with html. A number's text
-// needs no escaping.
-func (a Attr) appendValue(dst []byte, html bool) []byte {
+// AppendValue appends the attribute's value to dst as a JSON string
+// literal, escaped as AppendJSONString escapes with html. A number's
+// text needs no escaping.
+func (a Attr) AppendValue(dst []byte, html bool) []byte {
 	if a.num == 0 {
 		return AppendJSONString(dst, a.Value, html)
 	}
@@ -102,13 +102,13 @@ func (a Attr) appendValue(dst []byte, html bool) []byte {
 // MarshalJSON encodes the attribute as {"k":…,"v":"…"}, the value always
 // a string: the bytes encoding/json writes for a struct of the two
 // string fields. encoding/json applies its own HTML escaping to the
-// result, so the value is escaped without it here.
+// result, so the strings are escaped without it here.
 //
-//greenvet:allow unusedexport -- encoding/json calls it through json.Marshaler for journals and live events
+//greenvet:allow unusedexport -- encoding/json calls it through json.Marshaler for live events
 func (a Attr) MarshalJSON() ([]byte, error) {
 	b := make([]byte, 0, len(a.Key)+len(a.Value)+32)
 	b = AppendJSONString(append(b, `{"k":`...), a.Key, false)
-	b = a.appendValue(append(b, `,"v":`...), false)
+	b = a.AppendValue(append(b, `,"v":`...), false)
 	return append(b, '}'), nil
 }
 

@@ -52,7 +52,7 @@ func appendResults(b []byte, results []*Result) ([]byte, error) {
 	case len(results) == 0:
 		return append(b, "[]\n"...), nil
 	}
-	e := resultsEncoder{b: append(b, '[')}
+	e := jsonEncoder{b: append(b, '[')}
 	for i, r := range results {
 		if i > 0 {
 			e.b = append(e.b, ',')
@@ -68,16 +68,17 @@ func appendResults(b []byte, results []*Result) ([]byte, error) {
 	return append(e.b, "\n]\n"...), nil
 }
 
-// resultsEncoder carries the output and the first unencodable float, so
+// jsonEncoder carries the output and the first unencodable float, so
 // the field writers need no error plumbing; a failed encoding's bytes
-// are dropped whole.
-type resultsEncoder struct {
+// are dropped whole. It writes the results file and the journal's
+// traces.
+type jsonEncoder struct {
 	b   []byte
 	err error
 }
 
 // result writes one Result object at depth 1 of the array.
-func (e *resultsEncoder) result(r *Result) {
+func (e *jsonEncoder) result(r *Result) {
 	e.b = append(e.b, "\n  {\n    \"system\": "...)
 	e.b = obs.AppendJSONString(e.b, r.System, true)
 	e.b = append(e.b, ",\n    \"procs\": "...)
@@ -120,7 +121,7 @@ func (e *resultsEncoder) result(r *Result) {
 }
 
 // run writes one BenchmarkRun object at depth 3.
-func (e *resultsEncoder) run(r *BenchmarkRun) {
+func (e *jsonEncoder) run(r *BenchmarkRun) {
 	m := &r.Measurement
 	e.b = append(e.b, "\n      {\n        \"measurement\": {\n          \"benchmark\": "...)
 	e.b = obs.AppendJSONString(e.b, m.Benchmark, true)
@@ -155,7 +156,7 @@ func (e *resultsEncoder) run(r *BenchmarkRun) {
 	e.b = append(e.b, "\n      }"...)
 }
 
-func (e *resultsEncoder) integer(key string, v int) {
+func (e *jsonEncoder) integer(key string, v int) {
 	e.b = append(e.b, key...)
 	e.b = strconv.AppendInt(e.b, int64(v), 10)
 }
@@ -164,7 +165,7 @@ func (e *resultsEncoder) integer(key string, v int) {
 // shortest 'f' form, or 'e' for a non-zero magnitude outside
 // [1e-6, 1e21) with a one-digit negative exponent unpadded (e-7, not
 // e-07).
-func (e *resultsEncoder) float(key string, f float64) {
+func (e *jsonEncoder) float(key string, f float64) {
 	e.b = append(e.b, key...)
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		if e.err == nil {
@@ -183,4 +184,114 @@ func (e *resultsEncoder) float(key string, f float64) {
 			e.b = e.b[:n-1]
 		}
 	}
+}
+
+// appendTrace appends tr as json.MarshalIndent(…, "", "  ") writes it as
+// a value of the journal's traces map: at depth 2, opening on the line
+// of its key. A NaN or infinite time or value is the error
+// encoding/json returns for it.
+func appendTrace(b []byte, tr *CellTrace) ([]byte, error) {
+	e := jsonEncoder{b: b}
+	open := byte('{')
+	field := func(key string) {
+		e.b = append(append(e.b, open), "\n      "...)
+		e.b = append(e.b, key...)
+		open = ','
+	}
+	if len(tr.Spans) > 0 {
+		field(`"spans": [`)
+		for i := range tr.Spans {
+			s := &tr.Spans[i]
+			e.record(i, s.Track, s.Name)
+			e.float(",\n          \"start\": ", float64(s.Start))
+			e.float(",\n          \"end\": ", float64(s.End))
+			e.attrs(s.Attrs)
+		}
+		e.b = append(e.b, "\n      ]"...)
+	}
+	if len(tr.Events) > 0 {
+		field(`"events": [`)
+		for i := range tr.Events {
+			ev := &tr.Events[i]
+			e.record(i, ev.Track, ev.Name)
+			e.float(",\n          \"at\": ", float64(ev.At))
+			e.attrs(ev.Attrs)
+		}
+		e.b = append(e.b, "\n      ]"...)
+	}
+	if len(tr.Ops) > 0 {
+		field(`"ops": [`)
+		for i, op := range tr.Ops {
+			if i > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.b = obs.AppendJSONString(append(e.b, "\n        {\n          \"k\": "...), op.Kind, true)
+			e.b = obs.AppendJSONString(append(e.b, ",\n          \"n\": "...), op.Name, true)
+			e.float(",\n          \"v\": ", op.Value)
+			e.b = append(e.b, "\n        }"...)
+		}
+		e.b = append(e.b, "\n      ]"...)
+	}
+	if tr.End != 0 {
+		field("")
+		e.float(`"end": `, float64(tr.End))
+	}
+	if open == '{' {
+		e.b = append(e.b, "{}"...)
+	} else {
+		e.b = append(e.b, "\n    }"...)
+	}
+	return e.b, e.err
+}
+
+// record opens the i-th span or event of an array with its track and
+// name.
+func (e *jsonEncoder) record(i int, track, name string) {
+	if i > 0 {
+		e.b = append(e.b, ',')
+	}
+	e.b = obs.AppendJSONString(append(e.b, "\n        {\n          \"track\": "...), track, true)
+	e.b = obs.AppendJSONString(append(e.b, ",\n          \"name\": "...), name, true)
+}
+
+// attrs writes a span's or event's attributes, when it has any, and
+// closes the record.
+func (e *jsonEncoder) attrs(attrs []obs.Attr) {
+	if len(attrs) > 0 {
+		e.b = append(e.b, ",\n          \"attrs\": ["...)
+		for i, a := range attrs {
+			if i > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.b = obs.AppendJSONString(append(e.b, "\n            {\n              \"k\": "...), a.Key, true)
+			e.b = a.AppendValue(append(e.b, ",\n              \"v\": "...), true)
+			e.b = append(e.b, "\n            }"...)
+		}
+		e.b = append(e.b, "\n          ]"...)
+	}
+	e.b = append(e.b, "\n        }"...)
+}
+
+// traceBytes estimates appendTrace's output for tr: each record's
+// strings plus what its keys, indentation and numbers take.
+func traceBytes(tr *CellTrace) int {
+	n := 64
+	for i := range tr.Spans {
+		n += 160 + len(tr.Spans[i].Track) + len(tr.Spans[i].Name) + attrBytes(tr.Spans[i].Attrs)
+	}
+	for i := range tr.Events {
+		n += 128 + len(tr.Events[i].Track) + len(tr.Events[i].Name) + attrBytes(tr.Events[i].Attrs)
+	}
+	for i := range tr.Ops {
+		n += 96 + len(tr.Ops[i].Name)
+	}
+	return n
+}
+
+func attrBytes(attrs []obs.Attr) int {
+	n := 32
+	for _, a := range attrs {
+		n += 96 + len(a.Key) + len(a.Value)
+	}
+	return n
 }

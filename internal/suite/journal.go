@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -43,6 +44,12 @@ type Journal struct {
 	cells      map[string]BenchmarkRun
 	traces     map[string]CellTrace
 	benchmarks []string
+	// encoded caches each trace's encoding (appendTrace), made at the
+	// first flush that writes the trace. The journal is rewritten whole
+	// after every cell, so without it every span attribute of every
+	// earlier cell would be formatted again at each checkpoint.
+	// Whatever replaces or drops a trace drops its entry.
+	encoded map[string][]byte
 }
 
 // CellTrace is the observability stream one journaled benchmark produced,
@@ -78,7 +85,7 @@ func CellKey(system string, procs int, placement, bench string) string {
 // the write-fsync-rename protocol they never hold the journal's only
 // copy.
 func OpenJournal(path string) (*Journal, error) {
-	j := &Journal{path: path, cells: map[string]BenchmarkRun{}, traces: map[string]CellTrace{}}
+	j := &Journal{path: path, cells: map[string]BenchmarkRun{}, traces: map[string]CellTrace{}, encoded: map[string][]byte{}}
 	removeStaleTemps(path)
 	b, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -170,6 +177,7 @@ func (j *Journal) SetTrace(key string, tr CellTrace) {
 	}
 	j.mu.Lock()
 	j.traces[key] = tr
+	delete(j.encoded, key)
 	j.mu.Unlock()
 }
 
@@ -188,6 +196,7 @@ func (j *Journal) Stage(key string, run BenchmarkRun, tr CellTrace) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.cells[key] = run
+	delete(j.encoded, key)
 	if len(tr.Spans) > 0 || len(tr.Events) > 0 || len(tr.Ops) > 0 {
 		j.traces[key] = tr
 	} else {
@@ -205,6 +214,7 @@ func (j *Journal) DropQuarantined() {
 		if run.Status == StatusQuarantined {
 			delete(j.cells, key)
 			delete(j.traces, key)
+			delete(j.encoded, key)
 		}
 	}
 }
@@ -237,13 +247,17 @@ func (j *Journal) Remove() error {
 // journals in one directory (shard segments) cannot sweep each other's
 // in-flight temps.
 func (j *Journal) flushLocked() error {
-	f := journalFile{Version: journalVersion, Benchmarks: j.benchmarks, Cells: j.cells}
-	if len(j.traces) > 0 {
-		f.Traces = j.traces
-	}
-	b, err := json.MarshalIndent(f, "", "  ")
+	// The traces are the file's last field: encoding/json writes the
+	// rest, and the cached trace encodings replace its closing brace.
+	b, err := json.MarshalIndent(journalFile{Version: journalVersion, Benchmarks: j.benchmarks, Cells: j.cells}, "", "  ")
 	if err != nil {
 		return err
+	}
+	if len(j.traces) > 0 {
+		if b, err = j.appendTraces(b[:len(b)-len("\n}")]); err != nil {
+			return err
+		}
+		b = append(b, "\n}"...)
 	}
 	dir := filepath.Dir(j.path)
 	tmp, err := os.CreateTemp(dir, tempPattern(j.path))
@@ -263,6 +277,33 @@ func (j *Journal) flushLocked() error {
 		return err
 	}
 	return os.Rename(tmp.Name(), j.path)
+}
+
+// appendTraces appends the traces field as json.MarshalIndent writes
+// journalFile's Traces after the fields before it, encoding each trace
+// once and reusing that encoding at later flushes. j.mu must be held.
+func (j *Journal) appendTraces(b []byte) ([]byte, error) {
+	keys := make([]string, 0, len(j.traces))
+	for key, tr := range j.traces {
+		if _, ok := j.encoded[key]; !ok {
+			enc, err := appendTrace(make([]byte, 0, traceBytes(&tr)), &tr)
+			if err != nil {
+				return nil, err
+			}
+			j.encoded[key] = enc
+		}
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	b = append(b, ",\n  \"traces\": {"...)
+	for i, key := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = obs.AppendJSONString(append(b, "\n    "...), key, true)
+		b = append(append(b, ": "...), j.encoded[key]...)
+	}
+	return append(b, "\n  }"...), nil
 }
 
 // tempPattern is the os.CreateTemp pattern for a journal's in-flight

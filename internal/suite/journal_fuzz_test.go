@@ -33,6 +33,15 @@ func FuzzOpenJournal(f *testing.F) {
 		if err := j.Flush(); err != nil {
 			t.Fatalf("opened %q but cannot flush it: %v", b, err)
 		}
+		// The flush spliced its cached trace encodings into encoding/json's
+		// output for the rest; the file must be encoding/json's whole.
+		want, err := json.MarshalIndent(journalFile{Version: journalVersion, Benchmarks: j.benchmarks, Cells: j.cells, Traces: j.traces}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("%q flushes as\n%s\nnot encoding/json's\n%s", b, got, want)
+		}
 		back, err := OpenJournal(path)
 		if err != nil {
 			t.Fatalf("flushed %q does not reopen: %v", b, err)

@@ -1,6 +1,9 @@
 package suite
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/units"
 )
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -169,5 +173,104 @@ func TestJournalNoTempFileResidue(t *testing.T) {
 			names[i] = e.Name()
 		}
 		t.Errorf("directory holds %v, want only sweep.journal", names)
+	}
+}
+
+// Mirrors of the journal's trace types with each attribute as the two
+// strings numbers used to be formatted into: the layout traceSet's
+// hand-written encoding must reproduce through encoding/json.
+type (
+	refAttr struct {
+		Key   string `json:"k"`
+		Value string `json:"v"`
+	}
+	refSpan struct {
+		Track string        `json:"track"`
+		Name  string        `json:"name"`
+		Start units.Seconds `json:"start"`
+		End   units.Seconds `json:"end"`
+		Attrs []refAttr     `json:"attrs,omitempty"`
+	}
+	refEvent struct {
+		Track string        `json:"track"`
+		Name  string        `json:"name"`
+		At    units.Seconds `json:"at"`
+		Attrs []refAttr     `json:"attrs,omitempty"`
+	}
+	refTrace struct {
+		Spans  []refSpan      `json:"spans,omitempty"`
+		Events []refEvent     `json:"events,omitempty"`
+		Ops    []obs.MetricOp `json:"ops,omitempty"`
+		End    units.Seconds  `json:"end,omitempty"`
+	}
+	refJournal struct {
+		Version    int                     `json:"version"`
+		Benchmarks []string                `json:"benchmarks,omitempty"`
+		Cells      map[string]BenchmarkRun `json:"cells"`
+		Traces     map[string]refTrace     `json:"traces,omitempty"`
+	}
+)
+
+func refAttrs(attrs []obs.Attr) []refAttr {
+	var out []refAttr
+	for _, a := range attrs {
+		out = append(out, refAttr{a.Key, a.Text()})
+	}
+	return out
+}
+
+// TestJournalTracesMatchEncodingJSON flushes traces with every kind of
+// attribute, HTML and non-ASCII text, floats in both of encoding/json's
+// forms, and empty fields, and compares the file with encoding/json's
+// bytes for the string-attribute layout.
+func TestJournalTracesMatchEncodingJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	j, _ := OpenJournal(path)
+	traces := map[string]CellTrace{
+		CellKey("fire", 8, "cyclic", "HPL"): {
+			Spans: []obs.Span{
+				{Track: "HPL", Name: "attempt 1", Start: 1e-7, End: 2.5e21, Attrs: []obs.Attr{
+					obs.Str("outcome", "<crashed> &   \"quoted\""), obs.Int("procs", 8), obs.Int64("engine_events", -1<<40),
+					obs.F64("mean_watts", 297.7660026629467), obs.F64("zero", 0), obs.Secs("wasted", 80)}},
+				{Track: "wätts", Name: "backoff", Start: 50, End: 80},
+			},
+			Events: []obs.Event{{Track: "HPL", Name: "fault: node crash", At: 50, Attrs: []obs.Attr{obs.F64("crash_at", math.Copysign(0, -1))}}},
+			Ops:    []obs.MetricOp{{Kind: obs.OpCount, Name: "suite.attempts", Value: 1}, {Kind: obs.OpObserve, Name: "x<y", Value: 1.5e-9}},
+			End:    654.219255828,
+		},
+		CellKey("fire", 16, "cyclic", "STREAM"): {Ops: []obs.MetricOp{{Kind: obs.OpGauge, Name: "g", Value: 3}}},
+		CellKey("fire", 16, "cyclic", "HPL"):    {Events: []obs.Event{{Track: "HPL", Name: "e", At: 0}}, End: 1},
+	}
+	ref := refJournal{Version: journalVersion, Cells: map[string]BenchmarkRun{}, Traces: map[string]refTrace{}}
+	for key, tr := range traces {
+		j.SetTrace(key, tr)
+		if err := j.Record(key, BenchmarkRun{Samples: 3}); err != nil {
+			t.Fatal(err)
+		}
+		ref.Cells[key] = BenchmarkRun{Samples: 3}
+		rt := refTrace{Ops: tr.Ops, End: tr.End}
+		for _, s := range tr.Spans {
+			rt.Spans = append(rt.Spans, refSpan{s.Track, s.Name, s.Start, s.End, refAttrs(s.Attrs)})
+		}
+		for _, e := range tr.Events {
+			rt.Events = append(rt.Events, refEvent{e.Track, e.Name, e.At, refAttrs(e.Attrs)})
+		}
+		ref.Traces[key] = rt
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(ref, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(got, want) {
+		t.Errorf("journal differs from encoding/json:\n got %s\nwant %s", got, want)
+	}
+	// A NaN time is refused, as encoding/json refuses it.
+	j.SetTrace("nan", CellTrace{Spans: []obs.Span{{Track: "t", Name: "s", End: units.Seconds(math.NaN())}}})
+	if err := j.Record("nan", BenchmarkRun{}); err == nil {
+		t.Error("a NaN span end was journaled")
 	}
 }
