@@ -50,6 +50,8 @@ type Journal struct {
 	// earlier cell would be formatted again at each checkpoint.
 	// Whatever replaces or drops a trace drops its entry.
 	encoded map[string][]byte
+	// buf holds the last flush's file bytes when it had traces.
+	buf []byte
 }
 
 // CellTrace is the observability stream one journaled benchmark produced,
@@ -248,16 +250,19 @@ func (j *Journal) Remove() error {
 // in-flight temps.
 func (j *Journal) flushLocked() error {
 	// The traces are the file's last field: encoding/json writes the
-	// rest, and the cached trace encodings replace its closing brace.
+	// rest, and the cached trace encodings replace its closing brace,
+	// in a buffer the journal keeps from one flush to the next.
 	b, err := json.MarshalIndent(journalFile{Version: journalVersion, Benchmarks: j.benchmarks, Cells: j.cells}, "", "  ")
 	if err != nil {
 		return err
 	}
+	out := append(b, '\n')
 	if len(j.traces) > 0 {
-		if b, err = j.appendTraces(b[:len(b)-len("\n}")]); err != nil {
+		if j.buf, err = j.appendTraces(append(j.buf[:0], b[:len(b)-len("\n}")]...)); err != nil {
 			return err
 		}
-		b = append(b, "\n}"...)
+		j.buf = append(j.buf, "\n}\n"...)
+		out = j.buf
 	}
 	dir := filepath.Dir(j.path)
 	tmp, err := os.CreateTemp(dir, tempPattern(j.path))
@@ -265,7 +270,7 @@ func (j *Journal) flushLocked() error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
+	if _, err := tmp.Write(out); err != nil {
 		tmp.Close()
 		return err
 	}
