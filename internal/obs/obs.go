@@ -30,9 +30,10 @@ import (
 // its number's bits in num and its format in Value, "d" or "g", and is
 // turned into text only where it is written: the Chrome trace and the
 // journal append it (AppendValue), and other JSON goes through
-// MarshalJSON. Recording one allocates nothing. num is zero on every string attribute, including one decoded
-// from JSON, so a number whose bits are zero is kept as the string "0",
-// which is its text. Text returns the text of either kind.
+// MarshalJSON. Recording one allocates nothing. num is zero on every
+// string attribute, including one decoded from JSON, so a number whose
+// bits are zero is kept as the string "0", which is its text. Text
+// returns the text of either kind.
 type Attr struct {
 	Key   string `json:"k"`
 	Value string `json:"v"`
@@ -60,6 +61,7 @@ func F64(key string, v float64) Attr { return number(key, formatFloat, math.Floa
 // Secs builds a virtual-time attribute in seconds.
 func Secs(key string, v units.Seconds) Attr { return F64(key, float64(v)) }
 
+// number builds a numeric attribute from its format and bits.
 func number(key, format string, bits uint64) Attr {
 	if bits == 0 {
 		return Attr{Key: key, Value: "0"}

@@ -117,6 +117,20 @@ func (c *cells) count(v uint64) {
 	c.end()
 }
 
+// repairs appends a meter-repair cell: "-" for a clean trace, else the
+// filled gaps and rejected outliers as "<gaps>g/<outliers>o".
+func (c *cells) repairs(gaps, outliers int) {
+	if gaps == 0 && outliers == 0 {
+		c.text("-")
+		return
+	}
+	c.buf = strconv.AppendInt(c.buf, int64(gaps), 10)
+	c.buf = append(c.buf, 'g', '/')
+	c.buf = strconv.AppendInt(c.buf, int64(outliers), 10)
+	c.buf = append(c.buf, 'o')
+	c.end()
+}
+
 // endRow closes the current row.
 func (c *cells) endRow() { c.rowEnds = append(c.rowEnds, len(c.ends)) }
 

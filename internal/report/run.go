@@ -2,7 +2,6 @@ package report
 
 import (
 	"io"
-	"strconv"
 	"unicode/utf8"
 )
 
@@ -101,15 +100,7 @@ func (r *RunReport) Render(w io.Writer) error {
 		runs.num(row.WastedSeconds)
 		runs.num(row.EnergyJ)
 		runs.integer(int64(row.Retries))
-		if row.GapsFilled == 0 && row.OutliersRejected == 0 {
-			runs.text("-")
-		} else {
-			runs.buf = strconv.AppendInt(runs.buf, int64(row.GapsFilled), 10)
-			runs.buf = append(runs.buf, 'g', '/')
-			runs.buf = strconv.AppendInt(runs.buf, int64(row.OutliersRejected), 10)
-			runs.buf = append(runs.buf, 'o')
-			runs.end()
-		}
+		runs.repairs(row.GapsFilled, row.OutliersRejected)
 		runs.endRow()
 	}
 	n := runs.size(r.Title)
