@@ -271,27 +271,3 @@ func (e *jsonEncoder) attrs(attrs []obs.Attr) {
 	}
 	e.b = append(e.b, "\n        }"...)
 }
-
-// traceBytes estimates appendTrace's output for tr: each record's
-// strings plus what its keys, indentation and numbers take.
-func traceBytes(tr *CellTrace) int {
-	n := 64
-	for i := range tr.Spans {
-		n += 160 + len(tr.Spans[i].Track) + len(tr.Spans[i].Name) + attrBytes(tr.Spans[i].Attrs)
-	}
-	for i := range tr.Events {
-		n += 128 + len(tr.Events[i].Track) + len(tr.Events[i].Name) + attrBytes(tr.Events[i].Attrs)
-	}
-	for i := range tr.Ops {
-		n += 96 + len(tr.Ops[i].Name)
-	}
-	return n
-}
-
-func attrBytes(attrs []obs.Attr) int {
-	n := 32
-	for _, a := range attrs {
-		n += 96 + len(a.Key) + len(a.Value)
-	}
-	return n
-}

@@ -291,7 +291,7 @@ func (j *Journal) appendTraces(b []byte) ([]byte, error) {
 	keys := make([]string, 0, len(j.traces))
 	for key, tr := range j.traces {
 		if _, ok := j.encoded[key]; !ok {
-			enc, err := appendTrace(make([]byte, 0, traceBytes(&tr)), &tr)
+			enc, err := appendTrace(nil, &tr)
 			if err != nil {
 				return nil, err
 			}
