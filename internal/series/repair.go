@@ -41,8 +41,12 @@ type RepairReport struct {
 // The pass is conservative with real signal: a spike is rejected only when
 // its two neighbours agree with each other better than with it, so genuine
 // load steps (where the neighbours disagree) survive untouched. The first
-// and last samples are never modified — the trace must keep spanning the
-// benchmark window exactly.
+// and last samples have one neighbour each, so they get a one-sided test:
+// the end is a glitch when it lies more than sigma noise units from its
+// neighbour and that neighbour agrees with the next sample inward better
+// than with it. A rejected end takes the power of the nearest clean
+// sample and keeps its timestamp, so the trace still spans the benchmark
+// window exactly.
 //
 // Repair returns a new trace on every call; a hot loop that folds each
 // repaired trace into scalars before the next one uses a Repairer.
@@ -114,7 +118,6 @@ func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Tra
 
 	// Pass 2: a glitch is a sample far from its neighbours' mean, whose
 	// neighbours agree with each other better than with it.
-	glitch[0], glitch[n-1] = false, false
 	for i := 1; i < n-1; i++ {
 		d := absDev[i]
 		spread := math.Abs(float64(ss[i+1].Power - ss[i-1].Power))
@@ -123,20 +126,44 @@ func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Tra
 			rep.OutliersRejected++
 		}
 	}
+	// The ends' one-sided test, end against its neighbour and that
+	// neighbour against the next one in. It is skipped when every inner
+	// sample is a glitch (possible only at a sigma below 1/1.4826), so a
+	// clean sample always remains to take a rejected end's power from.
+	ends := rep.OutliersRejected < n-2
+	for _, e := range [2][3]int{{0, 1, 2}, {n - 1, n - 2, n - 3}} {
+		glitch[e[0]] = ends && endGlitch(ss[e[0]], ss[e[1]], ss[e[2]], sigma*noise)
+		if glitch[e[0]] {
+			rep.OutliersRejected++
+		}
+	}
+	first, last := 0, n-1 // the outermost clean samples
+	for glitch[first] {
+		first++
+	}
+	for glitch[last] {
+		last--
+	}
 
 	// Pass 3: write the output. A glitch becomes the interpolation of
-	// the nearest clean samples on either side (lo and hi; the first and
-	// last samples are never glitches), and each gap is filled by linear
-	// interpolation between the de-glitched samples around it. Input
-	// order carries over, so no sample needs an ordering check.
+	// the nearest clean samples on either side (lo and hi), and each gap
+	// is filled by linear interpolation between the de-glitched samples
+	// around it. A glitch before the first clean sample or after the last
+	// one, an end among them, takes that sample's power. Input order
+	// carries over, so no sample needs an ordering check.
 	out.samples = resize(out.samples, n+rep.GapsFilled)
 	o, lo, hi := 0, 0, 0
 	var prev units.Watts
 	for i, s := range ss {
 		p := s.Power
-		if !glitch[i] {
+		switch {
+		case !glitch[i]:
 			lo = i
-		} else {
+		case i < first:
+			p = ss[first].Power
+		case i > last:
+			p = ss[last].Power
+		default:
 			if hi <= i {
 				for hi = i + 1; glitch[hi]; hi++ {
 				}
@@ -162,6 +189,15 @@ func (r *Repairer) Repair(t *Trace, interval units.Seconds, sigma float64) (*Tra
 		prev = p
 	}
 	return out, rep, nil
+}
+
+// endGlitch reports whether end, a trace's first or last sample, fails
+// the one-sided glitch test: it lies more than limit from its neighbour
+// next, and next agrees with inner, the sample beyond it, better than
+// with end.
+func endGlitch(end, next, inner Sample, limit float64) bool {
+	d := math.Abs(float64(end.Power - next.Power))
+	return d > limit && math.Abs(float64(next.Power-inner.Power)) < d
 }
 
 // resize returns s at length n, reallocated at exactly n when its

@@ -110,21 +110,49 @@ func TestRepairFillsGaps(t *testing.T) {
 	}
 }
 
-func TestRepairBoundariesUntouched(t *testing.T) {
+// TestRepairRejectsEndGlitches spikes a trace's first and last samples:
+// each has one neighbour, which agrees with the next sample in, so both
+// are rejected. Each takes its clean neighbour's power and keeps its
+// timestamp, so the trace still spans its window.
+func TestRepairRejectsEndGlitches(t *testing.T) {
 	tr := flatTrace(t, 20, 250)
-	// Even absurd boundary values survive: the trace must keep spanning the
-	// benchmark window exactly.
 	tr.samples[0].Power = 1000
 	tr.samples[19].Power = 0
 	out, rep, err := tr.Repair(1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OutliersRejected != 0 {
-		t.Errorf("boundary samples rejected: %+v", rep)
+	if rep.OutliersRejected != 2 || out.Len() != tr.Len() {
+		t.Fatalf("%d samples, report %+v; want %d samples and 2 outliers", out.Len(), rep, tr.Len())
 	}
-	if out.At(0).Power != 1000 || out.At(out.Len()-1).Power != 0 {
-		t.Error("boundary samples modified")
+	if got, want := out.At(0), (Sample{At: 0, Power: tr.At(1).Power}); got != want {
+		t.Errorf("first sample = %v, want %v", got, want)
+	}
+	if got, want := out.At(19), (Sample{At: 19, Power: tr.At(18).Power}); got != want {
+		t.Errorf("last sample = %v, want %v", got, want)
+	}
+	for i := 1; i < 19; i++ {
+		if out.At(i) != tr.At(i) {
+			t.Fatalf("inner sample %d changed: %v -> %v", i, tr.At(i), out.At(i))
+		}
+	}
+}
+
+// TestRepairKeepsEndSteps starts and ends a trace on a ramp: each end is
+// far from its neighbour, but that neighbour disagrees with the sample
+// beyond it at least as much, so the one-sided test keeps both ends.
+func TestRepairKeepsEndSteps(t *testing.T) {
+	tr := flatTrace(t, 20, 250)
+	tr.samples[0].Power, tr.samples[1].Power = 50, 150
+	tr.samples[18].Power, tr.samples[19].Power = 400, 550
+	out, rep, err := tr.Repair(1, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 19} {
+		if out.At(i) != tr.At(i) {
+			t.Errorf("end sample %d changed: %v -> %v (report %+v)", i, tr.At(i), out.At(i), rep)
+		}
 	}
 }
 
