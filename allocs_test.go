@@ -54,8 +54,9 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "power.Meter.MeasureFold warm", runs: 100, ceiling: 0, setup: setupMeterMeasureFold},
 		{name: "live.Bus.Publish no subscriber", runs: 1000, ceiling: 0, setup: setupBusPublish},
 		{name: "live.Hub.Tap span", runs: 1000, ceiling: 0, setup: setupTapSpan},
-		{name: "series.Trace.Repair", runs: 50, ceiling: 4, setup: setupRepair},
+		{name: "series.Trace.Repair", runs: 50, ceiling: 2, setup: setupRepair},
 		{name: "series.Repairer.Repair warm", runs: 50, ceiling: 0, setup: setupRepairerWarm},
+		{name: "series.Repairer.RepairFold warm", runs: 50, ceiling: 0, setup: setupRepairerFoldWarm},
 		{name: "obs.WriteChromeTrace", runs: 20, ceiling: 5, setup: setupChromeTrace},
 		{name: "suite.Run untraced", runs: 20, ceiling: 5, setup: setupSuiteRun(false)},
 		{name: "suite.Run traced", runs: 20, ceiling: 42, setup: setupSuiteRun(true)},
@@ -269,6 +270,19 @@ func setupRepairerWarm(t *testing.T) func() {
 	var r series.Repairer
 	return func() {
 		if _, _, err := r.Repair(tr, 1, 6); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// setupRepairerFoldWarm folds the same trace's repair with one
+// Repairer, as a sweep worker's faulty cell does: it keeps only the key
+// buffer, so once that has grown a folded repair allocates nothing.
+func setupRepairerFoldWarm(t *testing.T) func() {
+	tr := repairTrace(t)
+	var r series.Repairer
+	return func() {
+		if _, _, err := r.RepairFold(tr, 1, 6); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -341,9 +341,10 @@ func (mt *Meter) Sample(exact *series.Trace) (*series.Trace, error) {
 }
 
 // sample is the meter's one sampling loop. With traced set, every kept
-// sample is appended to the returned trace; otherwise it is added to the
-// returned fold and no trace is built. The fold of a traced run is
-// filled only when a recorder needs it.
+// sample is appended to the returned trace, and folded as well when a
+// recorder needs the window's scalars; otherwise it is only added to
+// the returned fold and no trace is built. The sample clock only moves
+// forward, so appending needs no ordering check.
 func (mt *Meter) sample(exact *series.Trace, traced bool) (*series.Trace, series.Fold, error) {
 	var fold series.Fold
 	start, end, err := exact.Span()
@@ -363,6 +364,7 @@ func (mt *Meter) sample(exact *series.Trace, traced bool) (*series.Trace, series
 	if traced {
 		out = mt.sampleBuffer(n)
 	}
+	recorded := traced && mt.rec != nil
 	draws := mt.drawsFor(n)
 	ss := exact.Samples()
 	first, final := ss[0], ss[len(ss)-1]
@@ -429,8 +431,9 @@ func (mt *Meter) sample(exact *series.Trace, traced bool) (*series.Trace, series
 			continue
 		}
 		if traced {
-			if err := out.Append(clamped, units.Watts(v)); err != nil {
-				return nil, series.Fold{}, err
+			out.AppendOrdered(clamped, units.Watts(v))
+			if recorded {
+				fold.Add(clamped, units.Watts(v))
 			}
 		} else {
 			fold.Add(clamped, units.Watts(v))
@@ -440,9 +443,6 @@ func (mt *Meter) sample(exact *series.Trace, traced bool) (*series.Trace, series
 		}
 	}
 	if mt.rec != nil {
-		if traced {
-			fold = out.Fold()
-		}
 		mt.record(start, end, fold, dropped, glitched)
 	}
 	return out, fold, nil

@@ -201,6 +201,15 @@ func TestRepairEdgeCases(t *testing.T) {
 	}
 }
 
+// medianOf is median over the keys of xs.
+func medianOf(xs []float64) float64 {
+	keys := make([]uint64, len(xs))
+	for i, x := range xs {
+		keys[i] = sortKey(x)
+	}
+	return median(keys)
+}
+
 // TestMedianMatchesSort checks the selection median against sorting a
 // copy and reading the middle, on random slices drawn from a small pool
 // so duplicates, ±0, ±Inf and NaN (which sorts first) all recur.
@@ -229,8 +238,44 @@ func TestMedianMatchesSort(t *testing.T) {
 			want = 0.5 * (sorted[mid-1] + sorted[mid])
 		}
 		// ±0 compare equal, as sorting leaves their order unspecified.
-		if got := median(xs); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+		if got := medianOf(xs); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Fatalf("trial %d: median of %v = %v, sorted median %v", trial, sorted, got, want)
+		}
+	}
+}
+
+// TestRepairMatchesReference repairs a faulty meter window and an
+// hour-long trace with glitches and holes: Repair must give
+// referenceRepair's samples and report, and RepairFold the Fold of
+// Repair's trace, bit for bit, on a fresh and on a reused Repairer.
+func TestRepairMatchesReference(t *testing.T) {
+	var reused Repairer
+	for _, tr := range []*Trace{meterBenchTrace(t, 1), meterBenchTrace(t, 2), repairBenchTrace(t)} {
+		want, wantRep, err := referenceRepair(tr, 1, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Repairer{new(Repairer), &reused} {
+			out, rep, err := r.Repair(tr, 1, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep != wantRep {
+				t.Fatalf("report %+v, reference %+v", rep, wantRep)
+			}
+			checkSamples(t, "Repair", out.Samples(), want)
+			fold := out.Fold()
+			got, foldRep, err := r.RepairFold(tr, 1, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if foldRep != rep {
+				t.Fatalf("RepairFold report %+v, Repair %+v", foldRep, rep)
+			}
+			checkFold(t, "RepairFold", got, fold)
+		}
+		if wantRep.GapsFilled == 0 || wantRep.OutliersRejected == 0 {
+			t.Fatalf("trace needs no repair (%+v), so it tests nothing", wantRep)
 		}
 	}
 }

@@ -46,6 +46,13 @@ func (t *Trace) Append(at units.Seconds, p units.Watts) error {
 	return nil
 }
 
+// AppendOrdered adds a sample that the caller knows is no earlier than
+// the last one: unlike Append, it does not check the order. A producer
+// whose clock only moves forward (the power meter) uses it.
+func (t *Trace) AppendOrdered(at units.Seconds, p units.Watts) {
+	t.samples = append(t.samples, Sample{At: at, Power: p})
+}
+
 // Len returns the number of samples.
 func (t *Trace) Len() int { return len(t.samples) }
 

@@ -424,9 +424,10 @@ func (f attemptFailure) String() string {
 // the trace (with repairer) when the fault plan perturbs the measurement
 // path, optionally lift to facility power, and fold into a measurement.
 // When nothing transforms the trace, the meter folds its samples
-// directly and no trace is built. origin is where the attempt sits on
-// the campaign's virtual-time axis; repair events are placed relative
-// to it.
+// directly and no trace is built; when only repair does, the repairer
+// folds the repaired samples and builds no repaired trace. origin is
+// where the attempt sits on the campaign's virtual-time axis; repair
+// events are placed relative to it.
 func measureStep(cfg *Config, model *power.Model, meter *power.Meter,
 	meterCfg power.MeterConfig, repairer *series.Repairer, st benchStep,
 	sm simulated, origin units.Seconds) (BenchmarkRun, error) {
@@ -441,9 +442,15 @@ func measureStep(cfg *Config, model *power.Model, meter *power.Meter,
 	if err != nil {
 		return BenchmarkRun{}, fmt.Errorf("suite: metering %s: %w", st.name, err)
 	}
+	var fold series.Fold
 	var rep series.RepairReport
 	if cfg.Faults.MeterFaulty() {
-		if trace, rep, err = repairer.Repair(trace, meterCfg.Interval, 0); err != nil {
+		if cfg.Facility == nil {
+			fold, rep, err = repairer.RepairFold(trace, meterCfg.Interval, 0)
+		} else {
+			trace, rep, err = repairer.Repair(trace, meterCfg.Interval, 0)
+		}
+		if err != nil {
 			return BenchmarkRun{}, fmt.Errorf("suite: repairing %s trace: %w", st.name, err)
 		}
 		if rec := cfg.Trace; rec != nil {
@@ -470,8 +477,9 @@ func measureStep(cfg *Config, model *power.Model, meter *power.Meter,
 		if trace, err = cfg.Facility.ApplyTrace(trace); err != nil {
 			return BenchmarkRun{}, fmt.Errorf("suite: facility model for %s: %w", st.name, err)
 		}
+		fold = trace.Fold()
 	}
-	run, err := fromFold(trace.Fold(), st.name, st.metric, sm.perf, sm.profile.Duration())
+	run, err := fromFold(fold, st.name, st.metric, sm.perf, sm.profile.Duration())
 	if err != nil {
 		return BenchmarkRun{}, err
 	}
