@@ -54,6 +54,7 @@ func TestAllocCeilings(t *testing.T) {
 		{name: "power.Meter.MeasureFold warm", runs: 100, ceiling: 0, setup: setupMeterMeasureFold},
 		{name: "live.Bus.Publish no subscriber", runs: 1000, ceiling: 0, setup: setupBusPublish},
 		{name: "live.Hub.Tap span", runs: 1000, ceiling: 0, setup: setupTapSpan},
+		{name: "live.WriteEventNDJSON five attributes", runs: 1000, ceiling: 1, setup: setupEventNDJSON},
 		{name: "series.Trace.Repair", runs: 50, ceiling: 2, setup: setupRepair},
 		{name: "series.Repairer.Repair warm", runs: 50, ceiling: 0, setup: setupRepairerWarm},
 		{name: "series.Repairer.RepairFold warm", runs: 50, ceiling: 0, setup: setupRepairerFoldWarm},
@@ -249,6 +250,23 @@ func setupTapSpan(*testing.T) func() {
 	rec := live.NewHubAt(time.Now, live.DefaultFlightCapacity).Tap(obs.Discard, 4)
 	s := obs.Span{Track: obs.TrackMeter, Name: obs.NameMeterWindow, Start: 1, End: 2}
 	return func() { rec.Span(s) }
+}
+
+// setupEventNDJSON streams a meter-window event with five attributes,
+// the largest the sweep emits, as the event log and /events do: the
+// line is appended into one buffer, its only allocation.
+func setupEventNDJSON(t *testing.T) func() {
+	e := live.Event{
+		Seq: 12, Wall: time.Unix(1700000000, 123456789).UTC(), Kind: live.KindMeterWindow,
+		Track: obs.TrackMeter, Name: obs.NameMeterWindow, VirtStart: 120, VirtEnd: 1021.5,
+		Attrs: []obs.Attr{obs.Int("samples", 855), obs.Int("dropped", 46), obs.Int("glitched", 18),
+			obs.Secs("interval", 1), obs.F64("mean_watts", 1873.25)},
+	}
+	return func() {
+		if err := live.WriteEventNDJSON(io.Discard, e); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // setupRepair repairs BenchmarkRepair's trace: a 1 Hz hour-long stream

@@ -1,6 +1,10 @@
 package obs
 
-import "unicode/utf8"
+import (
+	"math"
+	"strconv"
+	"unicode/utf8"
+)
 
 const hexDigits = "0123456789abcdef"
 
@@ -72,6 +76,29 @@ func AppendJSONString(dst []byte, s string, html bool) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
+}
+
+// AppendJSONFloat appends f to dst as encoding/json writes a float64:
+// the shortest 'f' form, or 'e' for a non-zero magnitude outside
+// [1e-6, 1e21), with a one-digit negative exponent unpadded (e-7, not
+// e-07). JSON has no NaN or infinity; for those it appends nothing and
+// reports false, where encoding/json returns an UnsupportedValueError.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, bool) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, true
 }
 
 // JSONString renders s as a JSON string literal (quotes included),

@@ -106,7 +106,7 @@ func (a Attr) AppendValue(dst []byte, html bool) []byte {
 // string fields. encoding/json applies its own HTML escaping to the
 // result, so the strings are escaped without it here.
 //
-//greenvet:allow unusedexport -- encoding/json calls it through json.Marshaler for live events
+//greenvet:allow unusedexport -- encoding/json calls it through json.Marshaler for the flight recorder's events
 func (a Attr) MarshalJSON() ([]byte, error) {
 	b := make([]byte, 0, len(a.Key)+len(a.Value)+32)
 	b = AppendJSONString(append(b, `{"k":`...), a.Key, false)

@@ -2,7 +2,6 @@ package suite
 
 import (
 	"encoding/json"
-	"math"
 	"strconv"
 
 	"repro/internal/obs"
@@ -161,28 +160,13 @@ func (e *jsonEncoder) integer(key string, v int) {
 	e.b = strconv.AppendInt(e.b, int64(v), 10)
 }
 
-// float writes key and f as encoding/json formats a float64: the
-// shortest 'f' form, or 'e' for a non-zero magnitude outside
-// [1e-6, 1e21) with a one-digit negative exponent unpadded (e-7, not
-// e-07).
+// float writes key and f as encoding/json formats a float64
+// (obs.AppendJSONFloat); a NaN or infinite f is the error encoding/json
+// returns for it.
 func (e *jsonEncoder) float(key string, f float64) {
-	e.b = append(e.b, key...)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		if e.err == nil {
-			e.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
-		}
-		return
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(e.b); e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
-			e.b[n-2] = e.b[n-1]
-			e.b = e.b[:n-1]
-		}
+	var ok bool
+	if e.b, ok = obs.AppendJSONFloat(append(e.b, key...), f); !ok && e.err == nil {
+		e.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
 }
 
