@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/obs/live"
 )
 
 // workerEnv marks the test binary's re-entry as a shard worker: exec'ing
@@ -180,6 +182,7 @@ func TestShardedSweepSurvivesWorkerSIGKILL(t *testing.T) {
 	marker := filepath.Join(dir, "killed-once")
 	t.Setenv(faults.ProcFaultEnv, "shard=1;after=2;mode=sigkill;marker="+marker)
 	o := shardedOptions(dir, "killed", 2)
+	o.eventsPath = filepath.Join(dir, "killed.events.ndjson")
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +192,80 @@ func TestShardedSweepSurvivesWorkerSIGKILL(t *testing.T) {
 	mustEqualFiles(t, "results", seqOut, o.out)
 	mustEqualFiles(t, "trace", seqTrace, o.tracePath)
 	mustEqualFiles(t, "metrics", seqMetrics, o.metricsPath)
+
+	// The live stream tells the same story: shard 1's first attempt is
+	// lost and its relaunch finishes alongside shard 0.
+	events := shardEvents(t, o.eventsPath)
+	for _, want := range []struct {
+		prefix string
+		n      int
+	}{
+		{"shard.started shard=0 attempt=0 ", 1},
+		{"shard.started shard=1 attempt=0 ", 1},
+		{"shard.started shard=1 attempt=1 ", 1},
+		{"shard.started ", 3},
+		{"shard.lost shard=1 ", 1},
+		{"shard.lost ", 1},
+		{"shard.finished ", 2},
+	} {
+		if got := countPrefix(events, want.prefix); got != want.n {
+			t.Errorf("%d events %q, want %d; shard events:\n%s", got, want.prefix, want.n, strings.Join(events, "\n"))
+		}
+	}
+	// A lost shard dumps the flight recorder next to the results.
+	var dump live.FlightDump
+	b, err := os.ReadFile(o.out + ".flightrec.json")
+	if err != nil {
+		t.Fatalf("no flight dump after a lost shard: %v", err)
+	}
+	if err := json.Unmarshal(b, &dump); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(dump.Reason, "shard 1 lost:") {
+		t.Errorf("flight dump reason = %q, want it to start %q", dump.Reason, "shard 1 lost:")
+	}
+}
+
+// shardEvents reads an NDJSON live event log and returns its shard
+// lifecycle events, one string each: the kind, then every attribute as
+// key=value in order, then the axis point as procs=N when it has one.
+// Each part is followed by a space, so a prefix can end at any part.
+func shardEvents(t *testing.T, path string) []string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for i, ln := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var e live.Event
+		if err := json.Unmarshal([]byte(ln), &e); err != nil {
+			t.Fatalf("event log line %d not JSON: %v", i, err)
+		}
+		if !strings.HasPrefix(string(e.Kind), "shard.") {
+			continue
+		}
+		s := string(e.Kind) + " "
+		for _, a := range e.Attrs {
+			s += a.Key + "=" + a.Value + " "
+		}
+		if e.Procs != 0 {
+			s += fmt.Sprintf("procs=%d ", e.Procs)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// countPrefix counts the strings that start with prefix.
+func countPrefix(lines []string, prefix string) int {
+	n := 0
+	for _, l := range lines {
+		if strings.HasPrefix(l, prefix) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestShardedSweepQuarantinesAndResumes(t *testing.T) {
@@ -202,8 +279,25 @@ func TestShardedSweepQuarantinesAndResumes(t *testing.T) {
 	t.Setenv(faults.ProcFaultEnv, "shard=1;after=0;mode=exit")
 	o := shardedOptions(dir, "poisoned", 2)
 	o.shardRetries = -1 // no relaunch budget: straight to bisection
+	o.eventsPath = filepath.Join(dir, "poisoned.events.ndjson")
+	o.opsTracePath = filepath.Join(dir, "poisoned.ops.trace.json")
 	if err := run(o); err != nil {
 		t.Fatal(err)
+	}
+	// Both wall-clock planes hear the quarantines; the timeline also
+	// marks the bisection that isolated them.
+	events := shardEvents(t, o.eventsPath)
+	if n := countPrefix(events, "shard.quarantined "); n == 0 || n != countPrefix(events, "shard.quarantined shard=1 ") {
+		t.Errorf("want shard 1's axis points quarantined and no other; shard events:\n%s", strings.Join(events, "\n"))
+	}
+	timeline, err := os.ReadFile(o.opsTracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"name": "bisect", "ph": "i"`, `"name": "quarantine", "ph": "i"`} {
+		if !strings.Contains(string(timeline), want) {
+			t.Errorf("supervisor timeline missing %s", want)
+		}
 	}
 	outBytes, err := os.ReadFile(o.out)
 	if err != nil {
