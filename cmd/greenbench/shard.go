@@ -8,8 +8,9 @@ package main
 // heartbeats, merges segments and writes the -ops-trace timeline, and
 // campaign.RunShardWorker is the worker. This file keeps what only the
 // binary knows: the factory that re-executes it with the hidden
-// -shard-worker flag, for both the CLI and the daemon, and the bridge
-// from shard lifecycle events onto the live plane.
+// -shard-worker flag, for both the CLI and the daemon, and the CLI's
+// shard Monitor, which publishes each lifecycle event on the live plane
+// and dumps the flight recorder when a shard is lost.
 
 import (
 	"fmt"
@@ -18,31 +19,8 @@ import (
 	"os/exec"
 
 	"repro/internal/campaign"
-	"repro/internal/obs/live"
+	"repro/internal/shard"
 )
-
-// shardMonitor bridges supervisor lifecycle events to the live plane and
-// dumps the flight recorder when a shard is lost — the post-mortem ring
-// then holds the campaign's last moments alongside the loss itself.
-type shardMonitor struct {
-	hub *live.Hub
-	ls  *liveState
-}
-
-func (m shardMonitor) ShardStarted(shard, attempt, cells int) {
-	m.hub.ShardStarted(shard, attempt, cells)
-}
-
-func (m shardMonitor) ShardLost(shard int, reason string) {
-	m.hub.ShardLost(shard, reason)
-	m.ls.dump(fmt.Sprintf("shard %d lost: %s", shard, reason))
-}
-
-func (m shardMonitor) ShardFinished(shard int) { m.hub.ShardFinished(shard) }
-
-func (m shardMonitor) ShardQuarantined(shard, procs int, reason string) {
-	m.hub.ShardQuarantined(shard, procs, reason)
-}
 
 // superviseShards runs the sweep's axis as o.shards supervised worker
 // processes and leaves the canonical journal holding every cell. The
@@ -62,7 +40,14 @@ func superviseShards(o options, job *campaign.Resolved, axis []int, ls *liveStat
 		HeartbeatTimeout: o.shardTimeout,
 		MaxRetries:       o.shardRetries,
 		Logger:           slog.New(slog.NewTextHandler(os.Stderr, nil)),
-		Monitor:          shardMonitor{hub: ls.Hub(), ls: ls},
+		// A lost shard also dumps the flight recorder, so the post-mortem
+		// ring holds the campaign's last moments alongside the loss.
+		Monitor: func(e shard.Event) {
+			ls.Hub().Shard(e)
+			if e.Kind == shard.Lost {
+				ls.dump(fmt.Sprintf("shard %d lost: %s", e.Shard, e.Reason))
+			}
+		},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/live"
+	"repro/internal/shard"
 )
 
 // State is a job's position in its lifecycle:
@@ -204,54 +205,36 @@ func (j *Job) requestCancel() bool {
 	return true
 }
 
-func (j *Job) setShard(shard int, update func(*ShardStatus)) {
+// observeShard is the job's shard supervisor Monitor: each lifecycle
+// event lands on the job's live hub (so /events streams it) and updates
+// the per-shard status served by GET /jobs/{id}.
+func (j *Job) observeShard(e shard.Event) {
+	j.hub.Shard(e)
+	var state string
+	switch e.Kind {
+	case shard.Started:
+		state = "running"
+	case shard.Lost:
+		state = "lost"
+	case shard.Finished:
+		state = "finished"
+	case shard.Quarantined:
+		state = "quarantining"
+	default:
+		return
+	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.shards == nil {
 		j.shards = map[int]*ShardStatus{}
 	}
-	s, ok := j.shards[shard]
+	s, ok := j.shards[e.Shard]
 	if !ok {
-		s = &ShardStatus{Shard: shard}
-		j.shards[shard] = s
+		s = &ShardStatus{Shard: e.Shard}
+		j.shards[e.Shard] = s
 	}
-	update(s)
-	j.mu.Unlock()
-}
-
-// jobMonitor bridges the shard supervisor's lifecycle events to the
-// job: each event lands on the job's live hub (so /events streams it)
-// and updates the per-shard status served by GET /jobs/{id}.
-type jobMonitor struct{ j *Job }
-
-func (m jobMonitor) ShardStarted(shard, attempt, cells int) {
-	m.j.hub.ShardStarted(shard, attempt, cells)
-	m.j.setShard(shard, func(s *ShardStatus) {
-		s.State = "running"
-		s.Attempts = attempt + 1
-		s.Reason = ""
-	})
-}
-
-func (m jobMonitor) ShardLost(shard int, reason string) {
-	m.j.hub.ShardLost(shard, reason)
-	m.j.setShard(shard, func(s *ShardStatus) {
-		s.State = "lost"
-		s.Reason = reason
-	})
-}
-
-func (m jobMonitor) ShardFinished(shard int) {
-	m.j.hub.ShardFinished(shard)
-	m.j.setShard(shard, func(s *ShardStatus) {
-		s.State = "finished"
-		s.Reason = ""
-	})
-}
-
-func (m jobMonitor) ShardQuarantined(shard, procs int, reason string) {
-	m.j.hub.ShardQuarantined(shard, procs, reason)
-	m.j.setShard(shard, func(s *ShardStatus) {
-		s.State = "quarantining"
-		s.Reason = reason
-	})
+	s.State, s.Reason = state, e.Reason
+	if e.Kind == shard.Started {
+		s.Attempts = e.Attempt + 1
+	}
 }

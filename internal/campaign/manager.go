@@ -328,7 +328,7 @@ func (m *Manager) runJob(j *Job) {
 				HeartbeatTimeout: m.cfg.HeartbeatTimeout,
 				MaxRetries:       m.cfg.ShardRetries,
 				Logger:           log,
-				Monitor:          jobMonitor{j: j},
+				Monitor:          j.observeShard,
 				Logf:             logf,
 				Timeline:         timeline,
 			})

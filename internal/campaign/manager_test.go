@@ -4,8 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/shard"
 )
 
 // fastJob is the quickest real campaign: one benchmark at one point on
@@ -248,5 +251,33 @@ func TestManagerCustomFlightCapacity(t *testing.T) {
 	waitDone(t, j)
 	if st := j.State(); st != StateDone {
 		t.Fatalf("state = %s, want done", st)
+	}
+}
+
+// TestJobShardStatus: a job's supervisor events become the per-shard
+// status GET /jobs/{id} serves; bisections and heartbeat gaps leave it
+// alone.
+func TestJobShardStatus(t *testing.T) {
+	j := &Job{res: &Resolved{}, dir: t.TempDir()}
+	for _, e := range []shard.Event{
+		{Kind: shard.Started, Shard: 0, Attempt: 0, Cells: 4},
+		{Kind: shard.Started, Shard: 1, Attempt: 0, Cells: 4},
+		{Kind: shard.Lost, Shard: 1, Reason: "signal: killed"},
+		{Kind: shard.Started, Shard: 1, Attempt: 1, Cells: 4},
+		{Kind: shard.Lost, Shard: 1, Reason: "exit status 3"},
+		{Kind: shard.Bisected, Shard: 1, Left: []int{1, 2}, Right: []int{3, 4}},
+		{Kind: shard.BeatGap, Shard: 1, Missed: 2},
+		{Kind: shard.Quarantined, Shard: 1, Procs: 3, Reason: "exit status 3"},
+		{Kind: shard.Finished, Shard: 0},
+		{Kind: shard.BeatGap, Shard: 2, Missed: 1},
+	} {
+		j.observeShard(e)
+	}
+	want := []ShardStatus{
+		{Shard: 0, State: "finished", Attempts: 1},
+		{Shard: 1, State: "quarantining", Attempts: 2, Reason: "exit status 3"},
+	}
+	if got := j.Status().Shards; !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard status = %+v, want %+v", got, want)
 	}
 }

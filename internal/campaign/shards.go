@@ -17,7 +17,7 @@ package campaign
 //     supervisor timeline. RunShardWorker is the other end of the pipe:
 //     it reads the WorkerSpec, resolves its job like any other, and runs
 //     the cells. A front end supplies only a WorkerFactory (which names
-//     its own executable) and a Monitor.
+//     its own executable) and a Monitor func.
 
 import (
 	"bytes"
@@ -96,15 +96,18 @@ type ShardPlan struct {
 	MaxRetries       int
 	// Logger, when non-nil, receives the supervisor's per-event records.
 	Logger *slog.Logger
-	// Monitor, when non-nil, receives shard lifecycle events (the live
-	// Hub satisfies it structurally).
-	Monitor shard.Monitor
+	// Monitor, when non-nil, receives every shard lifecycle event; it is
+	// called concurrently. Both front ends pass a func that publishes the
+	// event on their live Hub (Hub.Shard) and then does their own
+	// bookkeeping: the CLI dumps its flight recorder on a lost shard, the
+	// daemon updates the job's per-shard status.
+	Monitor func(shard.Event)
 	// Logf, when non-nil, receives the end-of-pass summary lines.
 	Logf func(format string, args ...any)
 	// Timeline, when non-empty, is where the wall-clock supervisor
 	// timeline (a Chrome trace of the same lifecycle events) is written.
-	// It observes the Monitor stream only, so it cannot touch the
-	// campaign's bytes.
+	// It observes the same events as Monitor only, so it cannot touch
+	// the campaign's bytes.
 	Timeline string
 }
 
@@ -179,11 +182,9 @@ func SuperviseShards(p ShardPlan) error {
 		}
 	}
 
-	mon := p.Monitor
 	var tl *ops.Timeline
 	if p.Timeline != "" {
 		tl = ops.NewTimeline()
-		mon = shard.Monitors(mon, tl)
 	}
 	rep, err := shard.Run(shard.Spec{
 		Tasks: tasks,
@@ -205,7 +206,12 @@ func SuperviseShards(p ShardPlan) error {
 		HeartbeatTimeout: p.HeartbeatTimeout,
 		MaxRetries:       p.MaxRetries,
 		Logger:           p.Logger,
-		Monitor:          mon,
+		Monitor: func(e shard.Event) {
+			if p.Monitor != nil {
+				p.Monitor(e)
+			}
+			tl.Observe(e)
+		},
 	})
 	if tl != nil {
 		if werr := tl.WriteFile(p.Timeline); werr != nil {

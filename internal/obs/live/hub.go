@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // Hub is the live plane's front door: the sweep scheduler publishes
@@ -191,49 +192,35 @@ func (h *Hub) CellFailed(tok CellToken, err error) {
 	h.publish(Event{Kind: KindCellFailed, Procs: tok.procs, Attrs: attrs})
 }
 
-// ShardStarted announces a supervised shard worker launch: attempt 0 is
-// the first try, higher attempts are relaunches after a loss. Together
-// with ShardLost, ShardFinished and ShardQuarantined this lets *Hub
-// satisfy internal/shard's Monitor interface structurally — the shard
-// supervisor and the hub both live on the wall-clock plane, but keeping
-// the coupling structural means neither package imports the other.
-func (h *Hub) ShardStarted(shard, attempt, cells int) {
+// Shard publishes a shard supervisor's lifecycle event: a worker launch
+// (attempt 0 is the first try, higher attempts are relaunches after a
+// loss), a worker death, a clean finish, or an axis point quarantined
+// after retries and bisection. Bisection steps and heartbeat gaps stay
+// off the stream; the supervisor's log and timeline carry them.
+func (h *Hub) Shard(e shard.Event) {
 	if h == nil {
 		return
 	}
-	h.publish(Event{Kind: KindShardStarted, Attrs: []obs.Attr{
-		obs.Int("shard", shard), obs.Int("attempt", attempt), obs.Int("cells", cells),
-	}})
-}
-
-// ShardLost announces a shard worker death: nonzero exit, kill signal,
-// or a heartbeat gone silent.
-func (h *Hub) ShardLost(shard int, reason string) {
-	if h == nil {
+	var ev Event
+	switch e.Kind {
+	case shard.Started:
+		ev = Event{Kind: KindShardStarted, Attrs: []obs.Attr{
+			obs.Int("shard", e.Shard), obs.Int("attempt", e.Attempt), obs.Int("cells", e.Cells),
+		}}
+	case shard.Lost:
+		ev = Event{Kind: KindShardLost, Attrs: []obs.Attr{
+			obs.Int("shard", e.Shard), obs.Str("reason", e.Reason),
+		}}
+	case shard.Finished:
+		ev = Event{Kind: KindShardFinished, Attrs: []obs.Attr{obs.Int("shard", e.Shard)}}
+	case shard.Quarantined:
+		ev = Event{Kind: KindShardQuarantined, Procs: e.Procs, Attrs: []obs.Attr{
+			obs.Int("shard", e.Shard), obs.Str("reason", e.Reason),
+		}}
+	default:
 		return
 	}
-	h.publish(Event{Kind: KindShardLost, Attrs: []obs.Attr{
-		obs.Int("shard", shard), obs.Str("reason", reason),
-	}})
-}
-
-// ShardFinished announces a shard task that completed cleanly.
-func (h *Hub) ShardFinished(shard int) {
-	if h == nil {
-		return
-	}
-	h.publish(Event{Kind: KindShardFinished, Attrs: []obs.Attr{obs.Int("shard", shard)}})
-}
-
-// ShardQuarantined announces an axis point the supervisor gave up on
-// after retries and bisection.
-func (h *Hub) ShardQuarantined(shard, procs int, reason string) {
-	if h == nil {
-		return
-	}
-	h.publish(Event{Kind: KindShardQuarantined, Procs: procs, Attrs: []obs.Attr{
-		obs.Int("shard", shard), obs.Str("reason", reason),
-	}})
+	h.publish(ev)
 }
 
 // JobQueued announces the owning job's admission to the campaign queue

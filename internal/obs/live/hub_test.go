@@ -1,11 +1,14 @@
 package live
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // fakeClock is a deterministic wall clock advancing a fixed step per
@@ -121,6 +124,41 @@ drain:
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("event kinds = %v, want %v", kinds, want)
 	}
+}
+
+// TestHubShardEvents: the four shard kinds reach the stream with their
+// attributes; bisection steps and heartbeat gaps do not.
+func TestHubShardEvents(t *testing.T) {
+	h := NewHubAt(newFakeClock(time.Second).now, 64)
+	for _, e := range []shard.Event{
+		{Kind: shard.Started, Shard: 1, Attempt: 0, Cells: 4},
+		{Kind: shard.BeatGap, Shard: 1, Missed: 2},
+		{Kind: shard.Lost, Shard: 1, Reason: "signal: killed"},
+		{Kind: shard.Bisected, Shard: 1, Left: []int{1, 2}, Right: []int{3, 4}},
+		{Kind: shard.Quarantined, Shard: 1, Procs: 3, Reason: "exit status 3"},
+		{Kind: shard.Finished, Shard: 0},
+	} {
+		h.Shard(e)
+	}
+	var got []string
+	for _, e := range h.fr.Events() {
+		line := fmt.Sprintf("%s procs=%d", e.Kind, e.Procs)
+		for _, a := range e.Attrs {
+			line += " " + a.Key + "=" + a.Text()
+		}
+		got = append(got, line)
+	}
+	want := []string{
+		"shard.started procs=0 shard=1 attempt=0 cells=4",
+		"shard.lost procs=0 shard=1 reason=signal: killed",
+		"shard.quarantined procs=3 shard=1 reason=exit status 3",
+		"shard.finished procs=0 shard=0",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	var nilHub *Hub
+	nilHub.Shard(shard.Event{Kind: shard.Lost})
 }
 
 // TestHubETAConverges drives a steady stream of equal-length cells and

@@ -48,7 +48,7 @@ const (
 	KindRepair      Kind = "meter.repair"
 
 	// Shard lifecycle kinds, published by the sharded-sweep supervisor
-	// (internal/shard) through the hub's Shard* methods.
+	// (internal/shard) through Hub.Shard.
 	KindShardStarted     Kind = "shard.started"
 	KindShardLost        Kind = "shard.lost"
 	KindShardFinished    Kind = "shard.finished"

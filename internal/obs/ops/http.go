@@ -40,14 +40,12 @@ type HTTPMetrics struct {
 	mu      sync.Mutex
 	routes  map[string]*routeStats
 	tenants map[string]*tenantStats
-	now     func() time.Time
 }
 
 func newHTTPMetrics() *HTTPMetrics {
 	return &HTTPMetrics{
 		routes:  map[string]*routeStats{},
 		tenants: map[string]*tenantStats{},
-		now:     time.Now,
 	}
 }
 
@@ -86,7 +84,7 @@ func (m *HTTPMetrics) Handler(route string, next http.Handler) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := m.now()
+		start := time.Now()
 		tenant := r.Header.Get(TenantHeader)
 		if tenant == "" {
 			tenant = DefaultTenant
@@ -98,7 +96,7 @@ func (m *HTTPMetrics) Handler(route string, next http.Handler) http.Handler {
 		if code == 0 {
 			code = http.StatusOK
 		}
-		m.end(route, tenant, code, m.now().Sub(start).Seconds())
+		m.end(route, tenant, code, time.Since(start).Seconds())
 	})
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 func TestHandlerInstrumentsRoutes(t *testing.T) {
@@ -255,14 +256,18 @@ func TestRuntimeSamplerLifecycle(t *testing.T) {
 
 func TestTimelineTrace(t *testing.T) {
 	tl := NewTimeline()
-	tl.ShardStarted(0, 0, 4)
-	tl.ShardStarted(1, 0, 4)
-	tl.ShardLost(1, "signal: killed")
-	tl.ShardStarted(1, 1, 4)
-	tl.ShardBeatGap(1, 2)
-	tl.ShardBisected(1, []int{1, 2}, []int{3, 4})
-	tl.ShardQuarantined(1, 3, "exit status 3")
-	tl.ShardFinished(0)
+	for _, e := range []shard.Event{
+		{Kind: shard.Started, Shard: 0, Attempt: 0, Cells: 4},
+		{Kind: shard.Started, Shard: 1, Attempt: 0, Cells: 4},
+		{Kind: shard.Lost, Shard: 1, Reason: "signal: killed"},
+		{Kind: shard.Started, Shard: 1, Attempt: 1, Cells: 4},
+		{Kind: shard.BeatGap, Shard: 1, Missed: 2},
+		{Kind: shard.Bisected, Shard: 1, Left: []int{1, 2}, Right: []int{3, 4}},
+		{Kind: shard.Quarantined, Shard: 1, Procs: 3, Reason: "exit status 3"},
+		{Kind: shard.Finished, Shard: 0},
+	} {
+		tl.Observe(e)
+	}
 	// Shard 1's second attempt stays open: WriteFile must close it.
 
 	if spans, events := len(tl.spans), len(tl.events); spans != 2 || events != 4 {
@@ -419,12 +424,9 @@ func TestNilTelemetryIsInert(t *testing.T) {
 	}
 
 	var tl *Timeline
-	tl.ShardStarted(0, 0, 1)
-	tl.ShardLost(0, "x")
-	tl.ShardFinished(0)
-	tl.ShardQuarantined(0, 1, "x")
-	tl.ShardBisected(0, nil, nil)
-	tl.ShardBeatGap(0, 1)
+	for k := shard.Started; k <= shard.BeatGap; k++ {
+		tl.Observe(shard.Event{Kind: k, Reason: "x"})
+	}
 	if err := tl.WriteFile(filepath.Join(t.TempDir(), "never.json")); err != nil {
 		t.Errorf("nil timeline WriteFile errored: %v", err)
 	}

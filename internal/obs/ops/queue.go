@@ -35,14 +35,12 @@ type QueueStats struct {
 	runDur    *obs.Histogram
 	series    []DepthSample
 	next      int // ring cursor once len(series) == depthSeriesCap
-	now       func() time.Time
 }
 
 func newQueueStats() *QueueStats {
 	return &QueueStats{
 		queueWait: obs.NewHistogram(durationBuckets),
 		runDur:    obs.NewHistogram(durationBuckets),
-		now:       time.Now,
 	}
 }
 
@@ -64,7 +62,7 @@ func (q *QueueStats) Sample(depth, running int) {
 	}
 	q.mu.Lock()
 	q.depth, q.running = depth, running
-	s := DepthSample{Wall: q.now(), Depth: depth, Running: running}
+	s := DepthSample{Wall: time.Now(), Depth: depth, Running: running}
 	if len(q.series) < depthSeriesCap {
 		q.series = append(q.series, s)
 	} else {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/units"
 )
 
@@ -14,13 +15,11 @@ import (
 // supervision — launches, losses, heartbeat gaps, bisections,
 // quarantines — as spans and instants on per-shard tracks, exported as
 // a second Chrome trace next to the campaign's virtual-time trace. It
-// satisfies shard.Monitor structurally (plus the BisectMonitor and
-// BeatGapMonitor extensions), so it fans in alongside the live Hub via
-// shard.Monitors. All methods are nil-receiver safe and the type is
-// safe for concurrent use (supervisor goroutines report per shard).
+// hears the supervisor's events through Observe. All methods are
+// nil-receiver safe and the type is safe for concurrent use
+// (supervisor goroutines report per shard).
 type Timeline struct {
 	mu     sync.Mutex
-	now    func() time.Time
 	start  time.Time
 	spans  []obs.Span
 	events []obs.Event
@@ -35,96 +34,48 @@ type openAttempt struct {
 
 // NewTimeline returns a timeline anchored at the current wall time.
 func NewTimeline() *Timeline {
-	now := time.Now
-	return &Timeline{now: now, start: now(), open: map[int]openAttempt{}}
+	return &Timeline{start: time.Now(), open: map[int]openAttempt{}}
 }
 
-// elapsed maps wall time onto the trace's seconds axis; the caller
-// holds t.mu.
+// elapsed maps wall time onto the trace's seconds axis.
 func (t *Timeline) elapsed() units.Seconds {
-	return units.Seconds(t.now().Sub(t.start).Seconds())
+	return units.Seconds(time.Since(t.start).Seconds())
 }
 
 func track(shard int) string { return fmt.Sprintf("shard %d", shard) }
 
-// ShardStarted opens an attempt span on the shard's track.
-func (t *Timeline) ShardStarted(shard, attempt, cells int) {
+// Observe records one supervisor event: a launch opens an attempt span
+// on the shard's track, a loss or finish closes it with that outcome,
+// and a loss, quarantine, bisection or heartbeat gap drops an instant.
+func (t *Timeline) Observe(e shard.Event) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.open[shard] = openAttempt{
-		name:  fmt.Sprintf("attempt %d", attempt+1),
-		start: t.elapsed(),
-		attrs: []obs.Attr{obs.Int("attempt", attempt), obs.Int("cells", cells)},
-	}
-	t.mu.Unlock()
-}
-
-// ShardLost closes the open attempt as lost and drops an instant with
-// the loss reason.
-func (t *Timeline) ShardLost(shard int, reason string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
+	defer t.mu.Unlock()
 	at := t.elapsed()
-	t.closeAttempt(shard, at, "lost", reason)
-	t.events = append(t.events, obs.Event{
-		Track: track(shard), Name: "lost", At: at,
-		Attrs: []obs.Attr{obs.Str("reason", reason)},
-	})
-	t.mu.Unlock()
-}
-
-// ShardFinished closes the open attempt as finished.
-func (t *Timeline) ShardFinished(shard int) {
-	if t == nil {
-		return
+	instant := func(name string, attrs ...obs.Attr) {
+		t.events = append(t.events, obs.Event{Track: track(e.Shard), Name: name, At: at, Attrs: attrs})
 	}
-	t.mu.Lock()
-	t.closeAttempt(shard, t.elapsed(), "finished", "")
-	t.mu.Unlock()
-}
-
-// ShardQuarantined drops a quarantine instant for the condemned axis
-// point.
-func (t *Timeline) ShardQuarantined(shard, procs int, reason string) {
-	if t == nil {
-		return
+	switch e.Kind {
+	case shard.Started:
+		t.open[e.Shard] = openAttempt{
+			name:  fmt.Sprintf("attempt %d", e.Attempt+1),
+			start: at,
+			attrs: []obs.Attr{obs.Int("attempt", e.Attempt), obs.Int("cells", e.Cells)},
+		}
+	case shard.Lost:
+		t.closeAttempt(e.Shard, at, "lost", e.Reason)
+		instant("lost", obs.Str("reason", e.Reason))
+	case shard.Finished:
+		t.closeAttempt(e.Shard, at, "finished", "")
+	case shard.Quarantined:
+		instant("quarantine", obs.Int("procs", e.Procs), obs.Str("reason", e.Reason))
+	case shard.Bisected:
+		instant("bisect", obs.Str("left", fmt.Sprint(e.Left)), obs.Str("right", fmt.Sprint(e.Right)))
+	case shard.BeatGap:
+		instant("beat gap", obs.Int("missed", e.Missed))
 	}
-	t.mu.Lock()
-	t.events = append(t.events, obs.Event{
-		Track: track(shard), Name: "quarantine", At: t.elapsed(),
-		Attrs: []obs.Attr{obs.Int("procs", procs), obs.Str("reason", reason)},
-	})
-	t.mu.Unlock()
-}
-
-// ShardBisected drops an instant marking a poison-cell bisection step.
-func (t *Timeline) ShardBisected(shard int, left, right []int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, obs.Event{
-		Track: track(shard), Name: "bisect", At: t.elapsed(),
-		Attrs: []obs.Attr{obs.Str("left", fmt.Sprint(left)), obs.Str("right", fmt.Sprint(right))},
-	})
-	t.mu.Unlock()
-}
-
-// ShardBeatGap drops an instant for a detected heartbeat-sequence gap.
-func (t *Timeline) ShardBeatGap(shard, missed int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, obs.Event{
-		Track: track(shard), Name: "beat gap", At: t.elapsed(),
-		Attrs: []obs.Attr{obs.Int("missed", missed)},
-	})
-	t.mu.Unlock()
 }
 
 // closeAttempt finishes the shard's open attempt span, if any; the

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"fmt"
 	"log/slog"
 	"os"
 	"os/exec"
@@ -65,21 +64,14 @@ printf '{"ev":"done","shard":%d,"seq":%d}\n' "$shard" "$((seq + 1))"
 	}
 }
 
-// gapLog is a monitorLog that also hears the BeatGapMonitor extension.
-type gapLog struct{ monitorLog }
-
-func (m *gapLog) ShardBeatGap(shard, missed int) {
-	m.add(fmt.Sprintf("gap %d missed %d", shard, missed))
-}
-
 func TestSupervisorCountsBeatGaps(t *testing.T) {
-	mon := &gapLog{}
+	mon := &monitorLog{}
 	var log bytes.Buffer
 	rep, err := Run(Spec{
 		Tasks:   []Task{{Shard: 0, Procs: []int{1, 2}}},
 		Start:   gappyWorker(t),
 		Backoff: time.Millisecond,
-		Monitor: mon,
+		Monitor: mon.observe,
 		Logger:  slog.New(slog.NewTextHandler(&log, nil)),
 	})
 	if err != nil {
@@ -114,37 +106,5 @@ func TestSupervisorHealthyRunHasNoBeatGaps(t *testing.T) {
 	}
 	if rep.BeatGaps != 0 {
 		t.Fatalf("BeatGaps = %d on a run without sequence numbers, want 0", rep.BeatGaps)
-	}
-}
-
-func TestMonitorsFanOut(t *testing.T) {
-	a, b := &gapLog{}, &monitorLog{}
-	mon := Monitors(a, nil, b)
-	mon.ShardStarted(1, 0, 3)
-	mon.ShardFinished(1)
-	for _, m := range []*monitorLog{&a.monitorLog, b} {
-		for _, want := range []string{"started 1 attempt 0 cells 3", "finished 1"} {
-			if !m.has(want) {
-				t.Errorf("fanout member missing %q: %v", want, m.lines)
-			}
-		}
-	}
-	// Extension events reach only the members that implement them.
-	mon.(BeatGapMonitor).ShardBeatGap(1, 2)
-	if !a.has("gap 1 missed 2") {
-		t.Errorf("extension-aware member missed the gap: %v", a.lines)
-	}
-}
-
-func TestMonitorsCollapses(t *testing.T) {
-	if Monitors() != nil {
-		t.Error("Monitors() should be nil")
-	}
-	if Monitors(nil, nil) != nil {
-		t.Error("Monitors(nil, nil) should be nil")
-	}
-	m := &monitorLog{}
-	if got := Monitors(nil, m); got != Monitor(m) {
-		t.Errorf("Monitors(nil, m) = %v, want the single monitor unwrapped", got)
 	}
 }

@@ -11,98 +11,41 @@ import (
 	"time"
 )
 
-// Monitor receives shard lifecycle notifications on the wall-clock
-// plane. The live telemetry Hub satisfies it structurally; a nil Monitor
-// is fine. Implementations must be safe for concurrent calls — shards
-// are supervised in parallel.
-type Monitor interface {
-	// ShardStarted announces a worker launch: which shard, which attempt
-	// (0 = first), how many cells the task owns.
-	ShardStarted(shard, attempt, cells int)
-	// ShardLost announces a worker death: exit status, kill signal, or a
+// Kind names a shard lifecycle event.
+type Kind uint8
+
+// Lifecycle event kinds.
+const (
+	// Started is a worker launch: Attempt (0 = first) and Cells, the
+	// number of axis points the task owns.
+	Started Kind = iota
+	// Lost is a worker death, its Reason an exit status, kill signal or
 	// heartbeat gone silent.
-	ShardLost(shard int, reason string)
-	// ShardFinished announces a task that completed cleanly.
-	ShardFinished(shard int)
-	// ShardQuarantined announces an axis point given up on after retries
-	// and bisection.
-	ShardQuarantined(shard, procs int, reason string)
-}
+	Lost
+	// Finished is a task that completed cleanly.
+	Finished
+	// Quarantined is an axis point, Procs, given up on after retries and
+	// bisection; Reason is the loss that condemned it.
+	Quarantined
+	// Bisected is a poison-cell bisection step: Left and Right are the
+	// two halves' axis points, read-only.
+	Bisected
+	// BeatGap is a heartbeat sequence gap of Missed lines.
+	BeatGap
+)
 
-// BisectMonitor is an optional Monitor extension: implementations also
-// hear poison-cell bisection decisions. left and right are the two
-// halves' axis points; treat both as read-only.
-type BisectMonitor interface {
-	ShardBisected(shard int, left, right []int)
-}
-
-// BeatGapMonitor is an optional Monitor extension: implementations also
-// hear heartbeat sequence gaps, one call per detected gap with the
-// number of lines missed.
-type BeatGapMonitor interface {
-	ShardBeatGap(shard, missed int)
-}
-
-// monitorList fans lifecycle events out to several monitors, including
-// the optional extensions for those that implement them.
-type monitorList []Monitor
-
-func (l monitorList) ShardStarted(shard, attempt, cells int) {
-	for _, m := range l {
-		m.ShardStarted(shard, attempt, cells)
-	}
-}
-
-func (l monitorList) ShardLost(shard int, reason string) {
-	for _, m := range l {
-		m.ShardLost(shard, reason)
-	}
-}
-
-func (l monitorList) ShardFinished(shard int) {
-	for _, m := range l {
-		m.ShardFinished(shard)
-	}
-}
-
-func (l monitorList) ShardQuarantined(shard, procs int, reason string) {
-	for _, m := range l {
-		m.ShardQuarantined(shard, procs, reason)
-	}
-}
-
-func (l monitorList) ShardBisected(shard int, left, right []int) {
-	for _, m := range l {
-		if b, ok := m.(BisectMonitor); ok {
-			b.ShardBisected(shard, left, right)
-		}
-	}
-}
-
-func (l monitorList) ShardBeatGap(shard, missed int) {
-	for _, m := range l {
-		if b, ok := m.(BeatGapMonitor); ok {
-			b.ShardBeatGap(shard, missed)
-		}
-	}
-}
-
-// Monitors composes monitors into one, skipping nils. With zero or one
-// non-nil argument it returns nil or that monitor unwrapped.
-func Monitors(ms ...Monitor) Monitor {
-	var list monitorList
-	for _, m := range ms {
-		if m != nil {
-			list = append(list, m)
-		}
-	}
-	switch len(list) {
-	case 0:
-		return nil
-	case 1:
-		return list[0]
-	}
-	return list
+// Event is one shard lifecycle notification on the wall-clock plane.
+// Shard names the task's shard; the other fields are set as its Kind
+// says and zero otherwise.
+type Event struct {
+	Kind        Kind
+	Shard       int
+	Attempt     int
+	Cells       int
+	Procs       int
+	Reason      string
+	Left, Right []int
+	Missed      int
 }
 
 // Spec configures a supervision run.
@@ -132,8 +75,9 @@ type Spec struct {
 	// supervision event (the CLI passes a text handler on stderr, the
 	// campaign server its NDJSON handler).
 	Logger *slog.Logger
-	// Monitor, when non-nil, receives shard lifecycle events.
-	Monitor Monitor
+	// Monitor, when non-nil, receives every shard lifecycle event. It
+	// is called concurrently, since shards are supervised in parallel.
+	Monitor func(Event)
 }
 
 // Quarantine is one axis point the supervisor gave up on.
@@ -178,6 +122,13 @@ func (s *supervisor) slog(level slog.Level, msg string, args ...any) {
 		return
 	}
 	s.spec.Logger.Log(context.Background(), level, msg, args...)
+}
+
+// emit hands a lifecycle event to the Monitor when one is attached.
+func (s *supervisor) emit(e Event) {
+	if s.spec.Monitor != nil {
+		s.spec.Monitor(e)
+	}
 }
 
 // Run supervises every task to completion or quarantine. It returns a
@@ -243,17 +194,13 @@ func (s *supervisor) supervise(t Task) error {
 			s.slog(slog.LevelInfo, "shard relaunching",
 				"shard", t.Shard, "attempt", attempt+1, "max_attempts", s.spec.MaxRetries+1, "reason", lastLoss)
 		}
-		if m := s.spec.Monitor; m != nil {
-			m.ShardStarted(t.Shard, attempt, len(t.Procs))
-		}
+		s.emit(Event{Kind: Started, Shard: t.Shard, Attempt: attempt, Cells: len(t.Procs)})
 		loss, err := s.runOnce(t)
 		if err != nil {
 			return err
 		}
 		if loss == "" {
-			if m := s.spec.Monitor; m != nil {
-				m.ShardFinished(t.Shard)
-			}
+			s.emit(Event{Kind: Finished, Shard: t.Shard})
 			return nil
 		}
 		lastLoss = loss
@@ -262,9 +209,7 @@ func (s *supervisor) supervise(t Task) error {
 		s.mu.Unlock()
 		s.slog(slog.LevelWarn, "shard worker lost",
 			"shard", t.Shard, "procs", fmt.Sprint(t.Procs), "reason", loss)
-		if m := s.spec.Monitor; m != nil {
-			m.ShardLost(t.Shard, loss)
-		}
+		s.emit(Event{Kind: Lost, Shard: t.Shard, Reason: loss})
 	}
 	if len(t.Procs) > 1 {
 		// The task keeps dying: isolate the poison by bisection. The two
@@ -277,9 +222,7 @@ func (s *supervisor) supervise(t Task) error {
 		right := Task{Shard: t.Shard, Procs: t.Procs[mid:]}
 		s.slog(slog.LevelInfo, "shard bisecting",
 			"shard", t.Shard, "left", fmt.Sprint(left.Procs), "right", fmt.Sprint(right.Procs))
-		if b, ok := s.spec.Monitor.(BisectMonitor); ok {
-			b.ShardBisected(t.Shard, left.Procs, right.Procs)
-		}
+		s.emit(Event{Kind: Bisected, Shard: t.Shard, Left: left.Procs, Right: right.Procs})
 		if err := s.supervise(left); err != nil {
 			return err
 		}
@@ -291,9 +234,7 @@ func (s *supervisor) supervise(t Task) error {
 	s.mu.Unlock()
 	s.slog(slog.LevelWarn, "shard cell quarantined",
 		"shard", t.Shard, "procs", q.Procs, "reason", q.Reason)
-	if m := s.spec.Monitor; m != nil {
-		m.ShardQuarantined(t.Shard, q.Procs, q.Reason)
-	}
+	s.emit(Event{Kind: Quarantined, Shard: t.Shard, Procs: q.Procs, Reason: q.Reason})
 	return nil
 }
 
@@ -354,9 +295,7 @@ func (s *supervisor) runOnce(t Task) (loss string, err error) {
 			gaps += missed
 			s.slog(slog.LevelWarn, "heartbeat gap",
 				"shard", t.Shard, "missed", missed, "seq", b.Seq)
-			if g, ok := s.spec.Monitor.(BeatGapMonitor); ok {
-				g.ShardBeatGap(t.Shard, missed)
-			}
+			s.emit(Event{Kind: BeatGap, Shard: t.Shard, Missed: missed})
 		}
 		if b.Ev == BeatCell && b.Key != "" {
 			s.mu.Lock()

@@ -111,25 +111,32 @@ printf '{"ev":"done","shard":%d}\n' "$shard"
 	}
 }
 
-// monitorLog records lifecycle callbacks as strings, for assertions.
+// monitorLog records lifecycle events as strings, for assertions.
 type monitorLog struct {
 	mu    sync.Mutex
 	lines []string
 }
 
-func (m *monitorLog) add(s string) {
+// observe is the Spec.Monitor that fills the log.
+func (m *monitorLog) observe(e Event) {
+	var s string
+	switch e.Kind {
+	case Started:
+		s = fmt.Sprintf("started %d attempt %d cells %d", e.Shard, e.Attempt, e.Cells)
+	case Lost:
+		s = fmt.Sprintf("lost %d", e.Shard)
+	case Finished:
+		s = fmt.Sprintf("finished %d", e.Shard)
+	case Quarantined:
+		s = fmt.Sprintf("quarantined %d procs %d", e.Shard, e.Procs)
+	case Bisected:
+		s = fmt.Sprintf("bisected %d %v %v", e.Shard, e.Left, e.Right)
+	case BeatGap:
+		s = fmt.Sprintf("gap %d missed %d", e.Shard, e.Missed)
+	}
 	m.mu.Lock()
 	m.lines = append(m.lines, s)
 	m.mu.Unlock()
-}
-
-func (m *monitorLog) ShardStarted(shard, attempt, cells int) {
-	m.add(fmt.Sprintf("started %d attempt %d cells %d", shard, attempt, cells))
-}
-func (m *monitorLog) ShardLost(shard int, reason string) { m.add(fmt.Sprintf("lost %d", shard)) }
-func (m *monitorLog) ShardFinished(shard int)            { m.add(fmt.Sprintf("finished %d", shard)) }
-func (m *monitorLog) ShardQuarantined(shard, procs int, reason string) {
-	m.add(fmt.Sprintf("quarantined %d procs %d", shard, procs))
 }
 
 func (m *monitorLog) has(s string) bool {
@@ -149,7 +156,7 @@ func TestSupervisorHealthyRun(t *testing.T) {
 		Tasks:   Partition([]int{1, 2, 3, 4}, 2),
 		Start:   fakeWorker(t),
 		Backoff: 5 * time.Millisecond,
-		Monitor: mon,
+		Monitor: mon.observe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +207,7 @@ func TestSupervisorQuarantinesOnRetryExhaustion(t *testing.T) {
 		Start:      fakeWorker(t, "EXIT=3"),
 		MaxRetries: 1,
 		Backoff:    time.Millisecond,
-		Monitor:    mon,
+		Monitor:    mon.observe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -266,6 +273,7 @@ func TestSupervisorBisectsToPoisonCell(t *testing.T) {
 	// Axis point 3 always SIGKILLs its worker. With no retry budget the
 	// supervisor must bisect [1 2 3 4] down to the single poison cell,
 	// quarantine exactly it, and still see every other cell complete.
+	mon := &monitorLog{}
 	var log bytes.Buffer
 	rep, err := Run(Spec{
 		Tasks:      []Task{{Shard: 0, Procs: []int{1, 2, 3, 4}}},
@@ -273,6 +281,7 @@ func TestSupervisorBisectsToPoisonCell(t *testing.T) {
 		MaxRetries: -1,
 		Backoff:    time.Millisecond,
 		Logger:     slog.New(slog.NewTextHandler(&log, nil)),
+		Monitor:    mon.observe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,6 +294,11 @@ func TestSupervisorBisectsToPoisonCell(t *testing.T) {
 	}
 	if !strings.Contains(log.String(), "bisecting") {
 		t.Errorf("bisection not logged:\n%s", log.String())
+	}
+	for _, want := range []string{"bisected 0 [1 2] [3 4]", "bisected 0 [3] [4]", "quarantined 0 procs 3"} {
+		if !mon.has(want) {
+			t.Errorf("monitor missing %q: %v", want, mon.lines)
+		}
 	}
 }
 

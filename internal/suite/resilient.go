@@ -101,7 +101,6 @@ func (p RetryPolicy) delay(attempt int) units.Seconds {
 
 // simulated is what a benchmark model hands the measurement stage.
 type simulated struct {
-	metric  string
 	perf    float64
 	profile *cluster.LoadProfile
 	// engine, when the model ran on the discrete-event kernel, carries
