@@ -82,6 +82,34 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 }
 
+// TestTracerFoldsInRecordingOrder: a tracer's metrics are its updates
+// folded in recording order. Floating-point addition is not associative,
+// so a counter that saw 0.1, 0.2 and 0.3 holds (0.1+0.2)+0.3, not 0.6;
+// a histogram's sum likewise. A gauge holds the last value set.
+func TestTracerFoldsInRecordingOrder(t *testing.T) {
+	a, b, c := 0.1, 0.2, 0.3
+	want := (a + b) + c
+	if want != 0.6000000000000001 {
+		t.Fatalf("(0.1+0.2)+0.3 = %v, want 0.6000000000000001", want)
+	}
+	tr := NewTracer()
+	for _, v := range []float64{a, b, c} {
+		tr.Count("x", v)
+		tr.Observe("h", v)
+		tr.Gauge("g", v)
+	}
+	s := tr.Registry().Snapshot()
+	if len(s.Counters) != 1 || s.Counters[0].Value != want {
+		t.Errorf("counters = %+v, want x = %v", s.Counters, want)
+	}
+	if len(s.Histograms) != 1 || s.Histograms[0].Sum != want || s.Histograms[0].Count != 3 {
+		t.Errorf("histograms = %+v, want h with 3 observations summing to %v", s.Histograms, want)
+	}
+	if len(s.Gauges) != 1 || s.Gauges[0].Value != c {
+		t.Errorf("gauges = %+v, want g = %v", s.Gauges, c)
+	}
+}
+
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	tr.Span(Span{Track: "t", Name: "n"})

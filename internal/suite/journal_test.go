@@ -116,6 +116,76 @@ func TestJournalTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResumeDropsUnknownMetricOps: a journal is outside input, so a
+// metric op of a kind this build does not record is dropped on resume.
+// A journal carrying one extra such op resumes to the same metrics as
+// the journal without it.
+func TestResumeDropsUnknownMetricOps(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sweep.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sweepMetrics(j, nil); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file map[string]json.RawMessage
+	var traces map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(b, &file); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(file["traces"], &traces); err != nil {
+		t.Fatal(err)
+	}
+	key := CellKey("Testbed", 4, "cyclic", BenchHPL)
+	var ops []json.RawMessage
+	if err := json.Unmarshal(traces[key]["ops"], &ops); err != nil || len(ops) == 0 {
+		t.Fatalf("journal has no ops for %s (%v)", key, err)
+	}
+	ops = append(ops, json.RawMessage(`{"k":"z","n":"suite.runs","v":5}`))
+	mustMarshal := func(v any) json.RawMessage {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	traces[key]["ops"] = mustMarshal(ops)
+	file["traces"] = mustMarshal(traces)
+	extraPath := filepath.Join(dir, "extra.journal")
+	if err := os.WriteFile(extraPath, mustMarshal(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resume := func(path string) []byte {
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sweepMetrics(j, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want := resume(path)
+	extra, err := OpenJournal(extraPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, _ := extra.LookupTrace(key); len(tr.Ops) != len(ops) || tr.Ops[len(ops)-1].Kind != "z" {
+		t.Fatalf("edited journal does not carry the extra op: %+v", tr.Ops)
+	}
+	if got := resume(extraPath); !bytes.Equal(got, want) {
+		t.Errorf("an unknown op changed the resumed metrics:\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestJournalRejectsOtherLayouts: journals are transient resume state,
 // so OpenJournal reads only the current layout and tells the user to
 // delete anything else instead of migrating it.

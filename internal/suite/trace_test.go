@@ -3,6 +3,7 @@ package suite
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -123,6 +124,88 @@ func TestGoldenChromeTrace(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("golden trace missing %q", want)
 		}
+	}
+}
+
+// sweepMetrics is the campaign metrics file of a traced two-worker
+// faultyConfig sweep over axis {2, 4, 8}, checkpointed into journal when
+// it is non-nil. stop, when non-nil, is the plan's AfterCheckpoint; an
+// error it returns is the sweep's.
+func sweepMetrics(journal *Journal, stop func(key string, done int64) error) ([]byte, error) {
+	tracer := obs.NewTracer()
+	_, err := RunSweepPlan(SweepPlan{
+		Axis:            []int{2, 4, 8},
+		Workers:         2,
+		Trace:           tracer,
+		Journal:         journal,
+		AfterCheckpoint: stop,
+		Configure: func(procs int) (Config, error) {
+			return faultyConfig(procs), nil
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := tracer.Registry().Snapshot().WriteJSON(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// TestGoldenMetrics pins a faulty sweep's metrics file byte for byte:
+// its counter totals and histogram sums are floating-point sums, so the
+// bytes also pin the order the metric updates are folded in. A sweep
+// stopped after four checkpoints and resumed from its journal into a
+// fresh tracer must write the same bytes. Regenerate with:
+// go test ./internal/suite -run TestGoldenMetrics -update
+func TestGoldenMetrics(t *testing.T) {
+	got, err := sweepMetrics(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "faulty.metrics.golden.json")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("metrics diverge from %s (regenerate with -update if intended)\n--- got\n%s", golden, got)
+	}
+
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	journal, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errStop := errors.New("stopped")
+	_, err = sweepMetrics(journal, func(_ string, done int64) error {
+		if done >= 4 {
+			return errStop
+		}
+		return nil
+	})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("interrupted sweep returned %v, want the stop error", err)
+	}
+	journal, err = OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := journal.Len(); n < 4 || n >= 9 {
+		t.Fatalf("interrupted journal holds %d cells, want at least 4 of 9", n)
+	}
+	resumed, err := sweepMetrics(journal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumed, want) {
+		t.Errorf("resumed sweep's metrics diverge from %s\n--- got\n%s", golden, resumed)
 	}
 }
 
