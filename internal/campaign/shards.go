@@ -323,8 +323,7 @@ func RunShardWorker(in io.Reader, out io.Writer) error {
 	}
 
 	beats := shard.NewBeatWriter(out, w.Task.Shard)
-	total := len(w.Task.Procs) * len(job.Benchmarks)
-	beats.Hello(total)
+	beats.Hello()
 	stop := shard.StartTicks(beats, w.Tick)
 	defer stop()
 	fire := func(d int) {
@@ -341,7 +340,7 @@ func RunShardWorker(in io.Reader, out io.Writer) error {
 		Trace:   tracer,
 		Journal: journal,
 		AfterCheckpoint: func(key string, done int64) error {
-			beats.Cell(key, int(done), total)
+			beats.Cell(key)
 			fire(int(done))
 			return nil
 		},

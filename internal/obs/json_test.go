@@ -91,16 +91,13 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 }
 
 func TestQuantile(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.RegisterHistogram("lat", []float64{1, 2, 4, 8}); err != nil {
-		t.Fatal(err)
-	}
+	hist := NewHistogram([]float64{1, 2, 4, 8})
 	// 4 observations in (0,1], 4 in (1,2]: p50 lands exactly at the top
 	// of the first bucket, p100 at the top of the second.
 	for _, v := range []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0} {
-		reg.Observe("lat", v)
+		hist.Observe(v)
 	}
-	h := reg.Snapshot().Histograms[0]
+	h := hist.Snap("lat")
 	if v, ok := h.Quantile(0.5); !ok || v != 1 {
 		t.Errorf("p50 = %v, %v; want 1", v, ok)
 	}
@@ -129,9 +126,9 @@ func TestQuantileEdgeCases(t *testing.T) {
 	if _, ok := empty.Quantile(0.5); ok {
 		t.Error("empty histogram returned a quantile")
 	}
-	reg := NewRegistry()
-	reg.Observe("x", 1e6) // far above the default buckets: overflow
-	h := reg.Snapshot().Histograms[0]
+	tr := NewTracer()
+	tr.Observe("x", 1e6) // far above the default buckets: overflow
+	h := tr.Registry().Snapshot().Histograms[0]
 	top := DefaultBuckets[len(DefaultBuckets)-1]
 	if v, ok := h.Quantile(0.99); !ok || v != top {
 		t.Errorf("overflow p99 = %v, %v; want clamp to %v", v, ok, top)
@@ -146,12 +143,12 @@ func TestQuantileEdgeCases(t *testing.T) {
 
 // TestSnapshotJSONIncludesPercentiles pins the extended histogram line.
 func TestSnapshotJSONIncludesPercentiles(t *testing.T) {
-	reg := NewRegistry()
+	tr := NewTracer()
 	for i := 0; i < 100; i++ {
-		reg.Observe("lat", float64(i))
+		tr.Observe("lat", float64(i))
 	}
 	var b jsonBuffer
-	if err := reg.Snapshot().WriteJSON(&b); err != nil {
+	if err := tr.Registry().Snapshot().WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	var decoded struct {

@@ -38,30 +38,28 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // order, name sanitising, number formatting (integers above 1e6 render
 // in exponent form through the float path) and cumulative buckets.
 func TestWritePrometheusGolden(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Add("suite.runs", 3)
-	reg.Add("7leading.count", 1234567)
-	reg.SetGauge("power.idle_watts", 120.5)
-	reg.SetGauge("power.tiny", 0.00001)
-	if err := reg.RegisterHistogram("meter.window_seconds", []float64{0.25, 0.5, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterHistogram("shard.idle_seconds", []float64{1, 10}); err != nil {
-		t.Fatal(err) // registered, never observed: an all-zero histogram
-	}
-	for _, v := range []float64{0.1, 0.3, 0.3, 2} {
-		reg.Observe("meter.window_seconds", v)
-	}
+	tr := obs.NewTracer()
+	tr.Count("suite.runs", 3)
+	tr.Count("7leading.count", 1234567)
+	tr.Gauge("power.idle_watts", 120.5)
+	tr.Gauge("power.tiny", 0.00001)
 	for _, v := range []float64{0.05, 0.5, 5, 50, 100000} {
-		reg.Observe("suite.attempt_seconds", v)
+		tr.Observe("suite.attempt_seconds", v)
 	}
+	snap := tr.Registry().Snapshot()
+	// Histograms with their own bounds, one never observed (all zero),
+	// sorting before suite.attempt_seconds as Snapshot sorts them.
+	snap.Histograms = append([]obs.HistSnap{
+		{Name: "meter.window_seconds", Bounds: []float64{0.25, 0.5, 1}, Counts: []uint64{1, 2, 0, 1}, Count: 4, Sum: 2.7},
+		{Name: "shard.idle_seconds", Bounds: []float64{1, 10}, Counts: []uint64{0, 0, 0}},
+	}, snap.Histograms...)
 	prog := ProgressSnapshot{
 		CellsTotal: 9, CellsDone: 9, CellsFailed: 1, InFlight: 0, Retries: 4,
 		DegradedCells: 2, Workers: 3, ElapsedSeconds: 12.375, ETASeconds: -1,
 		EventsPublished: 2000000, EventsDropped: 17, Done: true,
 	}
 	var b bytes.Buffer
-	if err := WritePrometheus(&b, reg.Snapshot(), prog); err != nil {
+	if err := WritePrometheus(&b, snap, prog); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "prometheus.prom", b.Bytes())

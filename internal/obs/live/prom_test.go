@@ -8,11 +8,11 @@ import (
 )
 
 func TestWritePrometheus(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Add("suite.runs", 3)
-	reg.SetGauge("power.idle_watts", 120.5)
+	tr := obs.NewTracer()
+	tr.Count("suite.runs", 3)
+	tr.Gauge("power.idle_watts", 120.5)
 	for _, v := range []float64{0.05, 0.5, 5, 50} {
-		reg.Observe("suite.attempt_seconds", v)
+		tr.Observe("suite.attempt_seconds", v)
 	}
 	prog := ProgressSnapshot{
 		CellsTotal: 8, CellsDone: 3, InFlight: 2, Retries: 1,
@@ -20,7 +20,7 @@ func TestWritePrometheus(t *testing.T) {
 		EventsPublished: 42, EventsDropped: 0, Done: false,
 	}
 	var b strings.Builder
-	if err := WritePrometheus(&b, reg.Snapshot(), prog); err != nil {
+	if err := WritePrometheus(&b, tr.Registry().Snapshot(), prog); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

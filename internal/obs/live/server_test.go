@@ -13,16 +13,16 @@ import (
 	"repro/internal/obs"
 )
 
-func startTestServer(t *testing.T) (*Server, *Hub, *obs.Registry) {
+func startTestServer(t *testing.T) (*Server, *Hub, *obs.Tracer) {
 	t.Helper()
 	hub := NewHub()
-	reg := obs.NewRegistry()
-	srv, err := NewServer("127.0.0.1:0", hub, reg.Snapshot)
+	tr := obs.NewTracer()
+	srv, err := NewServer("127.0.0.1:0", hub, func() obs.Snapshot { return tr.Registry().Snapshot() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv, hub, reg
+	return srv, hub, tr
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -59,9 +59,9 @@ func TestServerProgressEndpoint(t *testing.T) {
 }
 
 func TestServerMetricsEndpoint(t *testing.T) {
-	srv, hub, reg := startTestServer(t)
-	reg.Add("suite.runs", 2)
-	reg.Observe("suite.attempt_seconds", 1.5)
+	srv, hub, tr := startTestServer(t)
+	tr.Count("suite.runs", 2)
+	tr.Observe("suite.attempt_seconds", 1.5)
 	hub.SweepStarted(4, 2)
 
 	code, body := get(t, "http://"+srv.Addr()+"/metrics")

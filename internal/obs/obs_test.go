@@ -2,18 +2,19 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 )
 
 func TestRegistryCountersAndGauges(t *testing.T) {
-	r := NewRegistry()
-	r.Add("runs", 1)
-	r.Add("runs", 2)
-	r.SetGauge("procs", 64)
-	r.SetGauge("procs", 128)
-	s := r.Snapshot()
+	tr := NewTracer()
+	tr.Count("runs", 1)
+	tr.Count("runs", 2)
+	tr.Gauge("procs", 64)
+	tr.Gauge("procs", 128)
+	s := tr.Registry().Snapshot()
 	if len(s.Counters) != 1 || s.Counters[0].Name != "runs" || s.Counters[0].Value != 3 {
 		t.Errorf("counters = %+v", s.Counters)
 	}
@@ -22,52 +23,49 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 	}
 }
 
+// TestRegistryHistogram: a folded histogram uses DefaultBuckets.
 func TestRegistryHistogram(t *testing.T) {
-	r := NewRegistry()
-	if err := r.RegisterHistogram("lat", []float64{1, 10, 100}); err != nil {
-		t.Fatal(err)
+	tr := NewTracer()
+	for _, v := range []float64{0.05, 0.1, 5, 50, 1e5} {
+		tr.Observe("lat", v)
 	}
-	for _, v := range []float64{0.5, 1, 5, 50, 500} {
-		r.Observe("lat", v)
+	h := tr.Registry().Snapshot().Histograms[0]
+	if !reflect.DeepEqual(h.Bounds, DefaultBuckets) {
+		t.Errorf("bounds = %v, want DefaultBuckets %v", h.Bounds, DefaultBuckets)
 	}
-	s := r.Snapshot()
-	h := s.Histograms[0]
-	// 0.5 and 1 land in bucket <=1; 5 in <=10; 50 in <=100; 500 overflows.
-	want := []uint64{2, 1, 1, 1}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Fatalf("counts = %v, want %v", h.Counts, want)
-		}
+	// 0.05 and 0.1 land in bucket <=0.1; 5 in <=10; 50 in <=60; 1e5 overflows.
+	want := []uint64{2, 0, 1, 1, 0, 0, 0, 0, 1}
+	if !reflect.DeepEqual(h.Counts, want) {
+		t.Errorf("counts = %v, want %v", h.Counts, want)
 	}
-	if h.Count != 5 || h.Sum != 556.5 {
+	if h.Count != 5 || h.Sum != 100055.15 {
 		t.Errorf("count=%d sum=%v", h.Count, h.Sum)
 	}
 }
 
-func TestRegistryHistogramErrors(t *testing.T) {
-	r := NewRegistry()
-	if err := r.RegisterHistogram("x", nil); err == nil {
-		t.Error("empty bounds accepted")
+func TestHistogram(t *testing.T) {
+	h := NewHistogram([]float64{1, 10, 100})
+	for _, v := range []float64{0.5, 1, 5, 50, 500} {
+		h.Observe(v)
 	}
-	if err := r.RegisterHistogram("x", []float64{2, 1}); err == nil {
-		t.Error("descending bounds accepted")
-	}
-	r.Observe("seen", 1)
-	if err := r.RegisterHistogram("seen", []float64{1}); err == nil {
-		t.Error("re-registration accepted")
+	s := h.Snap("lat")
+	// 0.5 and 1 land in bucket <=1; 5 in <=10; 50 in <=100; 500 overflows.
+	want := HistSnap{Name: "lat", Bounds: []float64{1, 10, 100}, Counts: []uint64{2, 1, 1, 1}, Count: 5, Sum: 556.5}
+	if !reflect.DeepEqual(s, want) {
+		t.Errorf("snap = %+v, want %+v", s, want)
 	}
 }
 
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func(order []string) string {
-		r := NewRegistry()
+		tr := NewTracer()
 		for _, name := range order {
-			r.Add(name, 1)
-			r.SetGauge(name, 2)
-			r.Observe(name, 3)
+			tr.Count(name, 1)
+			tr.Gauge(name, 2)
+			tr.Observe(name, 3)
 		}
 		var b bytes.Buffer
-		if err := r.Snapshot().WriteJSON(&b); err != nil {
+		if err := tr.Registry().Snapshot().WriteJSON(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -120,9 +118,9 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.Spans() != nil || tr.Events() != nil || tr.Registry() != nil {
 		t.Error("nil tracer retained state")
 	}
-	tr.Replay([]Span{{}}, nil)
-	if got, _ := tr.Since(tr.Mark()); got != nil {
-		t.Error("nil tracer replayed spans")
+	tr.Replay([]Span{{}}, nil, []MetricOp{{Kind: OpCount, Name: "c", Value: 1}})
+	if spans, _, ops := tr.Since(tr.Mark()); spans != nil || ops != nil {
+		t.Error("nil tracer replayed records")
 	}
 	// Discard must accept everything silently too.
 	Discard.Span(Span{})
@@ -138,14 +136,18 @@ func TestTracerMarkSinceReplay(t *testing.T) {
 	m := tr.Mark()
 	tr.Span(Span{Track: "a", Name: "s2"})
 	tr.Event(Event{Track: "a", Name: "e1"})
-	spans, events := tr.Since(m)
-	if len(spans) != 1 || spans[0].Name != "s2" || len(events) != 1 {
-		t.Fatalf("Since = %v, %v", spans, events)
+	tr.Count("n", 2)
+	spans, events, ops := tr.Since(m)
+	if len(spans) != 1 || spans[0].Name != "s2" || len(events) != 1 || len(ops) != 1 {
+		t.Fatalf("Since = %v, %v, %v", spans, events, ops)
 	}
 	tr2 := NewTracer()
-	tr2.Replay(spans, events)
+	tr2.Replay(spans, events, ops)
 	if len(tr2.Spans()) != 1 || len(tr2.Events()) != 1 {
 		t.Error("replay lost records")
+	}
+	if s := tr2.Registry().Snapshot(); len(s.Counters) != 1 || s.Counters[0].Value != 2 {
+		t.Errorf("replayed counters = %+v, want n = 2", s.Counters)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // DefaultBuckets are the histogram bounds used when a metric is observed
@@ -15,12 +14,11 @@ import (
 // both sub-second meter windows and multi-hour campaign times.
 var DefaultBuckets = []float64{0.1, 1, 10, 60, 300, 1800, 7200, 43200}
 
-// Registry is a zero-dependency metrics store: counters, gauges and
-// fixed-bucket histograms, keyed by name. It is safe for concurrent use
-// and snapshots deterministically (names sorted, values rendered with
-// round-trip formatting).
+// Registry is a tracer's metrics folded from its update log
+// (Tracer.Registry): counters, gauges and histograms over DefaultBuckets,
+// keyed by name. It snapshots deterministically (names sorted, values
+// rendered with round-trip formatting).
 type Registry struct {
-	mu       sync.Mutex
 	counters map[string]float64
 	gauges   map[string]float64
 	hists    map[string]*Histogram
@@ -28,8 +26,7 @@ type Registry struct {
 
 // Histogram is a fixed-bucket histogram: ascending upper bounds with an
 // implicit overflow bucket. It is not safe for concurrent use on its
-// own: the owning component's mutex guards it, as the Registry's does
-// for its histograms.
+// own: the owning component's mutex guards it.
 type Histogram struct {
 	bounds []float64 // upper bounds, ascending; +Inf bucket is implicit
 	counts []uint64  // len(bounds)+1
@@ -62,8 +59,7 @@ func (h *Histogram) Snap(name string) HistSnap {
 	}
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+func newRegistry() *Registry {
 	return &Registry{
 		counters: map[string]float64{},
 		gauges:   map[string]float64{},
@@ -71,54 +67,22 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Add increments the named counter by delta.
-func (r *Registry) Add(name string, delta float64) {
-	r.mu.Lock()
-	r.counters[name] += delta
-	r.mu.Unlock()
-}
-
-// SetGauge sets the named gauge to v.
-func (r *Registry) SetGauge(name string, v float64) {
-	r.mu.Lock()
-	r.gauges[name] = v
-	r.mu.Unlock()
-}
-
-// RegisterHistogram pins explicit bucket bounds (ascending upper bounds;
-// an overflow bucket is implicit) for the named histogram. Registering
-// after the first observation, or with unsorted bounds, is an error.
-//
-//greenvet:allow unusedexport -- tests in other packages depend on it: the live Prometheus golden pins its buckets
-func (r *Registry) RegisterHistogram(name string, bounds []float64) error {
-	if len(bounds) == 0 {
-		return fmt.Errorf("obs: histogram %q needs at least one bound", name)
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return fmt.Errorf("obs: histogram %q bounds not ascending at %v", name, bounds[i])
+// apply folds one metric update into the registry, creating a histogram
+// with DefaultBuckets on its first observation.
+func (r *Registry) apply(op *MetricOp) {
+	switch op.Kind {
+	case OpCount:
+		r.counters[op.Name] += op.Value
+	case OpGauge:
+		r.gauges[op.Name] = op.Value
+	case OpObserve:
+		h, ok := r.hists[op.Name]
+		if !ok {
+			h = NewHistogram(DefaultBuckets)
+			r.hists[op.Name] = h
 		}
+		h.Observe(op.Value)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.hists[name]; ok {
-		return fmt.Errorf("obs: histogram %q already has observations", name)
-	}
-	r.hists[name] = NewHistogram(append([]float64(nil), bounds...))
-	return nil
-}
-
-// Observe adds v to the named histogram, creating it with DefaultBuckets
-// on first use.
-func (r *Registry) Observe(name string, v float64) {
-	r.mu.Lock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(DefaultBuckets)
-		r.hists[name] = h
-	}
-	h.Observe(v)
-	r.mu.Unlock()
 }
 
 // MetricSnap is one counter or gauge in a snapshot.
@@ -192,8 +156,6 @@ type Snapshot struct {
 
 // Snapshot copies the registry's current state, sorted by metric name.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var s Snapshot
 	for name, v := range r.counters {
 		s.Counters = append(s.Counters, MetricSnap{Name: name, Value: v})

@@ -66,27 +66,28 @@ func (a *arena[T]) each(from, to int, f func(*T)) {
 	}
 }
 
-// Tracer is the standard Recorder: it collects spans and events in
-// memory (append-only, mutex-protected, chunked-arena backed) and folds
-// metric updates into a Registry. A nil *Tracer is valid and discards
-// everything, so call sites can thread one `*Tracer` field through
-// unconditionally and the disabled path stays provably inert.
+// Tracer is the standard Recorder: it collects spans, events and metric
+// updates in memory (append-only, mutex-protected, chunked-arena backed),
+// each stream in recording order. The update log is the tracer's only
+// metric store; Registry folds it into totals on demand. A nil *Tracer
+// is valid and discards everything, so call sites can thread one
+// `*Tracer` field through unconditionally and the disabled path stays
+// provably inert.
 type Tracer struct {
 	mu     sync.Mutex
 	spans  arena[Span]
 	events arena[Event]
 	ops    arena[MetricOp]
-	reg    *Registry
 }
 
 // MetricOp is one metric update in recording order. Counter and
 // histogram accumulation is floating-point addition and therefore
-// order-sensitive; keeping the update log (rather than merging final
-// registry values) lets MergeRangeInto rebuild a campaign registry
-// bit-for-bit from per-cell tracers. The op log is exported
-// (and JSON-serialisable — float64 round-trips exactly through
-// encoding/json) so journals can checkpoint a cell's metric updates and
-// a resumed campaign can replay them into its registry bit-for-bit.
+// order-sensitive, so a tracer keeps its updates rather than running
+// totals: folding them in order (Registry), streaming them into another
+// recorder (MergeRangeInto) or replaying them from a journal (Replay)
+// reproduces a campaign's totals bit for bit. MetricOp is JSON-
+// serialisable (float64 round-trips exactly through encoding/json), so a
+// journal can checkpoint a cell's updates.
 type MetricOp struct {
 	Kind  string  `json:"k"` // "c" counter add, "g" gauge set, "o" histogram observe
 	Name  string  `json:"n"`
@@ -100,8 +101,8 @@ const (
 	OpObserve = "o"
 )
 
-// NewTracer returns an empty tracer with a fresh registry.
-func NewTracer() *Tracer { return &Tracer{reg: NewRegistry()} }
+// NewTracer returns an empty tracer.
+func NewTracer() *Tracer { return &Tracer{} }
 
 // Span records a completed span.
 func (t *Tracer) Span(s Span) {
@@ -124,44 +125,35 @@ func (t *Tracer) Event(e Event) {
 }
 
 // Count adds delta to the named counter.
-func (t *Tracer) Count(name string, delta float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ops.push(MetricOp{Kind: OpCount, Name: name, Value: delta})
-	t.mu.Unlock()
-	t.reg.Add(name, delta)
-}
+func (t *Tracer) Count(name string, delta float64) { t.op(OpCount, name, delta) }
 
 // Gauge sets the named gauge.
-func (t *Tracer) Gauge(name string, v float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ops.push(MetricOp{Kind: OpGauge, Name: name, Value: v})
-	t.mu.Unlock()
-	t.reg.SetGauge(name, v)
-}
+func (t *Tracer) Gauge(name string, v float64) { t.op(OpGauge, name, v) }
 
 // Observe adds v to the named histogram.
-func (t *Tracer) Observe(name string, v float64) {
+func (t *Tracer) Observe(name string, v float64) { t.op(OpObserve, name, v) }
+
+// op appends one metric update to the log.
+func (t *Tracer) op(kind, name string, v float64) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.ops.push(MetricOp{Kind: OpObserve, Name: name, Value: v})
+	t.ops.push(MetricOp{Kind: kind, Name: name, Value: v})
 	t.mu.Unlock()
-	t.reg.Observe(name, v)
 }
 
-// Registry exposes the tracer's metrics store (nil on a nil tracer).
+// Registry folds every metric update recorded so far, in recording
+// order, into a fresh Registry (nil on a nil tracer).
 func (t *Tracer) Registry() *Registry {
 	if t == nil {
 		return nil
 	}
-	return t.reg
+	r := newRegistry()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ops.each(0, t.ops.n, r.apply)
+	return r
 }
 
 // Spans returns a copy of the recorded spans in recording order.
@@ -199,34 +191,27 @@ func (t *Tracer) Mark() Mark {
 	return Mark{spans: t.spans.n, events: t.events.n, ops: t.ops.n}
 }
 
-// Since copies every span and event recorded after m. The copies are the
-// caller's to retain (journals checkpoint them), so this is the copying
-// counterpart of the zero-copy MergeRangeInto view.
-func (t *Tracer) Since(m Mark) ([]Span, []Event) {
+// Since copies every span, event and metric update recorded after m.
+// The copies are the caller's to retain (journals checkpoint them), so
+// this is the copying counterpart of the zero-copy MergeRangeInto view.
+func (t *Tracer) Since(m Mark) ([]Span, []Event, []MetricOp) {
 	if t == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.spans.copyRange(nil, m.spans, t.spans.n),
-		t.events.copyRange(nil, m.events, t.events.n)
+		t.events.copyRange(nil, m.events, t.events.n),
+		t.ops.copyRange(nil, m.ops, t.ops.n)
 }
 
-// OpsSince copies every metric update recorded after m — the companion
-// of Since for the metric-op log, so a journal can checkpoint one cell's
-// metric updates alongside its spans and events.
-func (t *Tracer) OpsSince(m Mark) []MetricOp {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ops.copyRange(nil, m.ops, t.ops.n)
-}
-
-// Replay appends previously-recorded spans and events verbatim — how a
-// resumed sweep restores the trace of journal-cached cells.
-func (t *Tracer) Replay(spans []Span, events []Event) {
+// Replay appends previously-recorded spans, events and metric updates
+// verbatim, each stream in order — how a resumed sweep restores the
+// trace and metrics of journal-cached cells, so its totals accumulate
+// bit for bit as the uninterrupted campaign's did. Records carry
+// cell-relative times, so no rebasing is needed. A journal is outside
+// input: an op of a kind the tracer does not record is dropped.
+func (t *Tracer) Replay(spans []Span, events []Event, ops []MetricOp) {
 	if t == nil {
 		return
 	}
@@ -237,28 +222,13 @@ func (t *Tracer) Replay(spans []Span, events []Event) {
 	for _, e := range events {
 		t.events.push(e)
 	}
-	t.mu.Unlock()
-}
-
-// ReplayOps re-applies previously-recorded metric updates: each op is
-// appended to the op log and folded into the registry in order, so a
-// resumed campaign's registry (and anything merged out of this tracer
-// later) accumulates bit-for-bit as the uninterrupted campaign's did.
-// Metric ops carry no virtual time, so no rebasing is needed.
-func (t *Tracer) ReplayOps(ops []MetricOp) {
-	if t == nil {
-		return
-	}
 	for _, op := range ops {
 		switch op.Kind {
-		case OpCount:
-			t.Count(op.Name, op.Value)
-		case OpGauge:
-			t.Gauge(op.Name, op.Value)
-		case OpObserve:
-			t.Observe(op.Name, op.Value)
+		case OpCount, OpGauge, OpObserve:
+			t.ops.push(op)
 		}
 	}
+	t.mu.Unlock()
 }
 
 // MergeRangeInto replays the records between marks from and to — one

@@ -15,8 +15,8 @@ import (
 func TestBeatWriterStampsSequence(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewBeatWriter(&buf, 0)
-	w.Hello(2)
-	w.Cell("a", 1, 2)
+	w.Hello()
+	w.Cell("a")
 	w.Tick()
 	w.Done()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

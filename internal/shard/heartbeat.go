@@ -12,15 +12,14 @@ import (
 
 // The heartbeat protocol: a shard worker writes one JSON object per line
 // (NDJSON) on its stdout, and the supervisor treats every parseable line
-// as proof of life. Cell beats additionally carry progress, so logs and
-// live telemetry can show how far a shard got before it was lost. Lines
+// as proof of life. Cell beats also name the checkpointed cell. Lines
 // that do not parse are ignored — a worker's stray prints cannot confuse
 // the supervisor, only starve it of beats.
 
 // Beat event kinds.
 const (
-	BeatHello = "hello" // worker is up: total cells it owns
-	BeatCell  = "cell"  // one cell checkpointed: key + done/total
+	BeatHello = "hello" // worker is up
+	BeatCell  = "cell"  // one cell checkpointed: its key
 	BeatTick  = "beat"  // periodic liveness while a long cell runs
 	BeatDone  = "done"  // worker finished its task cleanly
 )
@@ -28,14 +27,12 @@ const (
 // Beat is one heartbeat line. Seq is a monotonic per-writer sequence
 // number starting at 1: the supervisor uses it to detect silently
 // dropped NDJSON lines (a gap in the sequence). Zero means the line
-// carries no sequence — old workers, or hand-written test beats — and
-// gap tracking skips it.
+// carries no sequence, as hand-written beats may not, and gap tracking
+// skips it.
 type Beat struct {
 	Ev    string `json:"ev"`
 	Shard int    `json:"shard"`
 	Seq   uint64 `json:"seq,omitempty"`
-	Done  int    `json:"done,omitempty"`
-	Total int    `json:"total,omitempty"`
 	Key   string `json:"key,omitempty"`
 }
 
@@ -115,13 +112,11 @@ func NewBeatWriter(w io.Writer, shard int) *BeatWriter {
 	return &BeatWriter{w: w, shard: shard}
 }
 
-// Hello announces the worker is up and owns total cells.
-func (b *BeatWriter) Hello(total int) { b.emit(Beat{Ev: BeatHello, Total: total}) }
+// Hello announces the worker is up.
+func (b *BeatWriter) Hello() { b.emit(Beat{Ev: BeatHello}) }
 
 // Cell announces one checkpointed cell.
-func (b *BeatWriter) Cell(key string, done, total int) {
-	b.emit(Beat{Ev: BeatCell, Key: key, Done: done, Total: total})
-}
+func (b *BeatWriter) Cell(key string) { b.emit(Beat{Ev: BeatCell, Key: key}) }
 
 // Tick is the periodic liveness beat.
 func (b *BeatWriter) Tick() { b.emit(Beat{Ev: BeatTick}) }

@@ -48,8 +48,8 @@ func TestParseBeatRejectsNoise(t *testing.T) {
 			t.Errorf("ParseBeat(%q) accepted a non-beat line", line)
 		}
 	}
-	b, ok := ParseBeat([]byte(`{"ev":"cell","shard":1,"key":"k","done":2,"total":4}`))
-	if !ok || b.Ev != BeatCell || b.Shard != 1 || b.Key != "k" || b.Done != 2 || b.Total != 4 {
+	b, ok := ParseBeat([]byte(`{"ev":"cell","shard":1,"key":"k"}`))
+	if !ok || b.Ev != BeatCell || b.Shard != 1 || b.Key != "k" {
 		t.Fatalf("ParseBeat round-trip lost fields: %+v ok=%v", b, ok)
 	}
 }
@@ -57,7 +57,7 @@ func TestParseBeatRejectsNoise(t *testing.T) {
 func TestBeatWriterMute(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewBeatWriter(&buf, 3)
-	w.Hello(2)
+	w.Hello()
 	w.Mute()
 	w.Tick()
 	w.Done()

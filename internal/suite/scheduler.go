@@ -314,8 +314,7 @@ func (plan *SweepPlan) journalCell(cfg *Config, procs int, rec *obs.Tracer, chec
 		}
 		end := clock + run.Measurement.Time + run.WastedTime
 		if tr, traced := j.LookupTrace(key(bench)); traced && rec != nil {
-			rec.Replay(tr.Spans, tr.Events)
-			rec.ReplayOps(tr.Ops)
+			rec.Replay(tr.Spans, tr.Events, tr.Ops)
 			mark = rec.Mark()
 			end = tr.End
 		}
@@ -324,8 +323,7 @@ func (plan *SweepPlan) journalCell(cfg *Config, procs int, rec *obs.Tracer, chec
 	cfg.checkpoint = func(bench string, run BenchmarkRun, end units.Seconds) error {
 		k := key(bench)
 		if rec != nil {
-			spans, events := rec.Since(mark)
-			ops := rec.OpsSince(mark)
+			spans, events, ops := rec.Since(mark)
 			mark = rec.Mark()
 			j.SetTrace(k, CellTrace{Spans: spans, Events: events, Ops: ops, End: end})
 		}
